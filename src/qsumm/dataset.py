@@ -407,7 +407,11 @@ def load_corpus(manifest_path) -> Corpus:
         manifest.get("version") == MANIFEST_VERSION,
         f"{manifest_path}: unsupported manifest version {manifest.get('version')}",
     )
-    dims = manifest["dims"]
+    dims = manifest.get("dims")
+    _require(
+        isinstance(dims, dict) and {"d_frame", "d_shot", "d_text"} <= dims.keys(),
+        f"{manifest_path}: manifest needs dims with d_frame, d_shot and d_text",
+    )
     d_frame, d_shot, d_text = dims["d_frame"], dims["d_shot"], dims["d_text"]
 
     cinfo = manifest["concepts"]

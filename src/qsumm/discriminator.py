@@ -25,7 +25,16 @@ from .layers import (
     linear_forward,
     relu,
 )
-from .tensor import Tensor, as_tensor, concat_cols, mean_rows, mul, reshape
+from .tensor import (
+    Tensor,
+    as_tensor,
+    concat_cols,
+    concat_rows,
+    mean_rows,
+    mul,
+    reshape,
+    slice_rows,
+)
 
 __all__ = [
     "SUMMARY_TAGS",
@@ -189,25 +198,10 @@ def random_scores(T: int, rng) -> np.ndarray:
     return rng.integers(0, 2, size=T).astype(np.float64)
 
 
-def _branch(seq, fwd, bwd, gamma, beta, stats, mode):
-    h = bilstm_forward(seq, fwd, bwd)
+def _pool(h, gamma, beta, stats, mode):
     h = relu(batchnorm_forward(h, gamma, beta, mode, stats))
     pooled = mean_rows(h)
     return reshape(pooled, (1, pooled.data.size))
-
-
-def _summary_branch(seq, params, mode):
-    return _branch(
-        seq, params.summ_fwd, params.summ_bwd,
-        params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,
-    )
-
-
-def _video_branch(f_vq, params, mode):
-    return _branch(
-        f_vq, params.vid_fwd, params.vid_bwd,
-        params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
-    )
 
 
 def _head(u, v, params) -> Tensor:
@@ -224,36 +218,43 @@ def _summary_seq(summ) -> Tensor:
 
 def critic(summ, f_vq, params: DiscriminatorParams, train: bool) -> Tensor:
     """Scalar critic value for one (summary, video) pair."""
-    seq = _summary_seq(summ)
-    f_vq = as_tensor(f_vq)
-    if seq.data.shape[0] != f_vq.data.shape[0]:
-        raise DimensionError(
-            f"critic: summary has {seq.data.shape[0]} shots but video has "
-            f"{f_vq.data.shape[0]}"
-        )
-    mode = "train" if train else "eval"
-    u = _summary_branch(seq, params, mode)
-    v = _video_branch(f_vq, params, mode)
-    return _head(u, v, params)
+    return critic_scores([summ], f_vq, params, train)[0]
 
 
 def critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list:
-    """Score several summaries of one video with a single video-branch pass.
+    """Score several summaries of one video, one scalar per summary.
 
-    Batchnorm in train mode normalizes by batch statistics, so the shared
-    pass is value-identical to repeating it per summary; sharing just
-    avoids the redundant work and the repeated running-stat updates.
+    The video branch runs once and is shared: batchnorm in train mode
+    normalizes by batch statistics, so sharing is value-identical to
+    repeating it per summary and skips the repeated running-stat
+    updates.  The summaries are stacked by rows into one batched Bi-LSTM
+    call, so both directions of every summary advance in a single time
+    loop, with values equal to encoding each summary alone.  The
+    encodings are then split back and pass the summary batchnorm one at
+    a time, in list order, so its running stats see the same updates as
+    with one critic call per summary.
     """
     f_vq = as_tensor(f_vq)
-    mode = "train" if train else "eval"
-    v = _video_branch(f_vq, params, mode)
-    out = []
-    for summ in summs:
-        seq = _summary_seq(summ)
-        if seq.data.shape[0] != f_vq.data.shape[0]:
+    T = f_vq.data.shape[0]
+    seqs = [_summary_seq(summ) for summ in summs]
+    for seq in seqs:
+        if seq.data.shape[0] != T:
             raise DimensionError(
-                f"critic: summary has {seq.data.shape[0]} shots but video has "
-                f"{f_vq.data.shape[0]}"
+                f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
             )
-        out.append(_head(_summary_branch(seq, params, mode), v, params))
+    mode = "train" if train else "eval"
+    v = _pool(
+        bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
+        params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
+    )
+    if not seqs:
+        return []
+    h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd, n_seq=len(seqs))
+    out = []
+    for i in range(len(seqs)):
+        u = _pool(
+            slice_rows(h, i * T, (i + 1) * T),
+            params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,
+        )
+        out.append(_head(u, v, params))
     return out

@@ -171,15 +171,18 @@ def component_suite(seed: int = 0) -> dict:
         f = lambda: mean_all(lstm_sequence(seq, params) * r)
         return f, {"wx": params.w_x, "wh": params.w_h, "b": params.b, "seq": seq}
 
-    def bilstm_case(rng):
-        fwd = LSTMParams.create(3, 4, rng)
-        bwd = LSTMParams.create(3, 4, rng)
-        seq = Tensor(rng.standard_normal((4, 3)))
-        r = _coeffs(rng, (4, 8))
-        f = lambda: mean_all(bilstm_forward(seq, fwd, bwd) * r)
-        targets = {"fwd_wx": fwd.w_x, "fwd_wh": fwd.w_h, "fwd_b": fwd.b,
-                   "bwd_wx": bwd.w_x, "bwd_wh": bwd.w_h, "bwd_b": bwd.b, "seq": seq}
-        return f, targets
+    def bilstm_case(n_seq):
+        def build(rng):
+            fwd = LSTMParams.create(3, 4, rng)
+            bwd = LSTMParams.create(3, 4, rng)
+            seq = Tensor(rng.standard_normal((4 * n_seq, 3)))
+            r = _coeffs(rng, (4 * n_seq, 8))
+            f = lambda: mean_all(bilstm_forward(seq, fwd, bwd, n_seq=n_seq) * r)
+            targets = {"fwd_wx": fwd.w_x, "fwd_wh": fwd.w_h, "fwd_b": fwd.b,
+                       "bwd_wx": bwd.w_x, "bwd_wh": bwd.w_h, "bwd_b": bwd.b, "seq": seq}
+            return f, targets
+
+        return build
 
     gen_cfg = GeneratorConfig(
         d_frame=6, d_shot=8, d_text=4, d_fused=8, d_qenc=4, d_h=8, d_pred=8
@@ -259,8 +262,9 @@ def component_suite(seed: int = 0) -> dict:
     run("dropout", dropout_case)
     run("lstm-cell", lstm_cell_case)
     run("lstm-sequence", lstm_sequence_case)
-    run("bilstm", bilstm_case)
+    run("bilstm", bilstm_case(1))
     run("generator", generator_case)
     run("critic", critic_case)
     run("generator-critic", generator_critic_case)
+    run("bilstm-batched", bilstm_case(3))
     return results

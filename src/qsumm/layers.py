@@ -1,10 +1,14 @@
 """Layer primitives: linear, batchnorm, dropout, LSTM cells and sequences.
 
 The LSTM comes in two forms.  lstm_cell composes taped primitives and is
-the reference single-step implementation; lstm_sequence runs a whole
-direction as one fused tape node with backpropagation-through-time inside
-the node, which keeps tapes short and training fast.  The two are tied
-together by an equivalence test.
+the reference single-step implementation.  Everything else runs through
+one batched recurrence kernel: it advances several directions over
+several equal-length sequences that are stacked by rows, all in one time
+loop, and records the whole recurrence as a single tape node with
+backpropagation-through-time inside it.  lstm_sequence is its
+one-direction, one-sequence case; bilstm_forward runs both directions of
+one or more stacked sequences.  Equivalence tests tie the kernel to
+lstm_cell and the batched calls to separate ones.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import (
     Tensor,
+    _sigmoid,
     add,
-    concat_cols,
+    as_tensor,
     matmul,
     mul,
     record,
     relu,
     reshape,
-    reverse_rows,
     sigmoid,
     slice_cols,
     tanh,
@@ -219,87 +223,170 @@ def lstm_cell(
     return reshape(h_t, (d_h,)), reshape(c_t, (d_h,))
 
 
+def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
+    """parts[-1] + ... + parts[0], summed in that order.
+
+    A tape accumulates the gradients of separate calls from the last call
+    to the first; summing per-sequence weight gradients the same way makes
+    a batched call's gradients equal those of separate calls bit for bit.
+    """
+    total = parts[-1]
+    for part in parts[-2::-1]:
+        total = total + part
+    return total
+
+
+def _recurrence(seq: Tensor, n_seq: int, directions, name: str) -> Tensor:
+    """LSTM directions over n_seq stacked sequences in one time loop.
+
+    seq stacks n_seq equal-length sequences by rows, (n_seq*T, d_in).
+    directions lists (LSTMParams, reverse) pairs sharing one d_h; a
+    reversed direction reads each sequence from its last row to its
+    first.  Every direction starts from zero states.  Row b*T + t of the
+    (n_seq*T, D*d_h) output holds the hidden states of all D directions
+    at time t of sequence b, side by side in list order.
+
+    The input projection is one 3-d matmul per direction, hoisted out of
+    the loop; each step then advances every (direction, sequence) pair
+    with one stacked matmul, so the values equal running each pair
+    alone.  Gate activations overwrite the pre-activation buffer.  The
+    whole recurrence is one tape node whose backward runs BPTT over the
+    cached gates for every pair at once.
+    """
+    if seq.data.ndim != 2:
+        raise DimensionError(f"{name}: need (T, d_in), got {seq.data.shape}")
+    rows, d_in = seq.data.shape
+    if rows == 0:
+        raise ContractError(f"{name}: empty sequence")
+    if n_seq < 1 or rows % n_seq:
+        raise DimensionError(f"{name}: {rows} rows do not split into {n_seq} equal sequences")
+    H = directions[0][0].d_h
+    for p, _ in directions:
+        if p.d_in != d_in:
+            raise DimensionError(f"{name}: input width {d_in} does not match d_in {p.d_in}")
+        if p.d_h != H:
+            raise DimensionError(f"{name}: directions disagree on d_h ({p.d_h} vs {H})")
+    D, B, T = len(directions), n_seq, rows // n_seq
+    xs = seq.data.reshape(B, T, d_in)
+
+    # time-major buffers: [t] is the (D, B, .) state of every pair at step t
+    pre = np.empty((T, D, B, 4 * H))
+    for k, (p, reverse) in enumerate(directions):
+        proj = np.matmul(xs, p.w_x.data) + p.b.data
+        pre[:, k] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
+    w_h = np.stack([p.w_h.data for p, _ in directions])[:, None]  # (D, 1, H, 4H)
+    hs = np.empty((T, D, B, H))
+    cs = np.empty((T, D, B, H))
+    tc = np.empty((T, D, B, H))
+    h = c = np.zeros((D, B, H))
+    for t in range(T):
+        z = pre[t]
+        z += np.matmul(h[:, :, None, :], w_h)[:, :, 0]
+        g = np.tanh(z[..., 2 * H : 3 * H])
+        _sigmoid(z, out=z)
+        z[..., 2 * H : 3 * H] = g
+        c = np.multiply(z[..., H : 2 * H], c, out=cs[t])
+        c += z[..., :H] * g
+        h = np.multiply(z[..., 3 * H :], np.tanh(c, out=tc[t]), out=hs[t])
+    gates = pre.reshape(T, D, B, 4, H)  # now [i, f, g, o] activations
+
+    def in_time(a, reverse):
+        """A (B, T, n) array from step order to time order, or back."""
+        return a[:, ::-1] if reverse else a
+
+    def seq_major(a, k):
+        """Direction k of a (T, D, B, n) buffer as (B, T, n), step order."""
+        return a[:, k].transpose(1, 0, 2)
+
+    out = Tensor(np.concatenate(
+        [in_time(seq_major(hs, k), reverse) for k, (_, reverse) in enumerate(directions)],
+        axis=2,
+    ).reshape(B * T, D * H))
+
+    def bwd(g_out):
+        g = g_out.reshape(B, T, D * H)
+        dh_out = np.empty((T, D, B, H))
+        for k, (_, reverse) in enumerate(directions):
+            dh_out[:, k] = in_time(g[:, :, k * H : (k + 1) * H], reverse).transpose(1, 0, 2)
+        # Per gate block [i, f, g, o] a step's pre-activation gradient is
+        # ((up * fac1) * fac2) * fac3 with up = [dc, dc, dc, dh],
+        # fac1 = [g, c_prev, i, tanh c], fac2 = [i, f, 1, o] and
+        # fac3 = [1-i, 1-f, 1-g*g, 1-o], e.g. ((dc*g)*i)*(1-i) for the
+        # input gate.  The factors do not depend on the carried dh and dc,
+        # so they are formed for all steps at once, outside the loop.
+        gi, gf, gg, go = (gates[..., j, :] for j in range(4))
+        fac1 = np.empty_like(gates)
+        fac1[..., 0, :] = gg
+        fac1[0, ..., 1, :] = 0.0
+        fac1[1:, ..., 1, :] = cs[:-1]
+        fac1[..., 2, :] = gi
+        fac1[..., 3, :] = tc
+        fac2 = gates.copy()
+        fac2[..., 2, :] = 1.0
+        fac3 = 1.0 - gates
+        fac3[..., 2, :] = 1.0 - gg * gg
+        dtc = 1.0 - tc * tc
+        w_hT = w_h.transpose(0, 1, 3, 2)
+        dz = np.empty_like(gates)
+        up = np.empty((D, B, 4, H))
+        dh = np.zeros((D, B, H))
+        dc = np.zeros((D, B, H))
+        for t in range(T - 1, -1, -1):
+            dh += dh_out[t]
+            dc += dh * go[t] * dtc[t]
+            up[..., :3, :] = dc[..., None, :]
+            up[..., 3, :] = dh
+            dz_t = np.multiply(up, fac1[t], out=dz[t])
+            dz_t *= fac2[t]
+            dz_t *= fac3[t]
+            dh = np.matmul(dz_t.reshape(D, B, 1, 4 * H), w_hT)[:, :, 0]
+            dc *= gf[t]
+        dz = dz.reshape(T, D, B, 4 * H)
+        h_prev = np.zeros_like(hs)
+        h_prev[1:] = hs[:-1]
+        grads = []
+        for k, (p, reverse) in reversed(list(enumerate(directions))):
+            dz_k = np.ascontiguousarray(seq_major(dz, k))
+            x_k = np.ascontiguousarray(in_time(xs, reverse))
+            grads += [
+                in_time(np.matmul(dz_k, p.w_x.data.T), reverse).reshape(B * T, d_in),
+                _sum_last_to_first(np.matmul(x_k.transpose(0, 2, 1), dz_k)),
+                _sum_last_to_first(np.matmul(seq_major(h_prev, k).transpose(0, 2, 1), dz_k)),
+                _sum_last_to_first(dz_k.sum(axis=1)),
+            ]
+        return grads
+
+    # seq is listed once per direction, last direction first, so the tape
+    # adds up its gradient in the order it would for one node per
+    # direction; training stays bit-identical to that layout.
+    inputs = []
+    for p, _ in reversed(directions):
+        inputs += [seq, p.w_x, p.w_h, p.b]
+    record(out, tuple(inputs), bwd)
+    return out
+
+
 def lstm_sequence(seq: Tensor, params: LSTMParams) -> Tensor:
     """Run one LSTM direction over a (T, d_in) sequence as a fused tape node.
 
     Initial hidden and cell states are zero.  Returns the (T, d_h) stack of
-    hidden states.  The backward closure runs BPTT over cached gate values
-    and batches the weight gradients into single matmuls.
+    hidden states.  This is the one-direction, one-sequence case of the
+    batched recurrence behind bilstm_forward.
     """
-    if seq.data.ndim != 2:
-        raise DimensionError(f"lstm_sequence: need (T, d_in), got {seq.data.shape}")
-    T, d_in = seq.data.shape
-    if T == 0:
-        raise ContractError("lstm_sequence: empty sequence")
-    if d_in != params.d_in:
-        raise DimensionError(
-            f"lstm_sequence: input width {d_in} does not match d_in {params.d_in}"
-        )
-    H = params.d_h
-    w_x, w_h, b = params.w_x, params.w_h, params.b
-
-    x = seq.data
-    pre = x @ w_x.data + b.data  # (T, 4H)
-    hs = np.empty((T, H))
-    gi = np.empty((T, H))
-    gf = np.empty((T, H))
-    gg = np.empty((T, H))
-    go = np.empty((T, H))
-    cs = np.empty((T, H))
-    tc = np.empty((T, H))
-
-    h = np.zeros(H)
-    c = np.zeros(H)
-    whd = w_h.data
-    for t in range(T):
-        z = pre[t] + h @ whd
-        zi, zf, zg, zo = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-        ei = np.exp(-np.abs(zi))
-        ef = np.exp(-np.abs(zf))
-        eo = np.exp(-np.abs(zo))
-        i_t = np.where(zi >= 0, 1.0 / (1.0 + ei), ei / (1.0 + ei))
-        f_t = np.where(zf >= 0, 1.0 / (1.0 + ef), ef / (1.0 + ef))
-        g_t = np.tanh(zg)
-        o_t = np.where(zo >= 0, 1.0 / (1.0 + eo), eo / (1.0 + eo))
-        c = f_t * c + i_t * g_t
-        t_c = np.tanh(c)
-        h = o_t * t_c
-        gi[t], gf[t], gg[t], go[t] = i_t, f_t, g_t, o_t
-        cs[t] = c
-        tc[t] = t_c
-        hs[t] = h
-
-    out = Tensor(hs)
-
-    def bwd(g_out):
-        dz = np.empty((T, 4 * H))
-        dh = np.zeros(H)
-        dc = np.zeros(H)
-        for t in range(T - 1, -1, -1):
-            dh = dh + g_out[t]
-            c_prev = cs[t - 1] if t > 0 else np.zeros(H)
-            do_ = dh * tc[t]
-            dc = dc + dh * go[t] * (1.0 - tc[t] * tc[t])
-            di = dc * gg[t]
-            df = dc * c_prev
-            dg = dc * gi[t]
-            dz[t, :H] = di * gi[t] * (1.0 - gi[t])
-            dz[t, H : 2 * H] = df * gf[t] * (1.0 - gf[t])
-            dz[t, 2 * H : 3 * H] = dg * (1.0 - gg[t] * gg[t])
-            dz[t, 3 * H :] = do_ * go[t] * (1.0 - go[t])
-            dh = dz[t] @ whd.T
-            dc = dc * gf[t]
-        h_prev = np.vstack([np.zeros((1, H)), hs[:-1]])
-        return [dz @ w_x.data.T, x.T @ dz, h_prev.T @ dz, dz.sum(axis=0)]
-
-    record(out, (seq, w_x, w_h, b), bwd)
-    return out
+    return _recurrence(as_tensor(seq), 1, [(params, False)], "lstm_sequence")
 
 
-def bilstm_forward(seq: Tensor, params_fwd: LSTMParams, params_bwd: LSTMParams) -> Tensor:
-    """Bidirectional LSTM: row t is concat(forward h_t, backward h_t)."""
+def bilstm_forward(
+    seq: Tensor, params_fwd: LSTMParams, params_bwd: LSTMParams, n_seq: int = 1
+) -> Tensor:
+    """Bidirectional LSTM: row t is concat(forward h_t, backward h_t).
+
+    seq may stack n_seq equal-length sequences by rows, (n_seq*T, d_in);
+    each is encoded independently and the output stacks their (T, 2*d_h)
+    encodings in the same order.  Both directions of every sequence run
+    in one time loop.
+    """
+    seq = as_tensor(seq)
     if seq.data.ndim != 2 or seq.data.shape[0] == 0:
         raise ContractError(f"bilstm_forward: need a nonempty (T, d_in) sequence, got {seq.data.shape}")
-    fwd = lstm_sequence(seq, params_fwd)
-    bwd = reverse_rows(lstm_sequence(reverse_rows(seq), params_bwd))
-    return concat_cols(fwd, bwd)
+    return _recurrence(seq, n_seq, [(params_fwd, False), (params_bwd, True)], "bilstm_forward")

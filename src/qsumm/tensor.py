@@ -26,7 +26,9 @@ __all__ = [
     "matmul",
     "reshape",
     "concat_cols",
+    "concat_rows",
     "slice_cols",
+    "slice_rows",
     "reverse_rows",
     "tile_rows",
     "sum_all",
@@ -308,6 +310,41 @@ def slice_cols(x, lo: int, hi: int) -> Tensor:
     return out
 
 
+def concat_rows(xs) -> Tensor:
+    """Row-wise concatenation of matrices with equal column counts."""
+    xs = [as_tensor(x) for x in xs]
+    if not xs or any(x.data.ndim != 2 or x.data.shape[1] != xs[0].data.shape[1] for x in xs):
+        raise DimensionError(
+            f"concat_rows: shapes {[x.data.shape for x in xs]} do not align"
+        )
+    bounds = np.cumsum([0] + [x.data.shape[0] for x in xs])
+    out = Tensor(np.concatenate([x.data for x in xs], axis=0))
+
+    def bwd(g):
+        return [g[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    record(out, tuple(xs), bwd)
+    return out
+
+
+def slice_rows(x, lo: int, hi: int) -> Tensor:
+    """Rows [lo, hi) of a matrix."""
+    x = as_tensor(x)
+    if x.data.ndim != 2 or not (0 <= lo < hi <= x.data.shape[0]):
+        raise DimensionError(
+            f"slice_rows: [{lo}:{hi}] invalid for shape {x.data.shape}"
+        )
+    out = Tensor(x.data[lo:hi].copy())
+
+    def bwd(g):
+        z = np.zeros_like(x.data)
+        z[lo:hi] = g
+        return [z]
+
+    record(out, (x,), bwd)
+    return out
+
+
 def reverse_rows(x) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
@@ -362,9 +399,15 @@ def absolute(x) -> Tensor:
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+    """Stable logistic: 1/(1+e) where z >= 0, else e/(1+e), e = exp(-|z|).
+
+    out=z evaluates it in place.
+    """
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # e <= 1, so the max picks 1 where z >= 0 and e below
+    num = np.maximum(e, np.heaviside(z, 1.0))
+    return np.divide(num, 1.0 + e, out=out)
 
 
 def sigmoid(x) -> Tensor:

@@ -525,26 +525,23 @@ def _read_sections(buf: bytes, source: str) -> dict:
     return sections
 
 
-def _fill_tensor(t: Tensor, buf: bytes, name: str, source: str) -> None:
-    m = matrix_from_bytes(buf, source=f"{source}:{name}")
-    if m.size != t.data.size:
-        raise FormatError(
-            f"{source}: section {name!r} holds {m.size} values, expected {t.data.size}"
-        )
-    t.data[...] = m.reshape(t.data.shape)
-
-
 def _fill_array(arr: np.ndarray, buf: bytes, name: str, source: str) -> None:
     m = matrix_from_bytes(buf, source=f"{source}:{name}")
     if m.size != arr.size:
         raise FormatError(
             f"{source}: section {name!r} holds {m.size} values, expected {arr.size}"
         )
+    if not np.isfinite(m).all():
+        raise FormatError(f"{source}: section {name!r} holds non-finite values")
     arr[...] = m.reshape(arr.shape)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Reconstruct a Checkpoint; resuming from it continues bit-exactly."""
+    """Reconstruct a Checkpoint; resuming from it continues bit-exactly.
+
+    Raises FormatError for malformed sections, including any tensor that
+    holds a NaN or an infinity.
+    """
     source = str(path)
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -565,12 +562,12 @@ def load_checkpoint(path) -> Checkpoint:
     gparams = init_generator_params(gen_cfg, np.random.default_rng(0))
     dparams = init_discriminator_params(disc_cfg, np.random.default_rng(0))
     for key, t in gparams.tensors().items():
-        _fill_tensor(t, need(f"gparam/{key}"), f"gparam/{key}", source)
+        _fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
     for key, st in gparams.stats().items():
         _fill_array(st.mean, need(f"gstats/{key}/mean"), f"gstats/{key}/mean", source)
         _fill_array(st.var, need(f"gstats/{key}/var"), f"gstats/{key}/var", source)
     for key, t in dparams.tensors().items():
-        _fill_tensor(t, need(f"dparam/{key}"), f"dparam/{key}", source)
+        _fill_array(t.data, need(f"dparam/{key}"), f"dparam/{key}", source)
     for key, st in dparams.stats().items():
         _fill_array(st.mean, need(f"dstats/{key}/mean"), f"dstats/{key}/mean", source)
         _fill_array(st.var, need(f"dstats/{key}/var"), f"dstats/{key}/var", source)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -92,6 +93,34 @@ class TestExitCodes:
                       "--checkpoint", workspace["checkpoint"], "--length-study"])
         assert rc == 1
         assert "--length-study requires --out" in capsys.readouterr().err
+
+
+    def test_non_finite_checkpoint_is_runtime_error(self, workspace, tmp_path, capsys):
+        from qsumm.training import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(workspace["checkpoint"])
+        ckpt.gen_params.fuse_w.data[0, 0] = np.nan
+        path = str(tmp_path / "nan.qsck")
+        save_checkpoint(ckpt, path)
+        rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "gparam/fuse_w" in err
+
+    @pytest.mark.parametrize("drop", ["dims", "d_shot"])
+    def test_manifest_without_dims_is_runtime_error(self, workspace, tmp_path, capsys, drop):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        if drop == "dims":
+            del manifest["dims"]
+        else:
+            del manifest["dims"][drop]
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli(["evaluate", "--corpus", str(corpus),
+                      "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigFile:

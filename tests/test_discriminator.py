@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import max_rel_err
 from qsumm.discriminator import (
+    SUMMARY_TAGS,
     DiscriminatorConfig,
     SummaryRepr,
     critic,
@@ -15,7 +17,7 @@ from qsumm.discriminator import (
 )
 from qsumm.errors import ConfigError, DimensionError
 from qsumm.gradcheck import grad_check
-from qsumm.tensor import Tensor
+from qsumm.tensor import Tape, Tensor
 
 TINY = DiscriminatorConfig(d_summ_in=10, d_vid_in=12, d_h=6, d_fc1=8, d_fc2=6, d_fc3=4)
 
@@ -158,6 +160,27 @@ class TestSharedVideoBranch:
         assert_allclose(
             shared_params.vid_bn_stats.var, once_params.vid_bn_stats.var, atol=0
         )
+
+    def test_gradients_match_separate_calls(self):
+        f_eq, f_vq = (Tensor(a) for a in tiny_inputs(6, seed=12))
+        rng = np.random.default_rng(13)
+        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in SUMMARY_TAGS]
+
+        def grads(batched):
+            params = tiny_params(seed=14)
+            watch = list(params.tensors().values()) + [f_eq, f_vq] + scores
+            with Tape(watch=watch) as tape:
+                summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
+                if batched:
+                    d = critic_scores(summs, f_vq, params, train=True)
+                else:
+                    d = [critic(s, f_vq, params, train=True) for s in summs]
+                loss = d[0] - d[1] * 0.5 - d[2] * 0.5
+            tape.backward(loss)
+            return [t.grad.copy() for t in watch]
+
+        for a, b in zip(grads(batched=True), grads(batched=False)):
+            assert max_rel_err(a, b) < 1e-10
 
     def test_mismatched_summary_rejected(self):
         f_eq, f_vq = tiny_inputs(6)

@@ -97,6 +97,12 @@ class TestMatching:
         with pytest.raises(ContractError):
             max_weight_matching([[np.inf]])
 
+    def test_tie_break_follows_scan_order(self):
+        # {(0, 0)} and {(0, 1), (1, 0)} both weigh 1.0; the scan order
+        # (rows ascending, columns ascending, strict improvement) keeps
+        # the first, so this query scores one match, not two
+        assert max_weight_matching([[1.0, 0.5], [0.5, 0.0]]) == [(0, 0)]
+
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(100)
         start = time.monotonic()

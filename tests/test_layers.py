@@ -401,3 +401,62 @@ class TestBiLSTM:
         pb = LSTMParams.create(3, 2, rng)
         with pytest.raises(ContractError):
             bilstm_forward(Tensor(np.zeros((0, 3))), pf, pb)
+
+
+def stacked_and_separate(seed, n_seq=3, T=5, d_in=4, d_h=3):
+    rng = np.random.default_rng(seed)
+    pf = LSTMParams.create(d_in, d_h, rng)
+    pb = LSTMParams.create(d_in, d_h, rng)
+    seqs = [rng.standard_normal((T, d_in)) for _ in range(n_seq)]
+    return pf, pb, seqs
+
+
+class TestBatchedBiLSTM:
+    """Sequences stacked by rows through one bilstm_forward call."""
+
+    def test_values_match_separate_calls(self):
+        pf, pb, seqs = stacked_and_separate(27)
+        out = bilstm_forward(Tensor(np.vstack(seqs)), pf, pb, n_seq=3).data
+        separate = np.vstack([bilstm_forward(Tensor(s), pf, pb).data for s in seqs])
+        assert_allclose(out, separate, rtol=0, atol=0)
+
+    def test_matches_unrolled_cells_both_directions(self):
+        pf, pb, seqs = stacked_and_separate(28)
+        T, H = 5, 3
+        out = bilstm_forward(Tensor(np.vstack(seqs)), pf, pb, n_seq=3).data
+        for b, seq in enumerate(seqs):
+            rows = out[b * T : (b + 1) * T]
+            for params, order, cols in ((pf, range(T), slice(0, H)),
+                                        (pb, range(T - 1, -1, -1), slice(H, 2 * H))):
+                h = Tensor(np.zeros(H))
+                c = Tensor(np.zeros(H))
+                for t in order:
+                    h, c = lstm_cell(Tensor(seq[t]), h, c, params)
+                    assert max_rel_err(rows[t, cols], h.data) < 1e-12
+
+    def test_gradients_match_separate_calls(self):
+        pf, pb, seqs = stacked_and_separate(29)
+        r = np.random.default_rng(30).standard_normal((15, 6))
+        weights = [pf.w_x, pf.w_h, pf.b, pb.w_x, pb.w_h, pb.b]
+
+        stacked = Tensor(np.vstack(seqs))
+        with Tape(watch=weights + [stacked]) as tape:
+            loss = sum_all(bilstm_forward(stacked, pf, pb, n_seq=3) * r)
+        tape.backward(loss)
+        batched = [w.grad.copy() for w in weights] + [stacked.grad.copy()]
+
+        parts = [Tensor(s) for s in seqs]
+        with Tape(watch=weights + parts) as tape:
+            loss = sum_all(bilstm_forward(parts[0], pf, pb) * r[:5])
+            for i in (1, 2):
+                loss = loss + sum_all(bilstm_forward(parts[i], pf, pb) * r[5 * i : 5 * i + 5])
+        tape.backward(loss)
+        separate = [w.grad for w in weights] + [np.vstack([p.grad for p in parts])]
+
+        for a, b in zip(batched, separate):
+            assert max_rel_err(a, b) < 1e-10
+
+    def test_rows_must_split_evenly(self):
+        pf, pb, seqs = stacked_and_separate(31)
+        with pytest.raises(DimensionError):
+            bilstm_forward(Tensor(np.vstack(seqs)[:-1]), pf, pb, n_seq=3)

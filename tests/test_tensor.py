@@ -10,6 +10,7 @@ from qsumm.tensor import (
     absolute,
     add,
     concat_cols,
+    concat_rows,
     mean_all,
     mean_rows,
     matmul,
@@ -19,6 +20,7 @@ from qsumm.tensor import (
     reverse_rows,
     sigmoid,
     slice_cols,
+    slice_rows,
     sum_all,
     tanh,
     tile_rows,
@@ -74,6 +76,12 @@ class TestForward:
         q = Tensor([[1.0, 2.0]])
         assert_allclose(tile_rows(q, 3).data, np.repeat(q.data, 3, axis=0))
 
+    def test_row_ops(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        y = Tensor(np.arange(3.0).reshape(1, 3))
+        assert_allclose(concat_rows([x, y, x]).data, np.vstack([x.data, y.data, x.data]))
+        assert_allclose(slice_rows(x, 1, 2).data, x.data[1:2])
+
     def test_reductions(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert float(sum_all(x)) == 15.0
@@ -107,6 +115,14 @@ class TestShapeErrors:
     def test_slice_bounds(self):
         with pytest.raises(DimensionError):
             slice_cols(Tensor(np.zeros((2, 3))), 2, 2)
+
+    def test_row_op_bounds(self):
+        with pytest.raises(DimensionError):
+            concat_rows([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))])
+        with pytest.raises(DimensionError):
+            concat_rows([])
+        with pytest.raises(DimensionError):
+            slice_rows(Tensor(np.zeros((2, 3))), 1, 3)
 
     def test_tile_rows_needs_single_row(self):
         with pytest.raises(DimensionError):
@@ -235,6 +251,17 @@ class TestGradientOracle:
             return mean_all(sigmoid(reshape(y, (2, 12))))
 
         check_grads(f, {"x": x})
+
+    def test_row_grads(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal((2, 3)))
+        b = Tensor(rng.standard_normal((3, 3)))
+
+        def f():
+            y = concat_rows([a, b, a])
+            return mean_all(sigmoid(slice_rows(y, 1, 6)) * slice_rows(y, 0, 5))
+
+        check_grads(f, {"a": a, "b": b})
 
     def test_tile_and_pool_grads(self):
         rng = np.random.default_rng(11)

@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     FormatError,
     GenerationError,
+    QsummError,
 )
 from .matrix_io import load_feature_matrix, write_matrix
 from .rng import STREAMS, stream_rng
@@ -394,13 +395,36 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _require_concept(c, n_concepts: int, where: str) -> None:
+    _require(
+        isinstance(c, int) and not isinstance(c, bool),
+        f"{where}: concept id {c!r} is not an integer",
+    )
+    _require(0 <= c < n_concepts, f"{where}: dangling concept id {c}")
+
+
 def load_corpus(manifest_path) -> Corpus:
-    """Load and validate a corpus from its manifest."""
+    """Load and validate a corpus from its manifest.
+
+    Raises FormatError for a manifest that does not parse as a corpus,
+    including one with a missing field or a field of the wrong type.
+    """
+    try:
+        return _load_corpus(manifest_path)
+    except QsummError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
+        raise FormatError(
+            f"{manifest_path}: malformed manifest ({type(e).__name__}: {e})"
+        ) from None
+
+
+def _load_corpus(manifest_path) -> Corpus:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{manifest_path}: manifest is not valid JSON: {e}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{manifest_path}: manifest is not UTF-8 JSON: {e}") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
     _require(manifest.get("format") == MANIFEST_FORMAT, f"{manifest_path}: not a corpus manifest")
     _require(
@@ -448,11 +472,8 @@ def load_corpus(manifest_path) -> Corpus:
         annotations = []
         for t, concepts in enumerate(entry["annotations"]):
             for c in concepts:
-                _require(
-                    0 <= c < n_concepts,
-                    f"video {vid} shot {t}: dangling concept id {c}",
-                )
-            annotations.append(tuple(int(c) for c in concepts))
+                _require_concept(c, n_concepts, f"video {vid} shot {t}")
+            annotations.append(tuple(concepts))
         queries = []
         for qi, q in enumerate(entry["queries"]):
             scenario = q["scenario"]
@@ -460,13 +481,10 @@ def load_corpus(manifest_path) -> Corpus:
                 scenario in SCENARIOS,
                 f"video {vid} query {qi}: unknown scenario {scenario!r}",
             )
-            a, b = int(q["concept_a"]), int(q["concept_b"])
-            _require(a != b, f"video {vid} query {qi}: repeated concept {a}")
+            a, b = q["concept_a"], q["concept_b"]
             for c in (a, b):
-                _require(
-                    0 <= c < n_concepts,
-                    f"video {vid} query {qi}: dangling concept id {c}",
-                )
+                _require_concept(c, n_concepts, f"video {vid} query {qi}")
+            _require(a != b, f"video {vid} query {qi}: repeated concept {a}")
             mask = np.asarray(q["gt_mask"], dtype=np.uint8)
             _require(
                 mask.shape == (T,),

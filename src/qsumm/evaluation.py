@@ -43,6 +43,26 @@ def iou(a, b) -> float:
     return len(a & b) / len(union)
 
 
+def _concept_incidence(annotations) -> np.ndarray:
+    """Shots x distinct concept ids of one video, 1 where a shot carries
+    the concept; repeated ids within a shot collapse, as in iou()."""
+    ids = sorted({c for concepts in annotations for c in concepts})
+    return np.array([[c in concepts for c in ids] for concepts in annotations],
+                    dtype=np.int64).reshape(len(annotations), len(ids))
+
+
+def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
+    """iou() between the shots in rows and those in cols, as one array op.
+
+    Counts are integers, so each entry is the same correctly rounded
+    quotient iou() computes; two empty concept sets give 0.
+    """
+    a, b = incidence[rows], incidence[cols]
+    inter = a @ b.T
+    union = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+
+
 def _hungarian_min(cost: np.ndarray) -> list:
     """Optimal assignment on a square cost matrix, potentials method.
 
@@ -50,37 +70,45 @@ def _hungarian_min(cost: np.ndarray) -> list:
     tree over columns until a free column is found, updating the dual
     potentials by the minimum reduced cost.  O(n^3) total.  Scan order
     (rows ascending, columns ascending, strict improvement) fixes which
-    optimal assignment is returned when several exist.
+    optimal assignment is returned when several exist.  The scan runs on
+    Python floats and visits only the columns not yet in the tree; it
+    also applies the previous step's minv -= delta to those columns, the
+    only ones whose minv is read again.
     """
     n = cost.shape[0]
-    INF = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j, 1-based
-    way = np.zeros(n + 1, dtype=np.int64)
+    rows = cost.tolist()
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row matched to column j, 1-based
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [INF] * (n + 1)
+        used = [0]
+        free = list(range(1, n + 1))  # unused columns, ascending
+        delta = 0.0
         while True:
-            used[j0] = True
             i0 = p[j0]
-            delta = INF
+            row, u_i0 = rows[i0 - 1], u[i0]
+            shift, delta = delta, INF
             j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+            for j in free:
+                m = minv[j] - shift
+                cur = row[j - 1] - u_i0 - v[j]
+                if cur < m:
+                    m = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                minv[j] = m
+                if m < delta:
+                    delta = m
                     j1 = j
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
+            used.append(j1)
             j0 = j1
             if p[j0] == 0:
                 break
@@ -88,7 +116,7 @@ def _hungarian_min(cost: np.ndarray) -> list:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    return [(int(p[j]) - 1, j - 1) for j in range(1, n + 1)]
+    return [(p[j] - 1, j - 1) for j in range(1, n + 1)]
 
 
 def max_weight_matching(weights) -> list:
@@ -192,6 +220,7 @@ def evaluate(
                 f"evaluate: video {video.video_id} has {len(video.annotations)} "
                 f"annotation entries for {video.n_shots} shots"
             )
+        incidence = _concept_incidence(video.annotations)
         scored = []
         for qi, query in enumerate(video.queries):
             if predict is not None:
@@ -204,10 +233,7 @@ def evaluate(
                 mask = select_shots(fwd.s, threshold)
             gen_idx = np.flatnonzero(mask)
             gt_idx = np.flatnonzero(query.gt_mask)
-            weights = np.zeros((gen_idx.size, gt_idx.size))
-            for a, gi in enumerate(gen_idx):
-                for b, gj in enumerate(gt_idx):
-                    weights[a, b] = iou(video.annotations[gi], video.annotations[gj])
+            weights = _iou_matrix(incidence, gen_idx, gt_idx)
             matched = len(max_weight_matching(weights))
             p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
             gamma_q = float(query.gt_mask.mean())

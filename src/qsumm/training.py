@@ -214,6 +214,13 @@ def _check_finite(value: float, step: int, term: str) -> float:
     return value
 
 
+def _check_tau(gen_cfg, cfg) -> None:
+    if gen_cfg.tau != cfg.tau:
+        raise ConfigError(
+            f"train: generator tau {gen_cfg.tau} conflicts with training tau {cfg.tau}"
+        )
+
+
 def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
     if gen_cfg is None:
         gen_cfg = GeneratorConfig(
@@ -222,10 +229,8 @@ def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
             d_text=corpus.dims["d_text"],
             tau=cfg.tau,
         )
-    elif gen_cfg.tau != cfg.tau:
-        raise ConfigError(
-            f"train: generator tau {gen_cfg.tau} conflicts with training tau {cfg.tau}"
-        )
+    else:
+        _check_tau(gen_cfg, cfg)
     for name in ("d_frame", "d_shot", "d_text"):
         if getattr(gen_cfg, name) != corpus.dims[name]:
             raise ConfigError(
@@ -267,6 +272,7 @@ def train(
         raise ContractError("train: corpus has no videos")
     if resume is not None:
         gen_cfg, disc_cfg = resume.gen_cfg, resume.disc_cfg
+        _check_tau(gen_cfg, cfg)
         gparams, dparams = resume.gen_params, resume.disc_params
         gen_opt, disc_opt = resume.gen_opt, resume.disc_opt
         hub = RngHub.from_state(resume.rng_state)
@@ -512,7 +518,10 @@ def _read_sections(buf: bytes, source: str) -> dict:
         off += _SECTION_HEAD.size
         if off + name_len + _PAYLOAD_HEAD.size > len(buf):
             raise FormatError(f"{source}: truncated at section header")
-        name = buf[off : off + name_len].decode("utf-8")
+        try:
+            name = buf[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{source}: section name is not UTF-8") from None
         off += name_len
         (payload_len,) = _PAYLOAD_HEAD.unpack_from(buf, off)
         off += _PAYLOAD_HEAD.size
@@ -552,15 +561,41 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{source}: missing checkpoint section {name!r}")
         return sections[name]
 
-    meta = json.loads(need("meta").decode("utf-8"))
+    def parse(name: str):
+        try:
+            return json.loads(need(name).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
+
+    def config(cls, name: str):
+        fields = parse(name)
+        if not isinstance(fields, dict):
+            raise FormatError(f"{source}: section {name!r} is not a JSON object")
+        try:
+            return cls(**fields)
+        except TypeError as e:
+            raise FormatError(f"{source}: section {name!r}: {e}") from None
+
+    meta = parse("meta")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{source}: section 'meta' is not a JSON object")
     if meta.get("format") != "qsumm-checkpoint":
         raise FormatError(f"{source}: unexpected meta format tag {meta.get('format')!r}")
-    train_cfg = TrainConfig(**json.loads(need("cfg/train").decode("utf-8")))
-    gen_cfg = GeneratorConfig(**json.loads(need("cfg/gen").decode("utf-8")))
-    disc_cfg = DiscriminatorConfig(**json.loads(need("cfg/disc").decode("utf-8")))
+    try:
+        counts = {k: int(meta[k])
+                  for k in ("step", "best_val_step", "gen_opt_step", "disc_opt_step")}
+        best_val_f1 = float(meta["best_val_f1"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{source}: bad or missing meta field: {e!r}") from None
+    train_cfg = config(TrainConfig, "cfg/train")
+    gen_cfg = config(GeneratorConfig, "cfg/gen")
+    disc_cfg = config(DiscriminatorConfig, "cfg/disc")
 
-    gparams = init_generator_params(gen_cfg, np.random.default_rng(0))
-    dparams = init_discriminator_params(disc_cfg, np.random.default_rng(0))
+    try:
+        gparams = init_generator_params(gen_cfg, np.random.default_rng(0))
+        dparams = init_discriminator_params(disc_cfg, np.random.default_rng(0))
+    except TypeError as e:
+        raise FormatError(f"{source}: configs do not describe a model: {e}") from None
     for key, t in gparams.tensors().items():
         _fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
     for key, st in gparams.stats().items():
@@ -573,16 +608,16 @@ def load_checkpoint(path) -> Checkpoint:
         _fill_array(st.var, need(f"dstats/{key}/var"), f"dstats/{key}/var", source)
 
     gen_opt = OptimizerState.for_params(gparams.tensors())
-    gen_opt.step = int(meta["gen_opt_step"])
+    gen_opt.step = counts["gen_opt_step"]
     for key, acc in gen_opt.acc.items():
         _fill_array(acc, need(f"gopt/acc/{key}"), f"gopt/acc/{key}", source)
     disc_opt = OptimizerState.for_params(dparams.tensors())
-    disc_opt.step = int(meta["disc_opt_step"])
+    disc_opt.step = counts["disc_opt_step"]
     for key, acc in disc_opt.acc.items():
         _fill_array(acc, need(f"dopt/acc/{key}"), f"dopt/acc/{key}", source)
 
     return Checkpoint(
-        step=int(meta["step"]),
+        step=counts["step"],
         train_cfg=train_cfg,
         gen_cfg=gen_cfg,
         disc_cfg=disc_cfg,
@@ -590,7 +625,7 @@ def load_checkpoint(path) -> Checkpoint:
         disc_params=dparams,
         gen_opt=gen_opt,
         disc_opt=disc_opt,
-        rng_state=json.loads(need("rng").decode("utf-8")),
-        best_val_f1=float(meta["best_val_f1"]),
-        best_val_step=int(meta["best_val_step"]),
+        rng_state=parse("rng"),
+        best_val_f1=best_val_f1,
+        best_val_step=counts["best_val_step"],
     )

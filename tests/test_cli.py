@@ -123,6 +123,67 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section, edit", [
+        ("cfg/gen", lambda b: json.dumps({**json.loads(b), "bogus": 1}).encode()),
+        ("cfg/gen", lambda b: json.dumps({**json.loads(b), "d_h": 6.5}).encode()),
+        ("meta", lambda b: b"\xff\xfe" + b),
+        ("meta", lambda b: b[:-1]),
+        ("cfg/train", lambda b: b"{"),
+        ("rng", lambda b: b"[1,"),
+        ("meta", lambda b: json.dumps(
+            {k: v for k, v in json.loads(b).items() if k != "step"}).encode()),
+    ], ids=["cfg-unknown-key", "cfg-float-dim", "meta-not-utf8", "meta-bad-json", "cfg-bad-json",
+            "rng-bad-json", "meta-without-step"])
+    def test_malformed_checkpoint_section_is_runtime_error(
+            self, workspace, tmp_path, capsys, section, edit):
+        from qsumm import training
+
+        sections = training._read_sections(
+            open(workspace["checkpoint"], "rb").read(), "ckpt")
+        sections[section] = edit(sections[section])
+        blob = bytearray(training._FILE_HEAD.pack(
+            training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, len(sections)))
+        for name, payload in sections.items():
+            blob += training._SECTION_HEAD.pack(len(name)) + name.encode()
+            blob += training._PAYLOAD_HEAD.pack(len(payload)) + payload
+        path = tmp_path / "bad.qsck"
+        path.write_bytes(bytes(blob))
+        rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, where", [
+        ("annotations", "shot 0"), ("concept_a", "query 0"),
+    ])
+    def test_non_integer_concept_id_is_runtime_error(
+            self, workspace, tmp_path, capsys, field, where):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        video = manifest["videos"][0]
+        if field == "annotations":
+            video["annotations"][0] = ["x"]
+        else:
+            video["queries"][0]["concept_a"] = "abc"
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli(["evaluate", "--corpus", str(corpus),
+                      "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"video {video['id']} {where}" in err
+
+    def test_non_utf8_manifest_is_runtime_error(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        raw = (corpus / "manifest.json").read_bytes()
+        (corpus / "manifest.json").write_bytes(raw.replace(b'"id"', b'"\xa0id"', 1))
+        rc = run_cli(["evaluate", "--corpus", str(corpus),
+                      "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"synt": {}})

@@ -26,6 +26,7 @@ from qsumm.errors import (
     ConfigError,
     ContractError,
     FormatError,
+    QsummError,
     VersionError,
 )
 from qsumm.matrix_io import load_feature_matrix, matrix_bytes, write_matrix
@@ -281,6 +282,43 @@ class TestCorpusRoundTrip:
         with pytest.raises(FormatError) as ei:
             load_corpus(manifest)
         assert "99" in str(ei.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda v: v["queries"][0].pop("scenario"),
+        lambda v: v.pop("frame_feat"),
+        lambda v: v["queries"][0].update(gt_mask=[300] * len(v["queries"][0]["gt_mask"])),
+        lambda v: v.update(annotations=7),
+    ], ids=["no-scenario", "no-frame-feat", "gt-mask-overflow", "annotations-not-list"])
+    def test_malformed_entry_is_format_error(self, tmp_path, edit):
+        manifest = self._written(tmp_path)
+        doc = json.loads(open(manifest).read())
+        edit(doc["videos"][0])
+        open(manifest, "w").write(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_corpus(manifest)
+
+    def test_damaged_manifest_bytes_raise_typed_errors(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        manifest = self._written(tmp_path)
+        blob = open(manifest, "rb").read()
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(cut=st.booleans(), pos=st.integers(0, len(blob) - 1),
+                          bit=st.integers(0, 7))
+        def check(cut, pos, bit):
+            data = bytearray(blob[:pos] if cut else blob)
+            if not cut:
+                data[pos] ^= 1 << bit
+            with open(manifest, "wb") as fh:
+                fh.write(bytes(data))
+            try:
+                load_corpus(manifest)
+            except (QsummError, OSError):
+                pass
+
+        check()
 
     def test_missing_feature_file(self, tmp_path):
         manifest = self._written(tmp_path)

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qsumm import evaluation
 from qsumm.dataset import SynthConfig, synth_corpus
 from qsumm.errors import ContractError, FormatError
 from qsumm.evaluation import (
+    _concept_incidence,
+    _iou_matrix,
     evaluate,
     iou,
     max_weight_matching,
@@ -131,6 +134,130 @@ class TestMatching:
             shuffled = w[pr][:, pc]
             total = sum(shuffled[i, j] for i, j in max_weight_matching(shuffled))
             assert abs(base - total) < 1e-9
+
+
+def reference_hungarian_min(cost: np.ndarray) -> list:
+    """The numpy-scalar solver that the list-based _hungarian_min replaced,
+    kept verbatim as the oracle for its scan-order result."""
+    n = cost.shape[0]
+    INF = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j, 1-based
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, INF)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return [(int(p[j]) - 1, j - 1) for j in range(1, n + 1)]
+
+
+def random_annotations(rng, n, pool, max_len=3):
+    """Shots annotated like the synthetic corpus, 0 to max_len-1 ids each
+    from a small pool, with repeats, so equal IoU values are common."""
+    return [tuple(int(c) for c in rng.integers(0, pool, size=rng.integers(0, max_len)))
+            for _ in range(n)]
+
+
+def iou_loop(annotations, rows, cols):
+    w = np.zeros((len(rows), len(cols)))
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            w[a, b] = iou(annotations[i], annotations[j])
+    return w
+
+
+def iou_like(rng, n_gen, n_gt, pool=6):
+    ann = random_annotations(rng, n_gen + n_gt, pool)
+    return iou_loop(ann, range(n_gen), range(n_gen, n_gen + n_gt))
+
+
+class TestMatchingAgainstReference:
+    SHAPES = [(1, 1), (59, 27), (27, 59), (59, 59), (120, 120), (120, 45), (45, 120)]
+
+    def test_same_pairs_as_reference_solver(self, monkeypatch):
+        rng = np.random.default_rng(300)
+        shapes = self.SHAPES + [tuple(rng.integers(1, 41, size=2)) for _ in range(60)]
+        cases = []
+        for k, (n_gen, n_gt) in enumerate(shapes):
+            w = iou_like(rng, int(n_gen), int(n_gt), pool=(4, 6, 12)[k % 3])
+            cases.append((w, max_weight_matching(w)))
+        monkeypatch.setattr(evaluation, "_hungarian_min", reference_hungarian_min)
+        for w, pairs in cases:
+            assert pairs == max_weight_matching(w), f"shape {w.shape}"
+
+    def test_square_solver_returns_reference_assignment(self):
+        rng = np.random.default_rng(301)
+        for n in (1, 2, 5, 17, 60):
+            cost = -iou_like(rng, n, n, pool=4)
+            assert evaluation._hungarian_min(cost) == reference_hungarian_min(cost)
+
+    def test_total_weight_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(302)
+        for n_gen, n_gt in [(60, 60), (120, 90), (90, 120), (250, 250), (250, 100)]:
+            w = iou_like(rng, n_gen, n_gt)
+            pairs = max_weight_matching(w)
+            r, c = optimize.linear_sum_assignment(w, maximize=True)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            assert sum(w[i, j] for i, j in pairs) == pytest.approx(
+                w[r, c].sum(), rel=1e-12, abs=1e-12)
+
+
+class TestIouMatrix:
+    def test_equals_iou_loop(self):
+        rng = np.random.default_rng(303)
+        for trial in range(50):
+            ann = random_annotations(rng, int(rng.integers(1, 30)), pool=8, max_len=5)
+            inc = _concept_incidence(ann)
+            rows = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
+            cols = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
+            w = _iou_matrix(inc, rows, cols)
+            assert w.dtype == np.float64 and w.shape == (rows.size, cols.size)
+            assert np.array_equal(w, iou_loop(ann, rows, cols)), f"trial {trial}"
+
+    def test_empty_sets_duplicates_and_empty_sides(self):
+        ann = [(), (3, 3), (3, 7, 7), (), (9,)]
+        inc = _concept_incidence(ann)
+        assert inc.shape == (5, 3) and inc.sum() == 4
+        everything = np.arange(5)
+        w = _iou_matrix(inc, everything, everything)
+        assert np.array_equal(w, iou_loop(ann, everything, everything))
+        assert w[0, 3] == 0.0 and w[1, 1] == 1.0 and w[1, 2] == 0.5
+        none = np.array([], dtype=np.int64)
+        assert _iou_matrix(inc, none, everything).shape == (0, 5)
+        assert _iou_matrix(inc, everything, none).shape == (5, 0)
+
+    def test_video_without_concepts(self):
+        inc = _concept_incidence([(), ()])
+        assert inc.shape == (2, 0)
+        assert np.array_equal(_iou_matrix(inc, [0, 1], [1]), np.zeros((2, 1)))
 
 
 class TestPrf:

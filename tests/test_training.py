@@ -14,6 +14,7 @@ from qsumm.errors import (
     DimensionError,
     FormatError,
     NumericError,
+    QsummError,
     VersionError,
 )
 from qsumm.generator import GeneratorConfig, generator_forward
@@ -402,6 +403,39 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestCheckpointFuzz:
+    """Truncated or bit-flipped checkpoint bytes raise only QsummError."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, mini_corpus, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "c.qsck"
+        save_checkpoint(train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN).checkpoint, path)
+        return path.read_bytes()
+
+    def test_damaged_bytes_raise_typed_errors(self, blob, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # most of the file is tensor payload; half the flips aim at the
+        # headers and JSON sections at the front
+        position = st.one_of(st.integers(0, 2047), st.integers(0, len(blob) - 1))
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(cut=st.booleans(), pos=position, bit=st.integers(0, 7))
+        def check(cut, pos, bit):
+            data = bytearray(blob[:pos] if cut else blob)
+            if not cut:
+                data[pos] ^= 1 << bit
+            path = tmp_path / "damaged.qsck"
+            path.write_bytes(bytes(data))
+            try:
+                load_checkpoint(path)
+            except QsummError:
+                pass
+
+        check()
+
+
 class TestResume:
     def test_split_run_metrics_byte_identical(self, mini_corpus, tmp_path):
         full_dir = tmp_path / "full"
@@ -438,6 +472,15 @@ class TestResume:
             assert np.array_equal(cb.gen_params.tensors()[k].data, t.data)
         assert ca.rng_state == cb.rng_state
         assert a == b
+
+    def test_tau_conflict_on_resume_rejected(self, mini_corpus, tmp_path):
+        result = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
+                       gen_cfg=MINI_GEN)
+        assert result.checkpoint.gen_cfg.tau == 0.1
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=4, tau=0.5)
+        with pytest.raises(ConfigError, match="generator tau 0.1 conflicts with training tau 0.5"):
+            train(mini_corpus, cfg, out_dir=tmp_path, resume=result.checkpoint)
+        assert not os.path.exists(tmp_path / "checkpoint.qsck")
 
     def test_periodic_checkpoints_written(self, mini_corpus, tmp_path):
         cfg = dataclasses.replace(MINI_TRAIN, max_steps=4, checkpoint_every=2)

@@ -177,13 +177,13 @@ def _cmd_evaluate(args) -> int:
         write_report_csv,
         write_report_json,
     )
-    from .training import load_checkpoint
+    from .training import load_generator
 
     if args.length_study and not args.out:
         raise UsageError("--length-study requires --out")
     corpus = load_corpus(_corpus_manifest(args.corpus))
-    ckpt = load_checkpoint(args.checkpoint)
-    report = evaluate(ckpt.gen_params, corpus, args.split, threshold=args.threshold)
+    gparams = load_generator(args.checkpoint)
+    report = evaluate(gparams, corpus, args.split, threshold=args.threshold)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_report_csv(report, os.path.join(args.out, "report.csv"))
@@ -200,10 +200,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_summarize(args) -> int:
     from .dataset import embed_query
-    from .training import load_checkpoint
+    from .training import load_generator
 
     corpus = load_corpus(_corpus_manifest(args.corpus))
-    ckpt = load_checkpoint(args.checkpoint)
+    gparams = load_generator(args.checkpoint)
     video = corpus.video_by_id(args.video)
     if not 0 <= args.query < len(video.queries):
         raise ContractError(
@@ -212,7 +212,7 @@ def _cmd_summarize(args) -> int:
         )
     query = video.queries[args.query]
     fwd = generator_forward(
-        ckpt.gen_params, video.frame_feats, video.shot_feats,
+        gparams, video.frame_feats, video.shot_feats,
         embed_query(query, corpus.concepts), train=False,
     )
     selected = select_shots(fwd.s, args.threshold)

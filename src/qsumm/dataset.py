@@ -34,7 +34,6 @@ from .rng import STREAMS, stream_rng
 
 __all__ = [
     "SCENARIOS",
-    "ShotRecord",
     "Query",
     "ConceptTable",
     "Video",
@@ -55,15 +54,6 @@ SCENARIOS = ("both-same-shot", "both-different-shots", "one-present", "none-pres
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "qsumm-corpus"
 MANIFEST_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Per-shot view: two feature rows plus the annotated concept ids."""
-
-    frame_feat: np.ndarray
-    shot_feat: np.ndarray
-    concepts: tuple
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,6 @@ class Video:
     @property
     def n_shots(self) -> int:
         return self.frame_feats.shape[0]
-
-    def shot(self, t: int) -> ShotRecord:
-        return ShotRecord(self.frame_feats[t], self.shot_feats[t], tuple(self.annotations[t]))
 
 
 @dataclass

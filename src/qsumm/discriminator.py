@@ -23,6 +23,7 @@ from .layers import (
     bilstm_forward,
     init_linear,
     linear_forward,
+    lstm_shapes,
     relu,
 )
 from .tensor import (
@@ -42,6 +43,7 @@ __all__ = [
     "DiscriminatorParams",
     "SummaryRepr",
     "init_discriminator_params",
+    "discriminator_shapes",
     "summary_repr",
     "random_scores",
     "critic",
@@ -164,6 +166,33 @@ def init_discriminator_params(cfg: DiscriminatorConfig, rng) -> DiscriminatorPar
         summ_bn_stats=RunningStats.create(2 * cfg.d_h),
         vid_bn_stats=RunningStats.create(2 * cfg.d_h),
     )
+
+
+def discriminator_shapes(cfg: DiscriminatorConfig) -> tuple[dict, dict]:
+    """Shapes of init_discriminator_params(cfg): its tensors() and its stats().
+
+    Same keys in the same order, computed from the config alone.
+    """
+    h2, h4 = 2 * cfg.d_h, 4 * cfg.d_h
+    tensors = {
+        **lstm_shapes("summ_fwd", cfg.d_summ_in, cfg.d_h),
+        **lstm_shapes("summ_bwd", cfg.d_summ_in, cfg.d_h),
+        "summ_bn_gamma": (h2,),
+        "summ_bn_beta": (h2,),
+        **lstm_shapes("vid_fwd", cfg.d_vid_in, cfg.d_h),
+        **lstm_shapes("vid_bwd", cfg.d_vid_in, cfg.d_h),
+        "vid_bn_gamma": (h2,),
+        "vid_bn_beta": (h2,),
+        "fc1_w": (h4, cfg.d_fc1),
+        "fc1_b": (cfg.d_fc1,),
+        "fc2_w": (cfg.d_fc1, cfg.d_fc2),
+        "fc2_b": (cfg.d_fc2,),
+        "fc3_w": (cfg.d_fc2, cfg.d_fc3),
+        "fc3_b": (cfg.d_fc3,),
+        "out_w": (cfg.d_fc3, 1),
+        "out_b": (1,),
+    }
+    return tensors, {"summ_bn": (h2,), "vid_bn": (h2,)}
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .layers import (
     dropout,
     init_linear,
     linear_forward,
+    lstm_shapes,
     relu,
 )
 from .tensor import Tensor, as_tensor, concat_cols, reshape, sigmoid, tile_rows
@@ -30,6 +31,7 @@ __all__ = [
     "GeneratorParams",
     "GenForward",
     "init_generator_params",
+    "generator_shapes",
     "g_r_fuse",
     "g_e_encode",
     "g_p_score",
@@ -148,6 +150,32 @@ def init_generator_params(cfg: GeneratorConfig, rng) -> GeneratorParams:
         tau=cfg.tau,
         dropout_p=cfg.dropout_p,
     )
+
+
+def generator_shapes(cfg: GeneratorConfig) -> tuple[dict, dict]:
+    """Shapes of init_generator_params(cfg): its tensors() and its stats().
+
+    Same keys in the same order, computed from the config alone so a
+    loader can check a file's sizes before it allocates anything.
+    """
+    d_in, h2 = cfg.d_fused + cfg.d_qenc, 2 * cfg.d_h
+    tensors = {
+        "fuse_w": (cfg.d_frame + cfg.d_shot, cfg.d_fused),
+        "fuse_b": (cfg.d_fused,),
+        "query_w": (cfg.d_text, cfg.d_qenc),
+        "query_b": (cfg.d_qenc,),
+        **lstm_shapes("enc_fwd", d_in, cfg.d_h),
+        **lstm_shapes("enc_bwd", d_in, cfg.d_h),
+        "enc_bn_gamma": (h2,),
+        "enc_bn_beta": (h2,),
+        "pred_w1": (h2, cfg.d_pred),
+        "pred_b1": (cfg.d_pred,),
+        "pred_bn_gamma": (cfg.d_pred,),
+        "pred_bn_beta": (cfg.d_pred,),
+        "pred_w2": (cfg.d_pred, 1),
+        "pred_b2": (1,),
+    }
+    return tensors, {"enc_bn": (h2,), "pred_bn": (cfg.d_pred,)}
 
 
 def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Tensor:

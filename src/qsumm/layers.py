@@ -40,6 +40,7 @@ __all__ = [
     "batchnorm_forward",
     "dropout",
     "LSTMParams",
+    "lstm_shapes",
     "lstm_cell",
     "lstm_sequence",
     "bilstm_forward",
@@ -194,6 +195,11 @@ class LSTMParams:
     @property
     def d_in(self) -> int:
         return self.w_x.data.shape[0]
+
+
+def lstm_shapes(name: str, d_in: int, d_h: int) -> dict:
+    """Shapes of LSTMParams.create(d_in, d_h), keyed name_wx, name_wh, name_b."""
+    return {f"{name}_wx": (d_in, 4 * d_h), f"{name}_wh": (d_h, 4 * d_h), f"{name}_b": (4 * d_h,)}
 
 
 def lstm_cell(

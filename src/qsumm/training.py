@@ -16,7 +16,9 @@ checkpoint that round-trips bit-exactly, RNG streams included.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ from .discriminator import (
     DiscriminatorParams,
     critic,
     critic_scores,
+    discriminator_shapes,
     init_discriminator_params,
     random_scores,
     summary_repr,
@@ -38,9 +41,11 @@ from .generator import (
     GeneratorConfig,
     GeneratorParams,
     generator_forward,
+    generator_shapes,
     init_generator_params,
 )
-from .matrix_io import matrix_bytes, matrix_from_bytes
+# matrix_from_bytes stays importable here: perfbench/tracing.py wraps this name
+from .matrix_io import HEADER_SIZE, encode_matrix, matrix_from_bytes, parse_matrix_header  # noqa: F401
 from .optim import OptimizerState, clip_weights, rmsprop_step
 from .rng import RngHub
 from .tensor import Tape, Tensor, absolute, as_tensor, mean_all, mul, sub
@@ -59,6 +64,7 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "load_generator",
 ]
 
 METRICS_HEADER = "step,critic_loss,gen_adv,loss_summ,loss_length,total_gen"
@@ -442,6 +448,9 @@ def train(
 _SECTION_HEAD = struct.Struct("<I")
 _PAYLOAD_HEAD = struct.Struct("<Q")
 _FILE_HEAD = struct.Struct("<4sII")
+# size of the save buffer, and of the scratch buffer that float32
+# payloads and payloads that are only validated pass through on load
+_SCRATCH_BYTES = 8 << 20
 
 
 def _config_json(cfg) -> bytes:
@@ -452,7 +461,51 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
 
 
+def _tensor_sections(gen, disc, gen_acc: dict, disc_acc: dict) -> dict:
+    """Section name -> value for every tensor section, in file order.
+
+    gen and disc are (tensors, stats) pairs of dicts keyed as tensors()
+    and stats() key them; a stats value is a (mean, var) pair.
+    """
+    out = {}
+    for prefix, (tensors, stats) in (("g", gen), ("d", disc)):
+        out.update((f"{prefix}param/{k}", v) for k, v in tensors.items())
+        for k, (mean, var) in stats.items():
+            out[f"{prefix}stats/{k}/mean"] = mean
+            out[f"{prefix}stats/{k}/var"] = var
+    out.update((f"gopt/acc/{k}", v) for k, v in gen_acc.items())
+    out.update((f"dopt/acc/{k}", v) for k, v in disc_acc.items())
+    return out
+
+
+def _param_arrays(params) -> tuple[dict, dict]:
+    return (
+        {k: t.data for k, t in params.tensors().items()},
+        {k: (st.mean, st.var) for k, st in params.stats().items()},
+    )
+
+
+def _checkpoint_arrays(ckpt: Checkpoint) -> dict:
+    return _tensor_sections(
+        _param_arrays(ckpt.gen_params), _param_arrays(ckpt.disc_params),
+        ckpt.gen_opt.acc, ckpt.disc_opt.acc,
+    )
+
+
+def _config_sizes(gen_cfg, disc_cfg) -> dict:
+    """Element count of every tensor section the two configs imply."""
+    gt, gs = generator_shapes(gen_cfg)
+    dt, ds = discriminator_shapes(disc_cfg)
+    shapes = _tensor_sections(
+        (gt, {k: (s, s) for k, s in gs.items()}),
+        (dt, {k: (s, s) for k, s in ds.items()}),
+        gt, dt,
+    )
+    return {name: math.prod(shape) for name, shape in shapes.items()}
+
+
 def _sections_of(ckpt: Checkpoint):
+    """(name, payload parts) in file order; tensors yield (header, array)."""
     meta = {
         "format": "qsumm-checkpoint",
         "step": ckpt.step,
@@ -461,47 +514,57 @@ def _sections_of(ckpt: Checkpoint):
         "gen_opt_step": ckpt.gen_opt.step,
         "disc_opt_step": ckpt.disc_opt.step,
     }
-    yield "meta", json.dumps(meta, sort_keys=True).encode("utf-8")
-    yield "cfg/train", _config_json(ckpt.train_cfg)
-    yield "cfg/gen", _config_json(ckpt.gen_cfg)
-    yield "cfg/disc", _config_json(ckpt.disc_cfg)
-    for key, t in ckpt.gen_params.tensors().items():
-        yield f"gparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
-    for key, st in ckpt.gen_params.stats().items():
-        yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
-        yield f"gstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
-    for key, t in ckpt.disc_params.tensors().items():
-        yield f"dparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
-    for key, st in ckpt.disc_params.stats().items():
-        yield f"dstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
-        yield f"dstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
-    for key, acc in ckpt.gen_opt.acc.items():
-        yield f"gopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
-    for key, acc in ckpt.disc_opt.acc.items():
-        yield f"dopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
-    yield "rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")
+    yield "meta", (json.dumps(meta, sort_keys=True).encode("utf-8"),)
+    yield "cfg/train", (_config_json(ckpt.train_cfg),)
+    yield "cfg/gen", (_config_json(ckpt.gen_cfg),)
+    yield "cfg/disc", (_config_json(ckpt.disc_cfg),)
+    for name, arr in _checkpoint_arrays(ckpt).items():
+        yield name, encode_matrix(_as_matrix(arr), version=2)
+    yield "rng", (json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8"),)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the full training state, atomically."""
-    sections = list(_sections_of(ckpt))
-    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
-    for name, payload in sections:
-        encoded = name.encode("utf-8")
-        blob += _SECTION_HEAD.pack(len(encoded))
-        blob += encoded
-        blob += _PAYLOAD_HEAD.pack(len(payload))
-        blob += payload
+    """Write the full training state, atomically, one section at a time."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+    with open(tmp, "wb", buffering=_SCRATCH_BYTES) as fh:
+        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0))
+        n = 0
+        for name, parts in _sections_of(ckpt):
+            encoded = name.encode("utf-8")
+            size = sum(memoryview(p).nbytes for p in parts)
+            fh.write(_SECTION_HEAD.pack(len(encoded)) + encoded + _PAYLOAD_HEAD.pack(size))
+            for p in parts:
+                fh.write(p)
+            n += 1
+        # the section count is known only now; patch it into the header
+        fh.seek(0)
+        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n))
     os.replace(tmp, path)
 
 
-def _read_sections(buf: bytes, source: str) -> dict:
-    if len(buf) < _FILE_HEAD.size:
-        raise FormatError(f"{source}: truncated checkpoint header ({len(buf)} bytes)")
-    magic, version, n = _FILE_HEAD.unpack_from(buf, 0)
+def _read_exact(fh, n: int, source: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise FormatError(f"{source}: file ended early; it changed while being read")
+    return data
+
+
+def _readinto(fh, arr: np.ndarray, source: str) -> None:
+    view = memoryview(arr).cast("B")
+    if fh.readinto(view) != len(view):
+        raise FormatError(f"{source}: file ended early; it changed while being read")
+
+
+def _index_sections(fh, size: int, source: str) -> dict:
+    """Walk the section headers of an open checkpoint of `size` bytes.
+
+    Returns name -> (payload offset, payload length).  Only the headers
+    are read; every payload is skipped with a seek.
+    """
+    head = fh.read(_FILE_HEAD.size)
+    if len(head) < _FILE_HEAD.size:
+        raise FormatError(f"{source}: truncated checkpoint header ({len(head)} bytes)")
+    magic, version, n = _FILE_HEAD.unpack(head)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{source}: bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
@@ -509,123 +572,182 @@ def _read_sections(buf: bytes, source: str) -> dict:
             f"{source}: checkpoint version {version} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    sections = {}
+    index = {}
     off = _FILE_HEAD.size
     for _ in range(n):
-        if off + _SECTION_HEAD.size > len(buf):
+        if off + _SECTION_HEAD.size > size:
             raise FormatError(f"{source}: truncated at section name length")
-        (name_len,) = _SECTION_HEAD.unpack_from(buf, off)
+        fh.seek(off)
+        (name_len,) = _SECTION_HEAD.unpack(_read_exact(fh, _SECTION_HEAD.size, source))
         off += _SECTION_HEAD.size
-        if off + name_len + _PAYLOAD_HEAD.size > len(buf):
+        if off + name_len + _PAYLOAD_HEAD.size > size:
             raise FormatError(f"{source}: truncated at section header")
+        raw = _read_exact(fh, name_len + _PAYLOAD_HEAD.size, source)
         try:
-            name = buf[off : off + name_len].decode("utf-8")
+            name = raw[:name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{source}: section name is not UTF-8") from None
-        off += name_len
-        (payload_len,) = _PAYLOAD_HEAD.unpack_from(buf, off)
-        off += _PAYLOAD_HEAD.size
-        if off + payload_len > len(buf):
+        (payload_len,) = _PAYLOAD_HEAD.unpack_from(raw, name_len)
+        off += name_len + _PAYLOAD_HEAD.size
+        if off + payload_len > size:
             raise FormatError(f"{source}: truncated inside section {name!r}")
-        sections[name] = buf[off : off + payload_len]
+        index[name] = (off, payload_len)
         off += payload_len
-    if off != len(buf):
-        raise FormatError(f"{source}: {len(buf) - off} trailing bytes after last section")
-    return sections
+    if off != size:
+        raise FormatError(f"{source}: {size - off} trailing bytes after last section")
+    return index
 
 
-def _fill_array(arr: np.ndarray, buf: bytes, name: str, source: str) -> None:
-    m = matrix_from_bytes(buf, source=f"{source}:{name}")
-    if m.size != arr.size:
-        raise FormatError(
-            f"{source}: section {name!r} holds {m.size} values, expected {arr.size}"
-        )
-    if not np.isfinite(m).all():
+def _read_sections(buf: bytes, source: str) -> dict:
+    """Every section payload of an in-memory checkpoint, by name."""
+    index = _index_sections(io.BytesIO(buf), len(buf), source)
+    return {name: buf[off : off + n] for name, (off, n) in index.items()}
+
+
+class _NoDraws:
+    """Stands in for an rng when every drawn array is overwritten at once."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _read_tensor(fh, name, dtype, count, out, scratch, source) -> None:
+    """Read one payload into `out`, or only validate it when out is None.
+
+    A float64 payload goes straight into `out`; any other payload passes
+    through `scratch` in chunks.  Non-finite values raise FormatError.
+    """
+    if out is not None and dtype == out.dtype:
+        _readinto(fh, out, source)
+        finite = bool(np.isfinite(out).all())
+    else:
+        flat = None if out is None else out.reshape(-1)
+        step = scratch.size // dtype.itemsize
+        finite = True
+        for start in range(0, count, step):
+            chunk = scratch[: min(step, count - start) * dtype.itemsize].view(dtype)
+            _readinto(fh, chunk, source)
+            finite = finite and bool(np.isfinite(chunk).all())
+            if flat is not None:
+                flat[start : start + chunk.size] = chunk
+    if not finite:
         raise FormatError(f"{source}: section {name!r} holds non-finite values")
-    arr[...] = m.reshape(arr.shape)
+
+
+def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
+    """Walk, check and read a checkpoint file section by section.
+
+    Every section is validated in both modes.  With generator_only, only
+    the generator's arrays are kept, and disc_params, gen_opt and
+    disc_opt are None.
+    """
+    source = str(path)
+    with open(path, "rb") as fh:
+        index = _index_sections(fh, os.fstat(fh.fileno()).st_size, source)
+
+        def need(name: str) -> tuple[int, int]:
+            if name not in index:
+                raise FormatError(f"{source}: missing checkpoint section {name!r}")
+            return index[name]
+
+        def parse(name: str):
+            off, n = need(name)
+            fh.seek(off)
+            raw = _read_exact(fh, n, source)
+            try:
+                return json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
+
+        def config(cls, name: str):
+            fields = parse(name)
+            if not isinstance(fields, dict):
+                raise FormatError(f"{source}: section {name!r} is not a JSON object")
+            try:
+                return cls(**fields)
+            except TypeError as e:
+                raise FormatError(f"{source}: section {name!r}: {e}") from None
+
+        meta = parse("meta")
+        if not isinstance(meta, dict):
+            raise FormatError(f"{source}: section 'meta' is not a JSON object")
+        if meta.get("format") != "qsumm-checkpoint":
+            raise FormatError(f"{source}: unexpected meta format tag {meta.get('format')!r}")
+        try:
+            counts = {k: int(meta[k])
+                      for k in ("step", "best_val_step", "gen_opt_step", "disc_opt_step")}
+            best_val_f1 = float(meta["best_val_f1"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{source}: bad or missing meta field: {e!r}") from None
+        train_cfg = config(TrainConfig, "cfg/train")
+        gen_cfg = config(GeneratorConfig, "cfg/gen")
+        disc_cfg = config(DiscriminatorConfig, "cfg/disc")
+        rng_state = parse("rng")
+
+        # every tensor section's size is checked against the configs before
+        # any array is allocated, so a config with huge dims cannot allocate
+        sizes = _config_sizes(gen_cfg, disc_cfg)
+        if not all(isinstance(n, int) for n in sizes.values()):
+            raise FormatError(f"{source}: configs do not describe a model (non-integer dims)")
+        dtypes = {}
+        for name, count in sizes.items():
+            off, n = need(name)
+            fh.seek(off)
+            head = fh.read(min(n, HEADER_SIZE))
+            dtype, rows, cols = parse_matrix_header(
+                head, n - HEADER_SIZE, source=f"{source}:{name}")
+            if rows * cols != count:
+                raise FormatError(
+                    f"{source}: section {name!r} holds {rows * cols} values, expected {count}"
+                )
+            dtypes[name] = dtype
+
+        gparams = init_generator_params(gen_cfg, _NoDraws)
+        ckpt = Checkpoint(
+            step=counts["step"],
+            train_cfg=train_cfg,
+            gen_cfg=gen_cfg,
+            disc_cfg=disc_cfg,
+            gen_params=gparams,
+            disc_params=None,
+            gen_opt=None,
+            disc_opt=None,
+            rng_state=rng_state,
+            best_val_f1=best_val_f1,
+            best_val_step=counts["best_val_step"],
+        )
+        if generator_only:
+            arrays = _tensor_sections(_param_arrays(gparams), ({}, {}), {}, {})
+        else:
+            ckpt.disc_params = init_discriminator_params(disc_cfg, _NoDraws)
+            ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())
+            ckpt.gen_opt.step = counts["gen_opt_step"]
+            ckpt.disc_opt = OptimizerState.for_params(ckpt.disc_params.tensors())
+            ckpt.disc_opt.step = counts["disc_opt_step"]
+            arrays = _checkpoint_arrays(ckpt)
+        scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
+        for name, count in sizes.items():
+            fh.seek(index[name][0] + HEADER_SIZE)
+            _read_tensor(fh, name, dtypes[name], count, arrays.get(name), scratch, source)
+    return ckpt
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Reconstruct a Checkpoint; resuming from it continues bit-exactly.
 
     Raises FormatError for malformed sections, including any tensor that
-    holds a NaN or an infinity.
+    holds a NaN or an infinity, and for tensor sections whose sizes
+    disagree with the configs (checked before anything is allocated).
     """
-    source = str(path)
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    sections = _read_sections(buf, source)
+    return _read_checkpoint(path, generator_only=False)
 
-    def need(name: str) -> bytes:
-        if name not in sections:
-            raise FormatError(f"{source}: missing checkpoint section {name!r}")
-        return sections[name]
 
-    def parse(name: str):
-        try:
-            return json.loads(need(name).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
+def load_generator(path) -> GeneratorParams:
+    """The generator of a checkpoint, equal to load_checkpoint(path).gen_params.
 
-    def config(cls, name: str):
-        fields = parse(name)
-        if not isinstance(fields, dict):
-            raise FormatError(f"{source}: section {name!r} is not a JSON object")
-        try:
-            return cls(**fields)
-        except TypeError as e:
-            raise FormatError(f"{source}: section {name!r}: {e}") from None
-
-    meta = parse("meta")
-    if not isinstance(meta, dict):
-        raise FormatError(f"{source}: section 'meta' is not a JSON object")
-    if meta.get("format") != "qsumm-checkpoint":
-        raise FormatError(f"{source}: unexpected meta format tag {meta.get('format')!r}")
-    try:
-        counts = {k: int(meta[k])
-                  for k in ("step", "best_val_step", "gen_opt_step", "disc_opt_step")}
-        best_val_f1 = float(meta["best_val_f1"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{source}: bad or missing meta field: {e!r}") from None
-    train_cfg = config(TrainConfig, "cfg/train")
-    gen_cfg = config(GeneratorConfig, "cfg/gen")
-    disc_cfg = config(DiscriminatorConfig, "cfg/disc")
-
-    try:
-        gparams = init_generator_params(gen_cfg, np.random.default_rng(0))
-        dparams = init_discriminator_params(disc_cfg, np.random.default_rng(0))
-    except TypeError as e:
-        raise FormatError(f"{source}: configs do not describe a model: {e}") from None
-    for key, t in gparams.tensors().items():
-        _fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
-    for key, st in gparams.stats().items():
-        _fill_array(st.mean, need(f"gstats/{key}/mean"), f"gstats/{key}/mean", source)
-        _fill_array(st.var, need(f"gstats/{key}/var"), f"gstats/{key}/var", source)
-    for key, t in dparams.tensors().items():
-        _fill_array(t.data, need(f"dparam/{key}"), f"dparam/{key}", source)
-    for key, st in dparams.stats().items():
-        _fill_array(st.mean, need(f"dstats/{key}/mean"), f"dstats/{key}/mean", source)
-        _fill_array(st.var, need(f"dstats/{key}/var"), f"dstats/{key}/var", source)
-
-    gen_opt = OptimizerState.for_params(gparams.tensors())
-    gen_opt.step = counts["gen_opt_step"]
-    for key, acc in gen_opt.acc.items():
-        _fill_array(acc, need(f"gopt/acc/{key}"), f"gopt/acc/{key}", source)
-    disc_opt = OptimizerState.for_params(dparams.tensors())
-    disc_opt.step = counts["disc_opt_step"]
-    for key, acc in disc_opt.acc.items():
-        _fill_array(acc, need(f"dopt/acc/{key}"), f"dopt/acc/{key}", source)
-
-    return Checkpoint(
-        step=counts["step"],
-        train_cfg=train_cfg,
-        gen_cfg=gen_cfg,
-        disc_cfg=disc_cfg,
-        gen_params=gparams,
-        disc_params=dparams,
-        gen_opt=gen_opt,
-        disc_opt=disc_opt,
-        rng_state=parse("rng"),
-        best_val_f1=best_val_f1,
-        best_val_step=counts["best_val_step"],
-    )
+    Runs every check load_checkpoint runs, on every section, but keeps
+    only the generator's arrays: critic and optimizer payloads are read
+    through a fixed scratch buffer and dropped.
+    """
+    return _read_checkpoint(path, generator_only=True).gen_params

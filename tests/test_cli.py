@@ -107,6 +107,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "gparam/fuse_w" in err
 
+    @pytest.mark.parametrize("section", ["dparam/out_w", "gopt/acc/fuse_w"])
+    @pytest.mark.parametrize("command", ["evaluate", "summarize"])
+    def test_non_finite_training_state_is_runtime_error(
+            self, workspace, tmp_path, capsys, section, command):
+        # evaluate and summarize keep only the generator, yet check every section
+        from qsumm.training import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(workspace["checkpoint"])
+        if section == "dparam/out_w":
+            ckpt.disc_params.out_w.data[0, 0] = np.nan
+        else:
+            ckpt.gen_opt.acc["fuse_w"][0, 0] = np.nan
+        path = str(tmp_path / "nan.qsck")
+        save_checkpoint(ckpt, path)
+        argv = [command, "--corpus", workspace["corpus"], "--checkpoint", path]
+        if command == "summarize":
+            argv += ["--video", "v000", "--query", "0"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and section in err and "Traceback" not in err
+
+    def test_huge_config_dims_is_runtime_error(self, workspace, tmp_path, capsys):
+        from qsumm import training
+
+        sections = training._read_sections(
+            open(workspace["checkpoint"], "rb").read(), "ckpt")
+        cfg = json.loads(sections["cfg/gen"])
+        sections["cfg/gen"] = json.dumps({**cfg, "d_h": 2**20}).encode()
+        blob = bytearray(training._FILE_HEAD.pack(
+            training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, len(sections)))
+        for name, payload in sections.items():
+            blob += training._SECTION_HEAD.pack(len(name)) + name.encode()
+            blob += training._PAYLOAD_HEAD.pack(len(payload)) + payload
+        path = tmp_path / "huge.qsck"
+        path.write_bytes(bytes(blob))
+        rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "gparam/enc_fwd_wx" in err
+
     @pytest.mark.parametrize("drop", ["dims", "d_shot"])
     def test_manifest_without_dims_is_runtime_error(self, workspace, tmp_path, capsys, drop):
         corpus = tmp_path / "corpus"

@@ -11,6 +11,7 @@ from qsumm.discriminator import (
     SummaryRepr,
     critic,
     critic_scores,
+    discriminator_shapes,
     init_discriminator_params,
     random_scores,
     summary_repr,
@@ -209,3 +210,16 @@ class TestCriticGradients:
         targets.update({"in_f_eq": f_eq, "in_f_vq": f_vq, "in_scores": scores})
         err = grad_check(f, targets, seed=11)
         assert err < 1e-4, f"critic composite gradient error {err:.3g}"
+
+
+class TestShapes:
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        DiscriminatorConfig(d_summ_in=3, d_vid_in=5, d_h=7, d_fc1=11, d_fc2=13, d_fc3=17),
+    ])
+    def test_shapes_match_init(self, cfg):
+        params = init_discriminator_params(cfg, np.random.default_rng(0))
+        tensors, stats = discriminator_shapes(cfg)
+        assert list(tensors.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
+        assert list(stats.items()) == [(k, st.mean.shape) for k, st in params.stats().items()]
+        assert list(stats.items()) == [(k, st.var.shape) for k, st in params.stats().items()]

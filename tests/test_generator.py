@@ -13,6 +13,7 @@ from qsumm.generator import (
     g_p_score,
     g_r_fuse,
     generator_forward,
+    generator_shapes,
     init_generator_params,
     select_shots,
     select_top_gamma,
@@ -234,3 +235,16 @@ class TestComposition:
 
         err = grad_check(f, params.tensors(), seed=12)
         assert err < 1e-4, f"generator composite gradient error {err:.3g}"
+
+
+class TestShapes:
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        GeneratorConfig(d_frame=3, d_shot=5, d_text=7, d_fused=11, d_qenc=13, d_h=17, d_pred=19),
+    ])
+    def test_shapes_match_init(self, cfg):
+        params = init_generator_params(cfg, np.random.default_rng(0))
+        tensors, stats = generator_shapes(cfg)
+        assert list(tensors.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
+        assert list(stats.items()) == [(k, st.mean.shape) for k, st in params.stats().items()]
+        assert list(stats.items()) == [(k, st.var.shape) for k, st in params.stats().items()]

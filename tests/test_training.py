@@ -1,13 +1,22 @@
 import dataclasses
+import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import check_grads
+from qsumm import training
 from qsumm.dataset import SynthConfig, sample_batch, synth_corpus
-from qsumm.discriminator import DiscriminatorConfig, critic, critic_scores, summary_repr
+from qsumm.discriminator import (
+    DiscriminatorConfig,
+    critic,
+    critic_scores,
+    init_discriminator_params,
+    summary_repr,
+)
 from qsumm.errors import (
     ConfigError,
     ContractError,
@@ -17,15 +26,22 @@ from qsumm.errors import (
     QsummError,
     VersionError,
 )
-from qsumm.generator import GeneratorConfig, generator_forward
-from qsumm.optim import clip_weights, rmsprop_step
+from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
+from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
+from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
 from qsumm.tensor import Tape, Tensor, clear_grads, mul
 from qsumm.training import (
+    _FILE_HEAD,
+    _PAYLOAD_HEAD,
+    _SECTION_HEAD,
+    CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     METRICS_HEADER,
+    Checkpoint,
     TrainConfig,
     adversarial_losses,
     load_checkpoint,
+    load_generator,
     loss_length,
     loss_summ,
     save_checkpoint,
@@ -403,8 +419,324 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+# The checkpoint writer and the whole-buffer reader as they were before
+# save and load streamed section by section, kept verbatim (renamed only)
+# as the byte-level and state-level reference for the streaming code.
+
+def _config_json(cfg) -> bytes:
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+
+
+def _as_matrix(arr: np.ndarray) -> np.ndarray:
+    return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
+
+
+def reference_sections_of(ckpt: Checkpoint):
+    meta = {
+        "format": "qsumm-checkpoint",
+        "step": ckpt.step,
+        "best_val_f1": ckpt.best_val_f1,
+        "best_val_step": ckpt.best_val_step,
+        "gen_opt_step": ckpt.gen_opt.step,
+        "disc_opt_step": ckpt.disc_opt.step,
+    }
+    yield "meta", json.dumps(meta, sort_keys=True).encode("utf-8")
+    yield "cfg/train", _config_json(ckpt.train_cfg)
+    yield "cfg/gen", _config_json(ckpt.gen_cfg)
+    yield "cfg/disc", _config_json(ckpt.disc_cfg)
+    for key, t in ckpt.gen_params.tensors().items():
+        yield f"gparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
+    for key, st in ckpt.gen_params.stats().items():
+        yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
+        yield f"gstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
+    for key, t in ckpt.disc_params.tensors().items():
+        yield f"dparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
+    for key, st in ckpt.disc_params.stats().items():
+        yield f"dstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
+        yield f"dstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
+    for key, acc in ckpt.gen_opt.acc.items():
+        yield f"gopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
+    for key, acc in ckpt.disc_opt.acc.items():
+        yield f"dopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
+    yield "rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")
+
+
+def reference_save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write the full training state, atomically."""
+    sections = list(reference_sections_of(ckpt))
+    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
+    for name, payload in sections:
+        encoded = name.encode("utf-8")
+        blob += _SECTION_HEAD.pack(len(encoded))
+        blob += encoded
+        blob += _PAYLOAD_HEAD.pack(len(payload))
+        blob += payload
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(bytes(blob))
+    os.replace(tmp, path)
+
+
+def reference_read_sections(buf: bytes, source: str) -> dict:
+    if len(buf) < _FILE_HEAD.size:
+        raise FormatError(f"{source}: truncated checkpoint header ({len(buf)} bytes)")
+    magic, version, n = _FILE_HEAD.unpack_from(buf, 0)
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"{source}: bad checkpoint magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise VersionError(
+            f"{source}: checkpoint version {version} unsupported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    sections = {}
+    off = _FILE_HEAD.size
+    for _ in range(n):
+        if off + _SECTION_HEAD.size > len(buf):
+            raise FormatError(f"{source}: truncated at section name length")
+        (name_len,) = _SECTION_HEAD.unpack_from(buf, off)
+        off += _SECTION_HEAD.size
+        if off + name_len + _PAYLOAD_HEAD.size > len(buf):
+            raise FormatError(f"{source}: truncated at section header")
+        try:
+            name = buf[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{source}: section name is not UTF-8") from None
+        off += name_len
+        (payload_len,) = _PAYLOAD_HEAD.unpack_from(buf, off)
+        off += _PAYLOAD_HEAD.size
+        if off + payload_len > len(buf):
+            raise FormatError(f"{source}: truncated inside section {name!r}")
+        sections[name] = buf[off : off + payload_len]
+        off += payload_len
+    if off != len(buf):
+        raise FormatError(f"{source}: {len(buf) - off} trailing bytes after last section")
+    return sections
+
+
+def reference_fill_array(arr: np.ndarray, buf: bytes, name: str, source: str) -> None:
+    m = matrix_from_bytes(buf, source=f"{source}:{name}")
+    if m.size != arr.size:
+        raise FormatError(
+            f"{source}: section {name!r} holds {m.size} values, expected {arr.size}"
+        )
+    if not np.isfinite(m).all():
+        raise FormatError(f"{source}: section {name!r} holds non-finite values")
+    arr[...] = m.reshape(arr.shape)
+
+
+def reference_load_checkpoint(path) -> Checkpoint:
+    """Reconstruct a Checkpoint; resuming from it continues bit-exactly.
+
+    Raises FormatError for malformed sections, including any tensor that
+    holds a NaN or an infinity.
+    """
+    source = str(path)
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    sections = reference_read_sections(buf, source)
+
+    def need(name: str) -> bytes:
+        if name not in sections:
+            raise FormatError(f"{source}: missing checkpoint section {name!r}")
+        return sections[name]
+
+    def parse(name: str):
+        try:
+            return json.loads(need(name).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
+
+    def config(cls, name: str):
+        fields = parse(name)
+        if not isinstance(fields, dict):
+            raise FormatError(f"{source}: section {name!r} is not a JSON object")
+        try:
+            return cls(**fields)
+        except TypeError as e:
+            raise FormatError(f"{source}: section {name!r}: {e}") from None
+
+    meta = parse("meta")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{source}: section 'meta' is not a JSON object")
+    if meta.get("format") != "qsumm-checkpoint":
+        raise FormatError(f"{source}: unexpected meta format tag {meta.get('format')!r}")
+    try:
+        counts = {k: int(meta[k])
+                  for k in ("step", "best_val_step", "gen_opt_step", "disc_opt_step")}
+        best_val_f1 = float(meta["best_val_f1"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{source}: bad or missing meta field: {e!r}") from None
+    train_cfg = config(TrainConfig, "cfg/train")
+    gen_cfg = config(GeneratorConfig, "cfg/gen")
+    disc_cfg = config(DiscriminatorConfig, "cfg/disc")
+
+    try:
+        gparams = init_generator_params(gen_cfg, np.random.default_rng(0))
+        dparams = init_discriminator_params(disc_cfg, np.random.default_rng(0))
+    except TypeError as e:
+        raise FormatError(f"{source}: configs do not describe a model: {e}") from None
+    for key, t in gparams.tensors().items():
+        reference_fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
+    for key, st in gparams.stats().items():
+        reference_fill_array(st.mean, need(f"gstats/{key}/mean"), f"gstats/{key}/mean", source)
+        reference_fill_array(st.var, need(f"gstats/{key}/var"), f"gstats/{key}/var", source)
+    for key, t in dparams.tensors().items():
+        reference_fill_array(t.data, need(f"dparam/{key}"), f"dparam/{key}", source)
+    for key, st in dparams.stats().items():
+        reference_fill_array(st.mean, need(f"dstats/{key}/mean"), f"dstats/{key}/mean", source)
+        reference_fill_array(st.var, need(f"dstats/{key}/var"), f"dstats/{key}/var", source)
+
+    gen_opt = OptimizerState.for_params(gparams.tensors())
+    gen_opt.step = counts["gen_opt_step"]
+    for key, acc in gen_opt.acc.items():
+        reference_fill_array(acc, need(f"gopt/acc/{key}"), f"gopt/acc/{key}", source)
+    disc_opt = OptimizerState.for_params(dparams.tensors())
+    disc_opt.step = counts["disc_opt_step"]
+    for key, acc in disc_opt.acc.items():
+        reference_fill_array(acc, need(f"dopt/acc/{key}"), f"dopt/acc/{key}", source)
+
+    return Checkpoint(
+        step=counts["step"],
+        train_cfg=train_cfg,
+        gen_cfg=gen_cfg,
+        disc_cfg=disc_cfg,
+        gen_params=gparams,
+        disc_params=dparams,
+        gen_opt=gen_opt,
+        disc_opt=disc_opt,
+        rng_state=parse("rng"),
+        best_val_f1=best_val_f1,
+        best_val_step=counts["best_val_step"],
+    )
+
+
+def write_sections(path, sections: dict) -> None:
+    """Write (name -> payload) sections as a QSCK file, in dict order."""
+    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
+    for name, payload in sections.items():
+        blob += _SECTION_HEAD.pack(len(name.encode())) + name.encode()
+        blob += _PAYLOAD_HEAD.pack(len(payload)) + payload
+    path.write_bytes(bytes(blob))
+
+
+def bits(obj):
+    """A value for == that compares every array bit for bit, with dtype and shape."""
+    if isinstance(obj, Tensor):
+        return ("Tensor", bits(obj.data))
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return (type(obj).__name__,
+                tuple((f.name, bits(getattr(obj, f.name))) for f in dataclasses.fields(obj)))
+    if isinstance(obj, dict):
+        return tuple((k, bits(obj[k])) for k in sorted(obj))
+    return obj
+
+
+@pytest.fixture(scope="module")
+def mini_checkpoint(mini_corpus):
+    ckpt = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN).checkpoint
+    return dataclasses.replace(ckpt, best_val_f1=0.25, best_val_step=2)
+
+
+class TestCheckpointAgainstReference:
+    def test_save_equals_reference_writer(self, mini_checkpoint, tmp_path):
+        save_checkpoint(mini_checkpoint, tmp_path / "a.qsck")
+        reference_save_checkpoint(mini_checkpoint, tmp_path / "b.qsck")
+        assert (tmp_path / "a.qsck").read_bytes() == (tmp_path / "b.qsck").read_bytes()
+        assert not os.path.exists(tmp_path / "a.qsck.tmp")
+
+    def test_load_equals_reference_reader(self, mini_checkpoint, tmp_path):
+        path = tmp_path / "c.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        loaded = load_checkpoint(path)
+        assert bits(loaded) == bits(reference_load_checkpoint(path))
+        assert bits(loaded) == bits(mini_checkpoint)
+
+    def test_load_generator_equals_full_load(self, mini_checkpoint, tmp_path):
+        path = tmp_path / "g.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        assert bits(load_generator(path)) == bits(load_checkpoint(path).gen_params)
+
+    @pytest.mark.parametrize("scratch_bytes", [64, training._SCRATCH_BYTES])
+    def test_float32_sections_read_through_scratch(
+            self, mini_checkpoint, tmp_path, monkeypatch, scratch_bytes):
+        # 64 bytes of scratch split most tensors into several chunks
+        monkeypatch.setattr(training, "_SCRATCH_BYTES", scratch_bytes)
+        path = tmp_path / "a.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        sections = reference_read_sections(path.read_bytes(), "ckpt")
+        for name, payload in sections.items():
+            if name not in ("meta", "rng") and not name.startswith("cfg/"):
+                sections[name] = matrix_bytes(matrix_from_bytes(payload), version=1)
+        write_sections(path, sections)
+        loaded = load_checkpoint(path)
+        assert bits(loaded) == bits(reference_load_checkpoint(path))
+        assert bits(load_generator(path)) == bits(loaded.gen_params)
+
+    @pytest.mark.parametrize("name", ["dparam/out_w", "dopt/acc/fc1_w", "gopt/acc/fuse_w"])
+    def test_non_finite_training_state_rejected_by_both_loaders(
+            self, mini_checkpoint, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(training, "_SCRATCH_BYTES", 64)
+        path = tmp_path / "a.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        sections = reference_read_sections(path.read_bytes(), "ckpt")
+        m = matrix_from_bytes(sections[name])
+        m.flat[-1] = np.inf  # the last value sits in the last scratch chunk
+        sections[name] = matrix_bytes(m, version=2)
+        write_sections(path, sections)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match=name):
+                load(path)
+
+
+class TestCheckpointSizes:
+    def _with_gen_cfg(self, mini_checkpoint, tmp_path, **fields):
+        path = tmp_path / "dims.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        sections = reference_read_sections(path.read_bytes(), "ckpt")
+        cfg = {**json.loads(sections["cfg/gen"]), **fields}
+        sections["cfg/gen"] = json.dumps(cfg, sort_keys=True).encode("utf-8")
+        write_sections(path, sections)
+        return path
+
+    def test_huge_config_dims_rejected_before_allocation(self, mini_checkpoint, tmp_path):
+        # d_h = 2**20 makes enc_fwd_wh 2**20 x 2**22 float64 (32 TiB): any
+        # allocation from the config before the size check fails with
+        # MemoryError at once, and even its bias vectors would show here
+        path = self._with_gen_cfg(mini_checkpoint, tmp_path, d_h=2**20)
+        for load in (load_checkpoint, load_generator):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="gparam/enc_fwd_wx.*expected"):
+                    load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_section_size_disagreeing_with_config_rejected(self, mini_checkpoint, tmp_path):
+        path = self._with_gen_cfg(mini_checkpoint, tmp_path, d_pred=7)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match="gparam/pred_w1"):
+                load(path)
+
+    def test_missing_critic_section_rejected_by_generator_load(self, mini_checkpoint, tmp_path):
+        path = tmp_path / "a.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        sections = reference_read_sections(path.read_bytes(), "ckpt")
+        del sections["dopt/acc/out_b"]
+        write_sections(path, sections)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match="missing checkpoint section 'dopt/acc/out_b'"):
+                load(path)
+
+
 class TestCheckpointFuzz:
-    """Truncated or bit-flipped checkpoint bytes raise only QsummError."""
+    """Truncated or bit-flipped checkpoint bytes raise only QsummError.
+
+    The generator-only load raises exactly when the full load does.
+    """
 
     @pytest.fixture(scope="class")
     def blob(self, mini_corpus, tmp_path_factory):
@@ -428,10 +760,14 @@ class TestCheckpointFuzz:
                 data[pos] ^= 1 << bit
             path = tmp_path / "damaged.qsck"
             path.write_bytes(bytes(data))
-            try:
-                load_checkpoint(path)
-            except QsummError:
-                pass
+            failed = []
+            for load in (load_checkpoint, load_generator):
+                try:
+                    load(path)
+                    failed.append(False)
+                except QsummError:
+                    failed.append(True)
+            assert failed[0] == failed[1]
 
         check()
 

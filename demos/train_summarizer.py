@@ -46,8 +46,10 @@ with tempfile.TemporaryDirectory() as out:
     for row in lines[-3:]:
         print(row)
 
-    # Validation ran every 40 steps; the best scorer was kept separately.
-    print(f"\nbest validation F1 {result.best_val_f1:.3f} at step {result.best_val_step}")
+    # Validation ran every 40 steps; the best scorer was kept separately,
+    # and every checkpoint records its F1 and step.
+    print(f"\nbest validation F1 {result.checkpoint.best_val_f1:.3f} "
+          f"at step {result.checkpoint.best_val_step}")
 
     # Checkpoints restore bit-exactly, so a run can stop and continue.
     ckpt = load_checkpoint(os.path.join(out, "checkpoint.qsck"))

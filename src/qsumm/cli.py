@@ -146,21 +146,11 @@ def _cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    # train() takes dims and tau from the corpus, and a resume its configs
     gen_cfg = disc_cfg = None
-    if resume is None:
-        base = GeneratorConfig.paper_scale() if args.paper_scale else GeneratorConfig()
-        gen_cfg = dataclasses.replace(
-            base,
-            d_frame=corpus.dims["d_frame"],
-            d_shot=corpus.dims["d_shot"],
-            d_text=corpus.dims["d_text"],
-            tau=cfg.tau,
-        )
-        disc_cfg = (
-            DiscriminatorConfig.paper_scale(gen_cfg)
-            if args.paper_scale
-            else DiscriminatorConfig.for_generator(gen_cfg)
-        )
+    if args.paper_scale:
+        gen_cfg = GeneratorConfig.paper_scale(**corpus.dims, tau=cfg.tau)
+        disc_cfg = DiscriminatorConfig.paper_scale(gen_cfg)
     result = train(corpus, cfg, gen_cfg=gen_cfg, disc_cfg=disc_cfg,
                    out_dir=args.out, resume=resume)
     last = result.metrics[-1] if result.metrics else None
@@ -279,3 +269,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -382,11 +382,12 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require_concept(c, n_concepts: int, where: str) -> None:
-    _require(
-        isinstance(c, int) and not isinstance(c, bool),
-        f"{where}: concept id {c!r} is not an integer",
-    )
+    _require(_is_int(c), f"{where}: concept id {c!r} is not an integer")
     _require(0 <= c < n_concepts, f"{where}: dangling concept id {c}")
 
 
@@ -423,6 +424,11 @@ def _load_corpus(manifest_path) -> Corpus:
         isinstance(dims, dict) and {"d_frame", "d_shot", "d_text"} <= dims.keys(),
         f"{manifest_path}: manifest needs dims with d_frame, d_shot and d_text",
     )
+    for key in ("d_frame", "d_shot", "d_text"):
+        _require(
+            _is_int(dims[key]) and dims[key] >= 1,
+            f"{manifest_path}: dims {key} must be a positive integer, got {dims[key]!r}",
+        )
     d_frame, d_shot, d_text = dims["d_frame"], dims["d_shot"], dims["d_text"]
 
     cinfo = manifest["concepts"]

@@ -24,6 +24,7 @@ from .layers import (
     init_linear,
     linear_forward,
     lstm_shapes,
+    named_tensors,
     relu,
 )
 from .tensor import (
@@ -104,33 +105,8 @@ class DiscriminatorParams:
     vid_bn_stats: RunningStats
 
     def tensors(self) -> dict:
-        """Trainable tensors in a stable order, keyed for optimizers and checkpoints."""
-        return {
-            "summ_fwd_wx": self.summ_fwd.w_x,
-            "summ_fwd_wh": self.summ_fwd.w_h,
-            "summ_fwd_b": self.summ_fwd.b,
-            "summ_bwd_wx": self.summ_bwd.w_x,
-            "summ_bwd_wh": self.summ_bwd.w_h,
-            "summ_bwd_b": self.summ_bwd.b,
-            "summ_bn_gamma": self.summ_bn_gamma,
-            "summ_bn_beta": self.summ_bn_beta,
-            "vid_fwd_wx": self.vid_fwd.w_x,
-            "vid_fwd_wh": self.vid_fwd.w_h,
-            "vid_fwd_b": self.vid_fwd.b,
-            "vid_bwd_wx": self.vid_bwd.w_x,
-            "vid_bwd_wh": self.vid_bwd.w_h,
-            "vid_bwd_b": self.vid_bwd.b,
-            "vid_bn_gamma": self.vid_bn_gamma,
-            "vid_bn_beta": self.vid_bn_beta,
-            "fc1_w": self.fc1_w,
-            "fc1_b": self.fc1_b,
-            "fc2_w": self.fc2_w,
-            "fc2_b": self.fc2_b,
-            "fc3_w": self.fc3_w,
-            "fc3_b": self.fc3_b,
-            "out_w": self.out_w,
-            "out_b": self.out_b,
-        }
+        """Trainable tensors in field order, keyed for optimizers and checkpoints."""
+        return named_tensors(self)
 
     def stats(self) -> dict:
         return {"summ_bn": self.summ_bn_stats, "vid_bn": self.vid_bn_stats}

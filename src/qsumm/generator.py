@@ -15,13 +15,13 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .layers import (
     LSTMParams,
-    RunningStats,
     batchnorm_forward,
     bilstm_forward,
     dropout,
     init_linear,
     linear_forward,
     lstm_shapes,
+    named_tensors,
     relu,
 )
 from .tensor import Tensor, as_tensor, concat_cols, reshape, sigmoid, tile_rows
@@ -89,36 +89,12 @@ class GeneratorParams:
     pred_bn_beta: Tensor
     pred_w2: Tensor
     pred_b2: Tensor
-    enc_bn_stats: RunningStats
-    pred_bn_stats: RunningStats
     tau: float
     dropout_p: float
 
     def tensors(self) -> dict:
-        """Trainable tensors in a stable order, keyed for optimizers and checkpoints."""
-        return {
-            "fuse_w": self.fuse_w,
-            "fuse_b": self.fuse_b,
-            "query_w": self.query_w,
-            "query_b": self.query_b,
-            "enc_fwd_wx": self.enc_fwd.w_x,
-            "enc_fwd_wh": self.enc_fwd.w_h,
-            "enc_fwd_b": self.enc_fwd.b,
-            "enc_bwd_wx": self.enc_bwd.w_x,
-            "enc_bwd_wh": self.enc_bwd.w_h,
-            "enc_bwd_b": self.enc_bwd.b,
-            "enc_bn_gamma": self.enc_bn_gamma,
-            "enc_bn_beta": self.enc_bn_beta,
-            "pred_w1": self.pred_w1,
-            "pred_b1": self.pred_b1,
-            "pred_bn_gamma": self.pred_bn_gamma,
-            "pred_bn_beta": self.pred_bn_beta,
-            "pred_w2": self.pred_w2,
-            "pred_b2": self.pred_b2,
-        }
-
-    def stats(self) -> dict:
-        return {"enc_bn": self.enc_bn_stats, "pred_bn": self.pred_bn_stats}
+        """Trainable tensors in field order, keyed for optimizers and checkpoints."""
+        return named_tensors(self)
 
 
 def init_generator_params(cfg: GeneratorConfig, rng) -> GeneratorParams:
@@ -145,21 +121,19 @@ def init_generator_params(cfg: GeneratorConfig, rng) -> GeneratorParams:
         pred_bn_beta=Tensor(np.zeros(cfg.d_pred)),
         pred_w2=pred_w2,
         pred_b2=pred_b2,
-        enc_bn_stats=RunningStats.create(2 * cfg.d_h),
-        pred_bn_stats=RunningStats.create(cfg.d_pred),
         tau=cfg.tau,
         dropout_p=cfg.dropout_p,
     )
 
 
-def generator_shapes(cfg: GeneratorConfig) -> tuple[dict, dict]:
-    """Shapes of init_generator_params(cfg): its tensors() and its stats().
+def generator_shapes(cfg: GeneratorConfig) -> dict:
+    """Shapes of init_generator_params(cfg).tensors().
 
     Same keys in the same order, computed from the config alone so a
     loader can check a file's sizes before it allocates anything.
     """
     d_in, h2 = cfg.d_fused + cfg.d_qenc, 2 * cfg.d_h
-    tensors = {
+    return {
         "fuse_w": (cfg.d_frame + cfg.d_shot, cfg.d_fused),
         "fuse_b": (cfg.d_fused,),
         "query_w": (cfg.d_text, cfg.d_qenc),
@@ -175,7 +149,6 @@ def generator_shapes(cfg: GeneratorConfig) -> tuple[dict, dict]:
         "pred_w2": (cfg.d_pred, 1),
         "pred_b2": (1,),
     }
-    return tensors, {"enc_bn": (h2,), "pred_bn": (cfg.d_pred,)}
 
 
 def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Tensor:
@@ -200,34 +173,33 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     return concat_cols(visual, tile_rows(encoded, T))
 
 
-def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor, stats, train: bool) -> Tensor:
+def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the time axis by the current sequence's statistics.
 
     The batch axis inside the generator is time within one video, so
     per-sequence statistics are the meaningful ones: a summary then
     depends only on that video and the parameters.  Global running
     averages of the per-sequence stats would not transfer to an unseen
-    video whose shots center elsewhere.  Training still folds batch
-    stats into the running buffers (checkpoints carry them); inference
-    normalizes the same way but discards the update.
+    video whose shots center elsewhere, so none are kept, and training
+    and inference normalize the same way.
     """
-    if train:
-        return batchnorm_forward(h, gamma, beta, "train", stats)
-    return batchnorm_forward(h, gamma, beta, "train", stats.copy())
+    return batchnorm_forward(h, gamma, beta, "train", None)
 
 
 def g_e_encode(f_vq: Tensor, params: GeneratorParams, train: bool) -> Tensor:
-    """Bi-LSTM over shots, sequence normalization, ReLU."""
+    """Bi-LSTM over shots, sequence normalization, ReLU.
+
+    train does not change the encoder, which normalizes per sequence in
+    both modes; it is taken so that callers pass it as to g_p_score.
+    """
     h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd)
-    h = _seq_norm(h, params.enc_bn_gamma, params.enc_bn_beta, params.enc_bn_stats, train)
-    return relu(h)
+    return relu(_seq_norm(h, params.enc_bn_gamma, params.enc_bn_beta))
 
 
 def g_p_score(f_eq: Tensor, params: GeneratorParams, train: bool, rng=None) -> Tensor:
     """Per-shot confidence scores in (0, 1), shape (T,)."""
     h = linear_forward(f_eq, params.pred_w1, params.pred_b1)
-    h = _seq_norm(h, params.pred_bn_gamma, params.pred_bn_beta, params.pred_bn_stats, train)
-    h = relu(h)
+    h = relu(_seq_norm(h, params.pred_bn_gamma, params.pred_bn_beta))
     h = dropout(h, params.dropout_p, train, rng)
     z = linear_forward(h, params.pred_w2, params.pred_b2)
     return sigmoid(reshape(z, (z.data.shape[0],)))

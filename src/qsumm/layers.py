@@ -13,7 +13,7 @@ lstm_cell and the batched calls to separate ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "batchnorm_forward",
     "dropout",
     "LSTMParams",
+    "named_tensors",
     "lstm_shapes",
     "lstm_cell",
     "lstm_sequence",
@@ -89,23 +90,20 @@ class RunningStats:
     def create(cls, d: int) -> "RunningStats":
         return cls(mean=np.zeros(d), var=np.ones(d))
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
 
 def batchnorm_forward(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     mode: str,
-    stats: RunningStats,
+    stats: RunningStats | None,
 ) -> Tensor:
     """Column-wise batch normalization over the row axis.
 
     Train mode normalizes by the batch mean and biased variance (with the
     epsilon floor handling constant columns and n == 1) and folds the batch
-    statistics into the running stats.  Eval mode normalizes by the running
-    stats and touches nothing.
+    statistics into the running stats, if stats is not None.  Eval mode
+    normalizes by the running stats and touches nothing.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"batchnorm: need a matrix, got shape {x.data.shape}")
@@ -120,8 +118,9 @@ def batchnorm_forward(
     if mode == "train":
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        stats.mean = BN_MOMENTUM * stats.mean + (1.0 - BN_MOMENTUM) * mu
-        stats.var = BN_MOMENTUM * stats.var + (1.0 - BN_MOMENTUM) * var
+        if stats is not None:
+            stats.mean = BN_MOMENTUM * stats.mean + (1.0 - BN_MOMENTUM) * mu
+            stats.var = BN_MOMENTUM * stats.var + (1.0 - BN_MOMENTUM) * var
     elif mode == "eval":
         mu = stats.mean
         var = stats.var
@@ -195,6 +194,25 @@ class LSTMParams:
     @property
     def d_in(self) -> int:
         return self.w_x.data.shape[0]
+
+
+def named_tensors(params) -> dict:
+    """Trainable tensors of a parameter dataclass, keyed in field order.
+
+    A Tensor field x is keyed x; an LSTMParams field x gives x_wx, x_wh
+    and x_b, the keys lstm_shapes uses.  Other fields (running stats,
+    scalars) are skipped.  The keys name optimizer slots and checkpoint
+    sections.
+    """
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            out[f.name] = value
+        elif isinstance(value, LSTMParams):
+            out.update({f"{f.name}_wx": value.w_x, f"{f.name}_wh": value.w_h,
+                        f"{f.name}_b": value.b})
+    return out
 
 
 def lstm_shapes(name: str, d_in: int, d_h: int) -> dict:

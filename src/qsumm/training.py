@@ -69,7 +69,10 @@ __all__ = [
 
 METRICS_HEADER = "step,critic_loss,gen_adv,loss_summ,loss_length,total_gen"
 CHECKPOINT_MAGIC = b"QSCK"
-CHECKPOINT_VERSION = 1
+# Version 1 also held the generator's batchnorm running stats, which
+# nothing read, as gstats/* sections.  A v1 file still loads: the loader
+# never asks for those sections, so they are skipped.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,6 @@ class TrainResult:
     counters: dict = field(default_factory=dict)
     metrics_path: str | None = None
     checkpoint_path: str | None = None
-    best_val_f1: float = 0.0
-    best_val_step: int = 0
 
 
 def _check_finite(value: float, step: int, term: str) -> float:
@@ -437,8 +438,6 @@ def train(
         counters=counters,
         metrics_path=metrics_path,
         checkpoint_path=ckpt_path,
-        best_val_f1=best_f1,
-        best_val_step=best_step,
     )
 
 
@@ -461,46 +460,40 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
 
 
-def _tensor_sections(gen, disc, gen_acc: dict, disc_acc: dict) -> dict:
+def _tensor_sections(gen: dict, disc: dict, disc_stats: dict, gen_acc: dict,
+                     disc_acc: dict) -> dict:
     """Section name -> value for every tensor section, in file order.
 
-    gen and disc are (tensors, stats) pairs of dicts keyed as tensors()
-    and stats() key them; a stats value is a (mean, var) pair.
+    gen, disc and the accumulators are keyed as tensors() keys them;
+    disc_stats is keyed as the critic's stats(), with (mean, var) values.
     """
-    out = {}
-    for prefix, (tensors, stats) in (("g", gen), ("d", disc)):
-        out.update((f"{prefix}param/{k}", v) for k, v in tensors.items())
-        for k, (mean, var) in stats.items():
-            out[f"{prefix}stats/{k}/mean"] = mean
-            out[f"{prefix}stats/{k}/var"] = var
+    out = {f"gparam/{k}": v for k, v in gen.items()}
+    out.update((f"dparam/{k}", v) for k, v in disc.items())
+    for k, (mean, var) in disc_stats.items():
+        out[f"dstats/{k}/mean"] = mean
+        out[f"dstats/{k}/var"] = var
     out.update((f"gopt/acc/{k}", v) for k, v in gen_acc.items())
     out.update((f"dopt/acc/{k}", v) for k, v in disc_acc.items())
     return out
 
 
-def _param_arrays(params) -> tuple[dict, dict]:
-    return (
-        {k: t.data for k, t in params.tensors().items()},
-        {k: (st.mean, st.var) for k, st in params.stats().items()},
-    )
+def _arrays(params) -> dict:
+    return {k: t.data for k, t in params.tensors().items()}
 
 
 def _checkpoint_arrays(ckpt: Checkpoint) -> dict:
     return _tensor_sections(
-        _param_arrays(ckpt.gen_params), _param_arrays(ckpt.disc_params),
+        _arrays(ckpt.gen_params), _arrays(ckpt.disc_params),
+        {k: (st.mean, st.var) for k, st in ckpt.disc_params.stats().items()},
         ckpt.gen_opt.acc, ckpt.disc_opt.acc,
     )
 
 
 def _config_sizes(gen_cfg, disc_cfg) -> dict:
     """Element count of every tensor section the two configs imply."""
-    gt, gs = generator_shapes(gen_cfg)
+    gt = generator_shapes(gen_cfg)
     dt, ds = discriminator_shapes(disc_cfg)
-    shapes = _tensor_sections(
-        (gt, {k: (s, s) for k, s in gs.items()}),
-        (dt, {k: (s, s) for k, s in ds.items()}),
-        gt, dt,
-    )
+    shapes = _tensor_sections(gt, dt, {k: (s, s) for k, s in ds.items()}, gt, dt)
     return {name: math.prod(shape) for name, shape in shapes.items()}
 
 
@@ -567,10 +560,10 @@ def _index_sections(fh, size: int, source: str) -> dict:
     magic, version, n = _FILE_HEAD.unpack(head)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{source}: bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
+    if not 1 <= version <= CHECKPOINT_VERSION:
         raise VersionError(
             f"{source}: checkpoint version {version} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected 1 to {CHECKPOINT_VERSION})"
         )
     index = {}
     off = _FILE_HEAD.size
@@ -638,9 +631,10 @@ def _read_tensor(fh, name, dtype, count, out, scratch, source) -> None:
 def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
     """Walk, check and read a checkpoint file section by section.
 
-    Every section is validated in both modes.  With generator_only, only
-    the generator's arrays are kept, and disc_params, gen_opt and
-    disc_opt are None.
+    Every section the configs imply is validated in both modes; any
+    other section, such as a v1 file's gstats/*, is skipped.  With
+    generator_only, only the generator's arrays are kept, and
+    disc_params, gen_opt and disc_opt are None.
     """
     source = str(path)
     with open(path, "rb") as fh:
@@ -718,7 +712,7 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
             best_val_step=counts["best_val_step"],
         )
         if generator_only:
-            arrays = _tensor_sections(_param_arrays(gparams), ({}, {}), {}, {})
+            arrays = _tensor_sections(_arrays(gparams), {}, {}, {}, {})
         else:
             ckpt.disc_params = init_discriminator_params(disc_cfg, _NoDraws)
             ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())

@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +215,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and f"video {video['id']} {where}" in err
 
+    def test_non_integer_dim_is_runtime_error_for_train(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["dims"]["d_text"] = float(manifest["dims"]["d_text"])
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                      "--config", workspace["cfg"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "d_text" in err and "Traceback" not in err
+
     def test_non_utf8_manifest_is_runtime_error(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace["corpus"], corpus)
@@ -274,6 +288,20 @@ class TestConfigFile:
 
 
 class TestSynth:
+    def test_module_entry_point_runs(self, tmp_path):
+        # python -m qsumm.cli runs main() like the qsumm console script
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "c"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsumm.cli", "synth", "--out", str(out), "--seed", "1",
+             "--config", write_config(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "manifest.json").is_file()
+
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         a = tmp_path / "a"

@@ -283,18 +283,24 @@ class TestCorpusRoundTrip:
             load_corpus(manifest)
         assert "99" in str(ei.value)
 
-    @pytest.mark.parametrize("edit", [
-        lambda v: v["queries"][0].pop("scenario"),
-        lambda v: v.pop("frame_feat"),
-        lambda v: v["queries"][0].update(gt_mask=[300] * len(v["queries"][0]["gt_mask"])),
-        lambda v: v.update(annotations=7),
-    ], ids=["no-scenario", "no-frame-feat", "gt-mask-overflow", "annotations-not-list"])
-    def test_malformed_entry_is_format_error(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["videos"][0]["queries"][0].pop("scenario"), None),
+        (lambda d: d["videos"][0].pop("frame_feat"), None),
+        (lambda d: d["videos"][0]["queries"][0].update(
+            gt_mask=[300] * len(d["videos"][0]["queries"][0]["gt_mask"])), None),
+        (lambda d: d["videos"][0].update(annotations=7), None),
+        (lambda d: d["dims"].update(d_text=float(d["dims"]["d_text"])), "dims d_text"),
+        (lambda d: d["dims"].update(d_frame=str(d["dims"]["d_frame"])), "dims d_frame"),
+        (lambda d: d["dims"].update(d_shot=True), "dims d_shot"),
+        (lambda d: d["dims"].update(d_shot=0), "dims d_shot"),
+    ], ids=["no-scenario", "no-frame-feat", "gt-mask-overflow", "annotations-not-list",
+            "dims-float", "dims-string", "dims-bool", "dims-zero"])
+    def test_malformed_entry_is_format_error(self, tmp_path, edit, match):
         manifest = self._written(tmp_path)
         doc = json.loads(open(manifest).read())
-        edit(doc["videos"][0])
+        edit(doc)
         open(manifest, "w").write(json.dumps(doc))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=match):
             load_corpus(manifest)
 
     def test_damaged_manifest_bytes_raise_typed_errors(self, tmp_path):

@@ -223,3 +223,23 @@ class TestShapes:
         assert list(tensors.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
         assert list(stats.items()) == [(k, st.mean.shape) for k, st in params.stats().items()]
         assert list(stats.items()) == [(k, st.var.shape) for k, st in params.stats().items()]
+
+
+class TestDerivedTensors:
+    # the hand-written key list that tensors() replaced; keys name checkpoint sections
+    KEYS = [
+        "summ_fwd_wx", "summ_fwd_wh", "summ_fwd_b",
+        "summ_bwd_wx", "summ_bwd_wh", "summ_bwd_b",
+        "summ_bn_gamma", "summ_bn_beta",
+        "vid_fwd_wx", "vid_fwd_wh", "vid_fwd_b",
+        "vid_bwd_wx", "vid_bwd_wh", "vid_bwd_b",
+        "vid_bn_gamma", "vid_bn_beta",
+        "fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b", "out_w", "out_b",
+    ]
+
+    def test_keys_and_order_pinned(self):
+        params = tiny_params()
+        tensors = params.tensors()
+        assert list(tensors) == self.KEYS
+        assert tensors["summ_fwd_wx"] is params.summ_fwd.w_x
+        assert tensors["vid_bwd_b"] is params.vid_bwd.b

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -244,7 +246,43 @@ class TestShapes:
     ])
     def test_shapes_match_init(self, cfg):
         params = init_generator_params(cfg, np.random.default_rng(0))
-        tensors, stats = generator_shapes(cfg)
-        assert list(tensors.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
-        assert list(stats.items()) == [(k, st.mean.shape) for k, st in params.stats().items()]
-        assert list(stats.items()) == [(k, st.var.shape) for k, st in params.stats().items()]
+        shapes = generator_shapes(cfg)
+        assert list(shapes.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
+
+
+class TestDerivedTensors:
+    # the hand-written key list that tensors() replaced; keys name checkpoint sections
+    KEYS = [
+        "fuse_w", "fuse_b", "query_w", "query_b",
+        "enc_fwd_wx", "enc_fwd_wh", "enc_fwd_b",
+        "enc_bwd_wx", "enc_bwd_wh", "enc_bwd_b",
+        "enc_bn_gamma", "enc_bn_beta",
+        "pred_w1", "pred_b1", "pred_bn_gamma", "pred_bn_beta", "pred_w2", "pred_b2",
+    ]
+
+    def test_keys_and_order_pinned(self):
+        params = tiny_params()
+        tensors = params.tensors()
+        assert list(tensors) == self.KEYS
+        assert tensors["enc_fwd_wh"] is params.enc_fwd.w_h
+        assert tensors["enc_bwd_b"] is params.enc_bwd.b
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_forward_leaves_every_array_unchanged(self, train):
+        params = tiny_params()
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj.copy()]
+            if isinstance(obj, Tensor):
+                return arrays(obj.data) + arrays(obj.grad)
+            if dataclasses.is_dataclass(obj):
+                return [a for f in dataclasses.fields(obj) for a in arrays(getattr(obj, f.name))]
+            return []
+
+        before = arrays(params)
+        frame, shot, q = tiny_inputs(6)
+        generator_forward(params, frame, shot, q, train=train, rng=np.random.default_rng(0))
+        after = arrays(params)
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))

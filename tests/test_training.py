@@ -27,6 +27,7 @@ from qsumm.errors import (
     VersionError,
 )
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
+from qsumm.layers import RunningStats
 from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
 from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
 from qsumm.tensor import Tape, Tensor, clear_grads, mul
@@ -381,9 +382,6 @@ class TestCheckpoint:
         assert loaded.rng_state == res.checkpoint.rng_state
         for k, t in res.checkpoint.gen_params.tensors().items():
             assert np.array_equal(loaded.gen_params.tensors()[k].data, t.data)
-        for k, st in res.checkpoint.gen_params.stats().items():
-            assert np.array_equal(loaded.gen_params.stats()[k].mean, st.mean)
-            assert np.array_equal(loaded.gen_params.stats()[k].var, st.var)
         for k, t in res.checkpoint.disc_params.tensors().items():
             assert np.array_equal(loaded.disc_params.tensors()[k].data, t.data)
         for k, acc in res.checkpoint.gen_opt.acc.items():
@@ -420,8 +418,14 @@ class TestCheckpoint:
 
 
 # The checkpoint writer and the whole-buffer reader as they were before
-# save and load streamed section by section, kept verbatim (renamed only)
-# as the byte-level and state-level reference for the streaming code.
+# save and load streamed section by section, kept as the byte-level and
+# state-level reference for the streaming code.  The writer still emits
+# version 1, with the generator's running stats (gen_stats, now given by
+# the caller) as gstats/* sections; the reader accepts versions 1 and 2
+# and, like the loader, no longer reads gstats/*.
+
+REFERENCE_VERSION = 1
+
 
 def _config_json(cfg) -> bytes:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
@@ -431,7 +435,7 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
 
 
-def reference_sections_of(ckpt: Checkpoint):
+def reference_sections_of(ckpt: Checkpoint, gen_stats: dict):
     meta = {
         "format": "qsumm-checkpoint",
         "step": ckpt.step,
@@ -446,7 +450,7 @@ def reference_sections_of(ckpt: Checkpoint):
     yield "cfg/disc", _config_json(ckpt.disc_cfg)
     for key, t in ckpt.gen_params.tensors().items():
         yield f"gparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
-    for key, st in ckpt.gen_params.stats().items():
+    for key, st in gen_stats.items():
         yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
         yield f"gstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
     for key, t in ckpt.disc_params.tensors().items():
@@ -461,10 +465,10 @@ def reference_sections_of(ckpt: Checkpoint):
     yield "rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")
 
 
-def reference_save_checkpoint(ckpt: Checkpoint, path) -> None:
+def reference_save_checkpoint(ckpt: Checkpoint, path, gen_stats: dict) -> None:
     """Write the full training state, atomically."""
-    sections = list(reference_sections_of(ckpt))
-    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
+    sections = list(reference_sections_of(ckpt, gen_stats))
+    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, REFERENCE_VERSION, len(sections)))
     for name, payload in sections:
         encoded = name.encode("utf-8")
         blob += _SECTION_HEAD.pack(len(encoded))
@@ -483,7 +487,7 @@ def reference_read_sections(buf: bytes, source: str) -> dict:
     magic, version, n = _FILE_HEAD.unpack_from(buf, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{source}: bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
+    if version not in (REFERENCE_VERSION, CHECKPOINT_VERSION):
         raise VersionError(
             f"{source}: checkpoint version {version} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
@@ -577,9 +581,6 @@ def reference_load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{source}: configs do not describe a model: {e}") from None
     for key, t in gparams.tensors().items():
         reference_fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
-    for key, st in gparams.stats().items():
-        reference_fill_array(st.mean, need(f"gstats/{key}/mean"), f"gstats/{key}/mean", source)
-        reference_fill_array(st.var, need(f"gstats/{key}/var"), f"gstats/{key}/var", source)
     for key, t in dparams.tensors().items():
         reference_fill_array(t.data, need(f"dparam/{key}"), f"dparam/{key}", source)
     for key, st in dparams.stats().items():
@@ -639,11 +640,31 @@ def mini_checkpoint(mini_corpus):
     return dataclasses.replace(ckpt, best_val_f1=0.25, best_val_step=2)
 
 
+def stand_in_stats(gen_cfg, seed=0) -> dict:
+    """Generator running stats as a version 1 file held them, made up."""
+    rng = np.random.default_rng(seed)
+    return {
+        key: RunningStats(mean=rng.standard_normal(d), var=rng.uniform(0.5, 2.0, d))
+        for key, d in (("enc_bn", 2 * gen_cfg.d_h), ("pred_bn", gen_cfg.d_pred))
+    }
+
+
+def write_v1(ckpt, path) -> None:
+    reference_save_checkpoint(ckpt, path, stand_in_stats(ckpt.gen_cfg))
+
+
 class TestCheckpointAgainstReference:
     def test_save_equals_reference_writer(self, mini_checkpoint, tmp_path):
+        # version 2 is version 1 without the gstats/* sections
         save_checkpoint(mini_checkpoint, tmp_path / "a.qsck")
-        reference_save_checkpoint(mini_checkpoint, tmp_path / "b.qsck")
-        assert (tmp_path / "a.qsck").read_bytes() == (tmp_path / "b.qsck").read_bytes()
+        write_v1(mini_checkpoint, tmp_path / "b.qsck")
+        sections = reference_read_sections((tmp_path / "b.qsck").read_bytes(), "v1")
+        assert any(name.startswith("gstats/") for name in sections)
+        write_sections(tmp_path / "b2.qsck", {
+            name: payload for name, payload in sections.items()
+            if not name.startswith("gstats/")
+        })
+        assert (tmp_path / "a.qsck").read_bytes() == (tmp_path / "b2.qsck").read_bytes()
         assert not os.path.exists(tmp_path / "a.qsck.tmp")
 
     def test_load_equals_reference_reader(self, mini_checkpoint, tmp_path):
@@ -687,6 +708,44 @@ class TestCheckpointAgainstReference:
         write_sections(path, sections)
         for load in (load_checkpoint, load_generator):
             with pytest.raises(FormatError, match=name):
+                load(path)
+
+
+class TestCheckpointV1:
+    """Version 1 files, with their gstats/* sections, still load and resume."""
+
+    def test_v1_loads_to_the_v2_state(self, mini_checkpoint, tmp_path):
+        v1, v2 = tmp_path / "v1.qsck", tmp_path / "v2.qsck"
+        write_v1(mini_checkpoint, v1)
+        save_checkpoint(mini_checkpoint, v2)
+        assert v1.read_bytes()[4] == 1 and v2.read_bytes()[4] == 2
+        assert bits(load_checkpoint(v1)) == bits(load_checkpoint(v2))
+        assert bits(load_checkpoint(v1)) == bits(mini_checkpoint)
+        assert bits(load_generator(v1)) == bits(load_generator(v2))
+
+    def test_resume_from_v1_logs_identical_metrics(self, mini_corpus, tmp_path):
+        full_dir, split_dir = tmp_path / "full", tmp_path / "split"
+        train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=4),
+              gen_cfg=MINI_GEN, out_dir=full_dir)
+        half = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
+                     gen_cfg=MINI_GEN, out_dir=split_dir)
+        write_v1(half.checkpoint, tmp_path / "v1.qsck")
+        ckpt = load_checkpoint(tmp_path / "v1.qsck")
+        train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=4),
+              out_dir=split_dir, resume=ckpt)
+        assert (full_dir / "metrics.csv").read_bytes() == (split_dir / "metrics.csv").read_bytes()
+        assert (full_dir / "checkpoint.qsck").read_bytes() == (
+            split_dir / "checkpoint.qsck").read_bytes()
+
+    def test_version_zero_rejected(self, mini_checkpoint, tmp_path):
+        # TestCheckpoint.test_version_mismatch covers the version above
+        path = tmp_path / "v.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        blob = bytearray(path.read_bytes())
+        blob[4] = 0
+        path.write_bytes(bytes(blob))
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(VersionError):
                 load(path)
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .dataset import SynthConfig, load_corpus, synth_corpus, write_corpus
 from .discriminator import DiscriminatorConfig
@@ -95,11 +96,22 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+# JSON value types a config field of each annotated type accepts; a
+# bool is never taken for a number, and an int is taken for a float
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,)}
+
+
 def _overlay(base_cls, defaults, section: dict, source: str):
-    fields = {f.name for f in dataclasses.fields(base_cls)}
-    unknown = set(section) - fields
+    types = typing.get_type_hints(base_cls)
+    unknown = set(section) - set(types)
     if unknown:
         raise ConfigError(f"{source}: unknown {base_cls.__name__} fields {sorted(unknown)}")
+    for name, value in section.items():
+        kind = types[name]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ACCEPTS[kind]):
+            raise ConfigError(
+                f"{source}: {base_cls.__name__}.{name} must be {kind.__name__}, got {value!r}"
+            )
     merged = dict(defaults)
     merged.update(section)
     return base_cls(**merged)
@@ -126,6 +138,11 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     from .training import TrainConfig, load_checkpoint, train
 
+    if args.checkpoint and args.paper_scale:
+        raise ConfigError(
+            "--paper-scale cannot be combined with --checkpoint: "
+            "a resumed run keeps the model widths of its checkpoint"
+        )
     corpus = load_corpus(_corpus_manifest(args.corpus))
     section = {}
     if args.config:

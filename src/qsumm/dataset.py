@@ -46,7 +46,6 @@ __all__ = [
     "write_corpus",
     "load_corpus",
     "sample_batch",
-    "corpora_equal",
 ]
 
 SCENARIOS = ("both-same-shot", "both-different-shots", "one-present", "none-present")
@@ -543,30 +542,3 @@ def sample_batch(corpus: Corpus, rng, segment_len: int, split: str = "train") ->
         gt=gt,
         gamma=gamma_of(gt),
     )
-
-
-def corpora_equal(a: Corpus, b: Corpus) -> bool:
-    """Full equality including feature bits; used by round-trip checks."""
-    if a.dims != b.dims or a.splits != b.splits:
-        return False
-    if a.concepts.names != b.concepts.names:
-        return False
-    if not np.array_equal(a.concepts.embeddings, b.concepts.embeddings):
-        return False
-    if len(a.videos) != len(b.videos):
-        return False
-    for va, vb in zip(a.videos, b.videos):
-        if va.video_id != vb.video_id or va.annotations != vb.annotations:
-            return False
-        if not np.array_equal(va.frame_feats, vb.frame_feats):
-            return False
-        if not np.array_equal(va.shot_feats, vb.shot_feats):
-            return False
-        if len(va.queries) != len(vb.queries):
-            return False
-        for qa, qb in zip(va.queries, vb.queries):
-            if (qa.concept_a, qa.concept_b, qa.scenario) != (qb.concept_a, qb.concept_b, qb.scenario):
-                return False
-            if not np.array_equal(qa.gt_mask, qb.gt_mask):
-                return False
-    return True

@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .generator import GeneratorConfig
-from .layers import (
+# bilstm_forward stays importable here: perfbench/tracing.py wraps this name
+from .layers import (  # noqa: F401
     LSTMParams,
     RunningStats,
+    _recurrence,
     batchnorm_forward,
     bilstm_forward,
     init_linear,
@@ -232,12 +234,12 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list
     The video branch runs once and is shared: batchnorm in train mode
     normalizes by batch statistics, so sharing is value-identical to
     repeating it per summary and skips the repeated running-stat
-    updates.  The summaries are stacked by rows into one batched Bi-LSTM
-    call, so both directions of every summary advance in a single time
-    loop, with values equal to encoding each summary alone.  The
-    encodings are then split back and pass the summary batchnorm one at
-    a time, in list order, so its running stats see the same updates as
-    with one critic call per summary.
+    updates.  The video and the summaries, stacked by rows, go through
+    one recurrence call: both directions of the video and of every
+    summary advance in a single time loop, with values equal to encoding
+    each alone.  The encodings are then split back; the summaries pass
+    the summary batchnorm one at a time, in list order, so its running
+    stats see the same updates as with one critic call per summary.
     """
     f_vq = as_tensor(f_vq)
     T = f_vq.data.shape[0]
@@ -248,15 +250,17 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list
                 f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
             )
     mode = "train" if train else "eval"
+    groups = [(f_vq, 1, [(params.vid_fwd, False), (params.vid_bwd, True)])]
+    if seqs:
+        groups.append((concat_rows(seqs), len(seqs),
+                       [(params.summ_fwd, False), (params.summ_bwd, True)]))
+    h = _recurrence(groups, "critic")
     v = _pool(
-        bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
+        slice_rows(h, 0, T),
         params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
     )
-    if not seqs:
-        return []
-    h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd, n_seq=len(seqs))
     out = []
-    for i in range(len(seqs)):
+    for i in range(1, len(seqs) + 1):
         u = _pool(
             slice_rows(h, i * T, (i + 1) * T),
             params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,

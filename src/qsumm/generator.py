@@ -38,7 +38,6 @@ __all__ = [
     "g_g_gate",
     "generator_forward",
     "select_shots",
-    "select_top_gamma",
 ]
 
 
@@ -186,11 +185,11 @@ def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return batchnorm_forward(h, gamma, beta, "train", None)
 
 
-def g_e_encode(f_vq: Tensor, params: GeneratorParams, train: bool) -> Tensor:
+def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:
     """Bi-LSTM over shots, sequence normalization, ReLU.
 
-    train does not change the encoder, which normalizes per sequence in
-    both modes; it is taken so that callers pass it as to g_p_score.
+    The encoder normalizes per sequence, so training and inference run
+    it the same way.
     """
     h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd)
     return relu(_seq_norm(h, params.enc_bn_gamma, params.enc_bn_beta))
@@ -230,7 +229,7 @@ def generator_forward(
     params: GeneratorParams, frame_feats, shot_feats, query_emb, train: bool, rng=None
 ) -> GenForward:
     f_vq = g_r_fuse(frame_feats, shot_feats, query_emb, params)
-    f_eq = g_e_encode(f_vq, params, train)
+    f_eq = g_e_encode(f_vq, params)
     s = g_p_score(f_eq, params, train, rng)
     k = g_g_gate(s, params.tau)
     return GenForward(f_vq=f_vq, f_eq=f_eq, s=s, k=k)
@@ -242,18 +241,3 @@ def select_shots(s, threshold: float = 0.5) -> np.ndarray:
         raise ConfigError(f"select_shots: threshold must be in (0, 1), got {threshold}")
     scores = s.data if isinstance(s, Tensor) else np.asarray(s)
     return (scores > threshold).astype(np.uint8)
-
-
-def select_top_gamma(s, gamma: float) -> np.ndarray:
-    """Alternative binarization: the ceil(gamma*T) highest-scoring shots."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"select_top_gamma: gamma must be in [0, 1], got {gamma}")
-    scores = s.data if isinstance(s, Tensor) else np.asarray(s)
-    T = scores.shape[0]
-    n = int(np.ceil(gamma * T))
-    out = np.zeros(T, dtype=np.uint8)
-    if n > 0:
-        # stable order: ties resolved toward lower shot index
-        top = np.argsort(-scores, kind="stable")[:n]
-        out[top] = 1
-    return out

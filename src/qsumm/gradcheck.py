@@ -92,6 +92,7 @@ def component_suite(seed: int = 0) -> dict:
     from .layers import (
         LSTMParams,
         RunningStats,
+        _recurrence,
         batchnorm_forward,
         bilstm_forward,
         dropout,
@@ -184,6 +185,21 @@ def component_suite(seed: int = 0) -> dict:
 
         return build
 
+    def recurrence_mixed_case(rng):
+        # two groups of different input width and sequence count, as in
+        # the critic's video and summary branches
+        groups, targets = [], {}
+        for g, (d_in, n_seq) in enumerate(((3, 1), (5, 2))):
+            fwd = LSTMParams.create(d_in, 4, rng)
+            bwd = LSTMParams.create(d_in, 4, rng)
+            seq = Tensor(rng.standard_normal((4 * n_seq, d_in)))
+            groups.append((seq, n_seq, [(fwd, False), (bwd, True)]))
+            targets.update({f"g{g}_fwd_wx": fwd.w_x, f"g{g}_fwd_wh": fwd.w_h, f"g{g}_fwd_b": fwd.b,
+                            f"g{g}_bwd_wx": bwd.w_x, f"g{g}_bwd_wh": bwd.w_h, f"g{g}_bwd_b": bwd.b,
+                            f"g{g}_seq": seq})
+        r = _coeffs(rng, (12, 8))
+        return lambda: mean_all(_recurrence(groups, "recurrence") * r), targets
+
     gen_cfg = GeneratorConfig(
         d_frame=6, d_shot=8, d_text=4, d_fused=8, d_qenc=4, d_h=8, d_pred=8
     )
@@ -267,4 +283,5 @@ def component_suite(seed: int = 0) -> dict:
     run("critic", critic_case)
     run("generator-critic", generator_critic_case)
     run("bilstm-batched", bilstm_case(3))
+    run("recurrence-mixed-width", recurrence_mixed_case)
     return results

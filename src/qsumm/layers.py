@@ -3,11 +3,13 @@
 The LSTM comes in two forms.  lstm_cell composes taped primitives and is
 the reference single-step implementation.  Everything else runs through
 one batched recurrence kernel: it advances several directions over
-several equal-length sequences that are stacked by rows, all in one time
-loop, and records the whole recurrence as a single tape node with
+several equal-length sequences that are stacked by rows, in one or more
+groups of their own input width and weights, all in one time loop, and
+records the whole recurrence as a single tape node with
 backpropagation-through-time inside it.  lstm_sequence is its
 one-direction, one-sequence case; bilstm_forward runs both directions of
-one or more stacked sequences.  Equivalence tests tie the kernel to
+one or more stacked sequences; the critic runs its video and summary
+branches as two groups of one call.  Equivalence tests tie the kernel to
 lstm_cell and the batched calls to separate ones.
 """
 
@@ -260,49 +262,67 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _recurrence(seq: Tensor, n_seq: int, directions, name: str) -> Tensor:
-    """LSTM directions over n_seq stacked sequences in one time loop.
+def _recurrence(groups, name: str) -> Tensor:
+    """LSTM directions over groups of stacked sequences in one time loop.
 
-    seq stacks n_seq equal-length sequences by rows, (n_seq*T, d_in).
-    directions lists (LSTMParams, reverse) pairs sharing one d_h; a
+    groups lists (seq, n_seq, directions) triples.  seq stacks n_seq
+    equal-length sequences by rows, (n_seq*T, d_in), and directions lists
+    (LSTMParams, reverse) pairs.  Groups may differ in d_in, n_seq and
+    parameters but share T, d_h and the number D of directions.  A
     reversed direction reads each sequence from its last row to its
-    first.  Every direction starts from zero states.  Row b*T + t of the
-    (n_seq*T, D*d_h) output holds the hidden states of all D directions
-    at time t of sequence b, side by side in list order.
+    first, and every direction starts from zero states.  The output
+    stacks one (n_seq*T, D*d_h) block per group by rows, in list order;
+    row b*T + t of a block holds the hidden states of the group's D
+    directions at time t of sequence b, side by side in list order.
 
-    The input projection is one 3-d matmul per direction, hoisted out of
-    the loop; each step then advances every (direction, sequence) pair
-    with one stacked matmul, so the values equal running each pair
-    alone.  Gate activations overwrite the pre-activation buffer.  The
-    whole recurrence is one tape node whose backward runs BPTT over the
-    cached gates for every pair at once.
+    Each group's input projection is one 3-d matmul per direction,
+    hoisted out of the loop.  Each step then advances every (direction,
+    sequence) pair with one stacked matmul, the same 1 x d_h by
+    d_h x 4d_h product per pair as running it alone, so the values equal
+    running each pair alone.  The sequence axis is padded to the largest
+    n_seq; a padded pair starts from zero pre-activations and zero
+    gradients, stays finite and is never read.  Gate activations
+    overwrite the pre-activation buffer.  The whole recurrence is one
+    tape node whose backward runs BPTT over the cached gates for every
+    pair at once.
     """
-    if seq.data.ndim != 2:
-        raise DimensionError(f"{name}: need (T, d_in), got {seq.data.shape}")
-    rows, d_in = seq.data.shape
-    if rows == 0:
-        raise ContractError(f"{name}: empty sequence")
-    if n_seq < 1 or rows % n_seq:
-        raise DimensionError(f"{name}: {rows} rows do not split into {n_seq} equal sequences")
-    H = directions[0][0].d_h
-    for p, _ in directions:
-        if p.d_in != d_in:
-            raise DimensionError(f"{name}: input width {d_in} does not match d_in {p.d_in}")
-        if p.d_h != H:
-            raise DimensionError(f"{name}: directions disagree on d_h ({p.d_h} vs {H})")
-    D, B, T = len(directions), n_seq, rows // n_seq
-    xs = seq.data.reshape(B, T, d_in)
+    H = groups[0][2][0][0].d_h
+    D = len(groups[0][2])
+    T = None
+    for seq, n_seq, directions in groups:
+        if seq.data.ndim != 2:
+            raise DimensionError(f"{name}: need (T, d_in), got {seq.data.shape}")
+        rows, d_in = seq.data.shape
+        if rows == 0:
+            raise ContractError(f"{name}: empty sequence")
+        if n_seq < 1 or rows % n_seq:
+            raise DimensionError(f"{name}: {rows} rows do not split into {n_seq} equal sequences")
+        T = rows // n_seq if T is None else T
+        if rows != n_seq * T:
+            raise DimensionError(f"{name}: groups disagree on sequence length ({rows // n_seq} vs {T})")
+        if len(directions) != D:
+            raise DimensionError(f"{name}: groups disagree on direction count ({len(directions)} vs {D})")
+        for p, _ in directions:
+            if p.d_in != d_in:
+                raise DimensionError(f"{name}: input width {d_in} does not match d_in {p.d_in}")
+            if p.d_h != H:
+                raise DimensionError(f"{name}: directions disagree on d_h ({p.d_h} vs {H})")
+    # one slot per (group, direction), group by group
+    slots = [(p, reverse, n_seq, seq.data.reshape(n_seq, T, -1))
+             for seq, n_seq, directions in groups for p, reverse in directions]
+    M, B = len(slots), max(n_seq for _, n_seq, _ in groups)
 
-    # time-major buffers: [t] is the (D, B, .) state of every pair at step t
-    pre = np.empty((T, D, B, 4 * H))
-    for k, (p, reverse) in enumerate(directions):
+    # time-major buffers: [t] is the (M, B, .) state of every pair at step t
+    pre = np.empty((T, M, B, 4 * H))
+    for m, (p, reverse, n, xs) in enumerate(slots):
         proj = np.matmul(xs, p.w_x.data) + p.b.data
-        pre[:, k] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
-    w_h = np.stack([p.w_h.data for p, _ in directions])[:, None]  # (D, 1, H, 4H)
-    hs = np.empty((T, D, B, H))
-    cs = np.empty((T, D, B, H))
-    tc = np.empty((T, D, B, H))
-    h = c = np.zeros((D, B, H))
+        pre[:, m, :n] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
+        pre[:, m, n:] = 0.0
+    w_h = np.stack([p.w_h.data for p, *_ in slots])[:, None]  # (M, 1, H, 4H)
+    hs = np.empty((T, M, B, H))
+    cs = np.empty((T, M, B, H))
+    tc = np.empty((T, M, B, H))
+    h = c = np.zeros((M, B, H))
     for t in range(T):
         z = pre[t]
         z += np.matmul(h[:, :, None, :], w_h)[:, :, 0]
@@ -312,26 +332,36 @@ def _recurrence(seq: Tensor, n_seq: int, directions, name: str) -> Tensor:
         c = np.multiply(z[..., H : 2 * H], c, out=cs[t])
         c += z[..., :H] * g
         h = np.multiply(z[..., 3 * H :], np.tanh(c, out=tc[t]), out=hs[t])
-    gates = pre.reshape(T, D, B, 4, H)  # now [i, f, g, o] activations
+    gates = pre.reshape(T, M, B, 4, H)  # now [i, f, g, o] activations
 
     def in_time(a, reverse):
         """A (B, T, n) array from step order to time order, or back."""
         return a[:, ::-1] if reverse else a
 
-    def seq_major(a, k):
-        """Direction k of a (T, D, B, n) buffer as (B, T, n), step order."""
-        return a[:, k].transpose(1, 0, 2)
+    def seq_major(a, m, n):
+        """The n real sequences of slot m of a (T, M, B, k) buffer as (n, T, k), step order."""
+        return a[:, m, :n].transpose(1, 0, 2)
 
-    out = Tensor(np.concatenate(
-        [in_time(seq_major(hs, k), reverse) for k, (_, reverse) in enumerate(directions)],
-        axis=2,
-    ).reshape(B * T, D * H))
+    def blocks(a):
+        """(slot, n_seq, reverse, its (n_seq, T, d_h) columns) per slot of
+        an array laid out as the output."""
+        lo = 0
+        for g, (_, n, directions) in enumerate(groups):
+            block = a[lo : lo + n * T].reshape(n, T, D * H)
+            lo += n * T
+            for k, (_, reverse) in enumerate(directions):
+                yield g * D + k, n, reverse, block[:, :, k * H : (k + 1) * H]
+
+    out = np.empty((sum(n * T for _, n, _ in groups), D * H))
+    for m, n, reverse, cols in blocks(out):
+        cols[...] = in_time(seq_major(hs, m, n), reverse)
+    out = Tensor(out)
 
     def bwd(g_out):
-        g = g_out.reshape(B, T, D * H)
-        dh_out = np.empty((T, D, B, H))
-        for k, (_, reverse) in enumerate(directions):
-            dh_out[:, k] = in_time(g[:, :, k * H : (k + 1) * H], reverse).transpose(1, 0, 2)
+        dh_out = np.empty((T, M, B, H))
+        for m, n, reverse, cols in blocks(g_out):
+            dh_out[:, m, :n] = in_time(cols, reverse).transpose(1, 0, 2)
+            dh_out[:, m, n:] = 0.0
         # Per gate block [i, f, g, o] a step's pre-activation gradient is
         # ((up * fac1) * fac2) * fac3 with up = [dc, dc, dc, dh],
         # fac1 = [g, c_prev, i, tanh c], fac2 = [i, f, 1, o] and
@@ -352,9 +382,9 @@ def _recurrence(seq: Tensor, n_seq: int, directions, name: str) -> Tensor:
         dtc = 1.0 - tc * tc
         w_hT = w_h.transpose(0, 1, 3, 2)
         dz = np.empty_like(gates)
-        up = np.empty((D, B, 4, H))
-        dh = np.zeros((D, B, H))
-        dc = np.zeros((D, B, H))
+        up = np.empty((M, B, 4, H))
+        dh = np.zeros((M, B, H))
+        dc = np.zeros((M, B, H))
         for t in range(T - 1, -1, -1):
             dh += dh_out[t]
             dc += dh * go[t] * dtc[t]
@@ -363,29 +393,33 @@ def _recurrence(seq: Tensor, n_seq: int, directions, name: str) -> Tensor:
             dz_t = np.multiply(up, fac1[t], out=dz[t])
             dz_t *= fac2[t]
             dz_t *= fac3[t]
-            dh = np.matmul(dz_t.reshape(D, B, 1, 4 * H), w_hT)[:, :, 0]
+            dh = np.matmul(dz_t.reshape(M, B, 1, 4 * H), w_hT)[:, :, 0]
             dc *= gf[t]
-        dz = dz.reshape(T, D, B, 4 * H)
+        dz = dz.reshape(T, M, B, 4 * H)
         h_prev = np.zeros_like(hs)
         h_prev[1:] = hs[:-1]
         grads = []
-        for k, (p, reverse) in reversed(list(enumerate(directions))):
-            dz_k = np.ascontiguousarray(seq_major(dz, k))
-            x_k = np.ascontiguousarray(in_time(xs, reverse))
+        for m in range(M - 1, -1, -1):
+            p, reverse, n, xs = slots[m]
+            dz_m = np.ascontiguousarray(seq_major(dz, m, n))
+            x_m = np.ascontiguousarray(in_time(xs, reverse))
             grads += [
-                in_time(np.matmul(dz_k, p.w_x.data.T), reverse).reshape(B * T, d_in),
-                _sum_last_to_first(np.matmul(x_k.transpose(0, 2, 1), dz_k)),
-                _sum_last_to_first(np.matmul(seq_major(h_prev, k).transpose(0, 2, 1), dz_k)),
-                _sum_last_to_first(dz_k.sum(axis=1)),
+                in_time(np.matmul(dz_m, p.w_x.data.T), reverse).reshape(n * T, -1),
+                _sum_last_to_first(np.matmul(x_m.transpose(0, 2, 1), dz_m)),
+                _sum_last_to_first(np.matmul(seq_major(h_prev, m, n).transpose(0, 2, 1), dz_m)),
+                _sum_last_to_first(dz_m.sum(axis=1)),
             ]
         return grads
 
-    # seq is listed once per direction, last direction first, so the tape
-    # adds up its gradient in the order it would for one node per
-    # direction; training stays bit-identical to that layout.
+    # Inputs are listed last group first and, within a group, last
+    # direction first, and each direction lists its group's seq again.
+    # The tape then adds up gradients in the order it would for one node
+    # per direction, recorded group by group, so training stays
+    # bit-identical to that layout.
     inputs = []
-    for p, _ in reversed(directions):
-        inputs += [seq, p.w_x, p.w_h, p.b]
+    for seq, _, directions in reversed(groups):
+        for p, _ in reversed(directions):
+            inputs += [seq, p.w_x, p.w_h, p.b]
     record(out, tuple(inputs), bwd)
     return out
 
@@ -397,7 +431,7 @@ def lstm_sequence(seq: Tensor, params: LSTMParams) -> Tensor:
     hidden states.  This is the one-direction, one-sequence case of the
     batched recurrence behind bilstm_forward.
     """
-    return _recurrence(as_tensor(seq), 1, [(params, False)], "lstm_sequence")
+    return _recurrence([(as_tensor(seq), 1, [(params, False)])], "lstm_sequence")
 
 
 def bilstm_forward(
@@ -413,4 +447,4 @@ def bilstm_forward(
     seq = as_tensor(seq)
     if seq.data.ndim != 2 or seq.data.shape[0] == 0:
         raise ContractError(f"bilstm_forward: need a nonempty (T, d_in) sequence, got {seq.data.shape}")
-    return _recurrence(seq, n_seq, [(params_fwd, False), (params_bwd, True)], "bilstm_forward")
+    return _recurrence([(seq, n_seq, [(params_fwd, False), (params_bwd, True)])], "bilstm_forward")

@@ -38,7 +38,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "relu",
-    "clear_grads",
 ]
 
 _TAPES: list["Tape"] = []
@@ -170,11 +169,6 @@ def record(out: Tensor, inputs, backward) -> None:
     """Attach a backward closure to the active tape, if any."""
     if _TAPES:
         _TAPES[-1].nodes.append((out, inputs, backward))
-
-
-def clear_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -262,6 +262,23 @@ class TestConfigFile:
         assert run_cli(["synth", "--out", str(tmp_path / "c"),
                         "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["3", True, 3.0], ids=["str", "bool", "float"])
+    @pytest.mark.parametrize("section, field", [("synth", "n_videos"), ("train", "max_steps")])
+    def test_wrong_type_in_int_field_rejected(self, tmp_path, workspace, capsys, section,
+                                              field, value):
+        cfg = write_config(tmp_path, {section: {field: value}})
+        if section == "synth":
+            argv = ["synth", "--out", str(tmp_path / "c")]
+        else:
+            argv = ["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "r")]
+        assert run_cli(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "must be int" in err
+
+    def test_int_accepted_in_float_field(self, tmp_path):
+        cfg = write_config(tmp_path, {"synth": dict(MINI["synth"], relevance_strength=2)})
+        assert run_cli(["synth", "--out", str(tmp_path / "c"), "--config", cfg]) == 0
+
     def test_file_values_override_defaults(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "c"
@@ -366,6 +383,14 @@ class TestTrainEvaluateSummarize:
         assert len(resumed.splitlines()) == 1 + MINI["train"]["max_steps"]
         straight = open(os.path.join(workspace["run"], "metrics.csv")).read()
         assert resumed == straight
+
+    def test_resume_rejects_paper_scale(self, workspace, tmp_path, capsys):
+        rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),
+                      "--config", workspace["cfg"], "--checkpoint", workspace["checkpoint"],
+                      "--paper-scale"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --paper-scale")
+        assert not (tmp_path / "run").exists()
 
     def test_evaluate_writes_reports(self, workspace, tmp_path, capsys):
         out = tmp_path / "rep"

@@ -13,7 +13,6 @@ from qsumm.dataset import (
     Query,
     SynthConfig,
     Video,
-    corpora_equal,
     embed_query,
     gamma_of,
     load_corpus,
@@ -30,6 +29,33 @@ from qsumm.errors import (
     VersionError,
 )
 from qsumm.matrix_io import load_feature_matrix, matrix_bytes, write_matrix
+
+
+def corpora_equal(a: Corpus, b: Corpus) -> bool:
+    """Full equality including feature bits; used by round-trip checks."""
+    if a.dims != b.dims or a.splits != b.splits:
+        return False
+    if a.concepts.names != b.concepts.names:
+        return False
+    if not np.array_equal(a.concepts.embeddings, b.concepts.embeddings):
+        return False
+    if len(a.videos) != len(b.videos):
+        return False
+    for va, vb in zip(a.videos, b.videos):
+        if va.video_id != vb.video_id or va.annotations != vb.annotations:
+            return False
+        if not np.array_equal(va.frame_feats, vb.frame_feats):
+            return False
+        if not np.array_equal(va.shot_feats, vb.shot_feats):
+            return False
+        if len(va.queries) != len(vb.queries):
+            return False
+        for qa, qb in zip(va.queries, vb.queries):
+            if (qa.concept_a, qa.concept_b, qa.scenario) != (qb.concept_a, qb.concept_b, qb.scenario):
+                return False
+            if not np.array_equal(qa.gt_mask, qb.gt_mask):
+                return False
+    return True
 
 
 class TestMatrixFormat:

@@ -8,7 +8,12 @@ from conftest import max_rel_err
 from qsumm.discriminator import (
     SUMMARY_TAGS,
     DiscriminatorConfig,
+    DiscriminatorParams,
     SummaryRepr,
+    _head,
+    _pool,
+    _summary_seq,
+    bilstm_forward,
     critic,
     critic_scores,
     discriminator_shapes,
@@ -18,7 +23,49 @@ from qsumm.discriminator import (
 )
 from qsumm.errors import ConfigError, DimensionError
 from qsumm.gradcheck import grad_check
-from qsumm.tensor import Tape, Tensor
+from qsumm.tensor import Tape, Tensor, as_tensor, concat_rows, slice_rows
+
+# The critic as it was before its two branches shared one recurrence
+# call: a video Bi-LSTM call, then one batched call for the summaries.
+# The one-call critic must match it bit for bit.
+def reference_critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list:
+    """Score several summaries of one video, one scalar per summary.
+
+    The video branch runs once and is shared: batchnorm in train mode
+    normalizes by batch statistics, so sharing is value-identical to
+    repeating it per summary and skips the repeated running-stat
+    updates.  The summaries are stacked by rows into one batched Bi-LSTM
+    call, so both directions of every summary advance in a single time
+    loop, with values equal to encoding each summary alone.  The
+    encodings are then split back and pass the summary batchnorm one at
+    a time, in list order, so its running stats see the same updates as
+    with one critic call per summary.
+    """
+    f_vq = as_tensor(f_vq)
+    T = f_vq.data.shape[0]
+    seqs = [_summary_seq(summ) for summ in summs]
+    for seq in seqs:
+        if seq.data.shape[0] != T:
+            raise DimensionError(
+                f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
+            )
+    mode = "train" if train else "eval"
+    v = _pool(
+        bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
+        params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
+    )
+    if not seqs:
+        return []
+    h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd, n_seq=len(seqs))
+    out = []
+    for i in range(len(seqs)):
+        u = _pool(
+            slice_rows(h, i * T, (i + 1) * T),
+            params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,
+        )
+        out.append(_head(u, v, params))
+    return out
+
 
 TINY = DiscriminatorConfig(d_summ_in=10, d_vid_in=12, d_h=6, d_fc1=8, d_fc2=6, d_fc3=4)
 
@@ -192,6 +239,50 @@ class TestSharedVideoBranch:
         ]
         with pytest.raises(DimensionError):
             critic_scores(summs, f_vq, tiny_params(), train=False)
+
+
+class TestReferenceOracle:
+    """critic_scores against the two-call reference, bit for bit."""
+
+    @staticmethod
+    def run(score_fn, n_summ, train):
+        rng = np.random.default_rng(40 + n_summ)
+        params = tiny_params(seed=41)
+        for st in (params.summ_bn_stats, params.vid_bn_stats):
+            st.mean = rng.standard_normal(st.mean.shape)
+            st.var = rng.uniform(0.5, 2.0, st.var.shape)
+        f_eq = Tensor(rng.standard_normal((6, TINY.d_summ_in)))
+        f_vq = Tensor(rng.standard_normal((6, TINY.d_vid_in)))
+        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(n_summ)]
+        coef = rng.uniform(-1.0, 1.0, n_summ)
+        with Tape(watch=list(params.tensors().values()) + [f_vq, f_eq]) as tape:
+            summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
+            for summ in summs:
+                tape.watch(summ.seq)
+            d = score_fn(summs, f_vq, params, train)
+            loss = Tensor(0.0)
+            for c, x in zip(coef, d):
+                loss = loss + x * c
+        tape.backward(loss)
+        grads = {k: t.grad for k, t in params.tensors().items()}
+        grads.update(f_vq=f_vq.grad, f_eq=f_eq.grad)
+        grads.update({f"summary{i}": summ.seq.grad for i, summ in enumerate(summs)})
+        stats = [st.mean for st in params.stats().values()] + [
+            st.var for st in params.stats().values()]
+        return [float(x) for x in d], grads, stats
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("n_summ", [0, 1, 2, 3])
+    def test_bit_equal_to_reference(self, n_summ, train):
+        out, grads, stats = self.run(critic_scores, n_summ, train)
+        ref_out, ref_grads, ref_stats = self.run(reference_critic_scores, n_summ, train)
+        assert len(out) == n_summ
+        assert out == ref_out
+        assert list(grads) == list(ref_grads)
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+        for a, b in zip(stats, ref_stats):
+            assert np.array_equal(a, b)
 
 
 class TestCriticGradients:

@@ -18,7 +18,6 @@ from qsumm.generator import (
     generator_shapes,
     init_generator_params,
     select_shots,
-    select_top_gamma,
 )
 from qsumm.tensor import Tape, Tensor, mean_all
 
@@ -78,22 +77,22 @@ class TestEncode:
         params = tiny_params()
         frame, shot, q = tiny_inputs(1)
         f_vq = g_r_fuse(frame, shot, q, params)
-        out = g_e_encode(f_vq, params, train=False)
+        out = g_e_encode(f_vq, params)
         assert out.data.shape == (1, 2 * TINY.d_h)
 
     def test_nonnegative_after_relu(self):
         params = tiny_params()
         frame, shot, q = tiny_inputs(7)
         f_vq = g_r_fuse(frame, shot, q, params)
-        out = g_e_encode(f_vq, params, train=True)
+        out = g_e_encode(f_vq, params)
         assert np.all(out.data >= 0.0)
 
     def test_eval_mode_deterministic(self):
         params = tiny_params()
         frame, shot, q = tiny_inputs(5)
         f_vq = g_r_fuse(frame, shot, q, params)
-        a = g_e_encode(f_vq, params, train=False).data
-        b = g_e_encode(g_r_fuse(frame, shot, q, params), params, train=False).data
+        a = g_e_encode(f_vq, params).data
+        b = g_e_encode(g_r_fuse(frame, shot, q, params), params).data
         assert_allclose(a, b)
 
 
@@ -101,7 +100,7 @@ class TestScore:
     def test_open_interval(self):
         params = tiny_params()
         frame, shot, q = tiny_inputs(8)
-        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params, train=False)
+        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params)
         s = g_p_score(f_eq, params, train=False)
         assert s.data.shape == (8,)
         assert np.all(s.data > 0.0) and np.all(s.data < 1.0)
@@ -109,7 +108,7 @@ class TestScore:
     def test_eval_mode_repeatable(self):
         params = tiny_params()
         frame, shot, q = tiny_inputs(6)
-        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params, train=False)
+        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params)
         assert_allclose(
             g_p_score(f_eq, params, train=False).data,
             g_p_score(f_eq, params, train=False).data,
@@ -118,7 +117,7 @@ class TestScore:
     def test_train_dropout_seeded(self):
         params = tiny_params()
         frame, shot, q = tiny_inputs(6)
-        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params, train=False)
+        f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params)
         a = g_p_score(f_eq, params, train=True, rng=np.random.default_rng(3)).data
         b = g_p_score(f_eq, params, train=True, rng=np.random.default_rng(3)).data
         c = g_p_score(f_eq, params, train=True, rng=np.random.default_rng(4)).data
@@ -188,19 +187,6 @@ class TestSelect:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             select_shots(np.array([0.5]), 0.0)
-
-    def test_top_gamma_count(self):
-        s = np.array([0.1, 0.9, 0.3, 0.8, 0.2])
-        out = select_top_gamma(s, 0.4)
-        assert out.sum() == 2
-        assert_allclose(out, [0, 1, 0, 1, 0])
-
-    def test_top_gamma_zero_selects_nothing(self):
-        assert select_top_gamma(np.array([0.9, 0.9]), 0.0).sum() == 0
-
-    def test_top_gamma_tie_prefers_earlier_shot(self):
-        out = select_top_gamma(np.array([0.5, 0.5, 0.5]), 1 / 3)
-        assert_allclose(out, [1, 0, 0])
 
 
 class TestComposition:

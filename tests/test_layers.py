@@ -8,6 +8,7 @@ from conftest import check_grads, max_rel_err
 from qsumm.errors import ConfigError, ContractError, DimensionError
 from qsumm.layers import (
     BN_EPS,
+    _recurrence,
     LSTMParams,
     RunningStats,
     batchnorm_forward,
@@ -460,3 +461,52 @@ class TestBatchedBiLSTM:
         pf, pb, seqs = stacked_and_separate(31)
         with pytest.raises(DimensionError):
             bilstm_forward(Tensor(np.vstack(seqs)[:-1]), pf, pb, n_seq=3)
+
+
+def mixed_groups(seed, T=5, d_h=3):
+    """A one-sequence group of width 4 and a two-sequence group of width 6."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for d_in, n_seq in ((4, 1), (6, 2)):
+        pf = LSTMParams.create(d_in, d_h, rng)
+        pb = LSTMParams.create(d_in, d_h, rng)
+        groups.append((Tensor(rng.standard_normal((n_seq * T, d_in))), n_seq,
+                       [(pf, False), (pb, True)]))
+    return groups
+
+
+class TestRecurrenceGroups:
+    """Groups of different input width and sequence count in one call."""
+
+    def test_values_match_separate_calls(self):
+        groups = mixed_groups(32)
+        out = _recurrence(groups, "test").data
+        separate = np.vstack([bilstm_forward(seq, pf, pb, n_seq=n).data
+                              for seq, n, [(pf, _), (pb, _)] in groups])
+        assert_allclose(out, separate, rtol=0, atol=0)
+
+    def test_gradients_match_separate_calls(self):
+        groups = mixed_groups(33)
+        watch = [t for seq, _, dirs in groups
+                 for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
+        r = np.random.default_rng(34).standard_normal((15, 6))
+
+        with Tape(watch=watch) as tape:
+            loss = sum_all(_recurrence(groups, "test") * r)
+        tape.backward(loss)
+        fused = [t.grad.copy() for t in watch]
+
+        with Tape(watch=watch) as tape:
+            (a, n_a, [(pfa, _), (pba, _)]), (b, n_b, [(pfb, _), (pbb, _)]) = groups
+            loss = sum_all(bilstm_forward(a, pfa, pba, n_seq=n_a) * r[:5])
+            loss = loss + sum_all(bilstm_forward(b, pfb, pbb, n_seq=n_b) * r[5:])
+        tape.backward(loss)
+        for x, t in zip(fused, watch):
+            assert np.array_equal(x, t.grad)
+
+    def test_groups_must_agree_on_length_and_directions(self):
+        (a, _, dirs_a), (b, _, dirs_b) = mixed_groups(35)
+        with pytest.raises(DimensionError, match="sequence length"):
+            _recurrence([(a, 1, dirs_a), (b, 1, dirs_b)], "test")
+        with pytest.raises(DimensionError, match="direction count"):
+            _recurrence([(a, 1, dirs_a), (b, 2, dirs_b[:1])], "test")

@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import check_grads
+from test_discriminator import reference_critic_scores
+from qsumm import discriminator
 from qsumm import training
 from qsumm.dataset import SynthConfig, sample_batch, synth_corpus
 from qsumm.discriminator import (
@@ -30,7 +32,7 @@ from qsumm.generator import GeneratorConfig, generator_forward, init_generator_p
 from qsumm.layers import RunningStats
 from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
 from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
-from qsumm.tensor import Tape, Tensor, clear_grads, mul
+from qsumm.tensor import Tape, Tensor, mul
 from qsumm.training import (
     _FILE_HEAD,
     _PAYLOAD_HEAD,
@@ -48,6 +50,11 @@ from qsumm.training import (
     save_checkpoint,
     train,
 )
+
+def clear_grads(tensors) -> None:
+    for t in tensors:
+        t.grad = None
+
 
 MINI_SYNTH = SynthConfig(
     n_videos=3, n_shots=12, n_concepts=6, d_frame=8, d_shot=10, d_text=6
@@ -360,6 +367,32 @@ class TestTrainLoop:
         cfg = dataclasses.replace(MINI_TRAIN, tau=0.2)
         with pytest.raises(ConfigError):
             train(mini_corpus, cfg, gen_cfg=MINI_GEN)
+
+
+class TestCriticAgainstReference:
+    def test_recipe_run_logs_same_bytes(self, tmp_path, monkeypatch):
+        """A recipe-config run logs the same metrics.csv bytes with the
+        critic swapped for the two-call reference critic."""
+        corpus = synth_corpus(SynthConfig(), seed=9)
+        gen_cfg = GeneratorConfig(d_frame=corpus.dims["d_frame"], d_shot=corpus.dims["d_shot"],
+                                  d_text=corpus.dims["d_text"], dropout_p=0.2)
+        cfg = TrainConfig(seed=0, max_steps=20, n_critic=1, lr_gen=1e-3, lr_critic=1e-3,
+                          segment_len=60)
+        train(corpus, cfg, gen_cfg=gen_cfg, out_dir=tmp_path / "fused")
+
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(1)
+            return reference_critic_scores(*args, **kwargs)
+
+        # training calls critic_scores directly and critic through it
+        monkeypatch.setattr(training, "critic_scores", reference)
+        monkeypatch.setattr(discriminator, "critic_scores", reference)
+        train(corpus, cfg, gen_cfg=gen_cfg, out_dir=tmp_path / "reference")
+        assert len(calls) == 2 * cfg.max_steps
+        fused = (tmp_path / "fused" / "metrics.csv").read_bytes()
+        assert fused == (tmp_path / "reference" / "metrics.csv").read_bytes()
 
 
 class TestCheckpoint:

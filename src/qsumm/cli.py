@@ -93,6 +93,9 @@ def _load_config_file(path) -> dict:
     unknown = set(cfg) - {"synth", "train"}
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
     return cfg
 
 

@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     GenerationError,
     QsummError,
+    require_finite_floats,
 )
 from .matrix_io import load_feature_matrix, write_matrix
 from .rng import STREAMS, stream_rng
@@ -138,6 +139,7 @@ class SynthConfig:
     relevance_strength: float = 3.0
 
     def __post_init__(self):
+        require_finite_floats(self, "synth")
         for name in ("n_videos", "n_shots", "d_frame", "d_shot", "d_text"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synth: {name} must be >= 1, got {getattr(self, name)}")
@@ -438,6 +440,10 @@ def _load_corpus(manifest_path) -> Corpus:
         f"concept table: file is {emb.shape[0]}x{emb.shape[1]}, "
         f"manifest declares {len(names)} names and d_text={d_text}",
     )
+    _require(
+        np.isfinite(emb).all(),
+        f"concept table: embedding file {cinfo['path']} holds non-finite values",
+    )
     table = ConceptTable(embeddings=emb, names=names)
     n_concepts = len(table)
 
@@ -457,6 +463,11 @@ def _load_corpus(manifest_path) -> Corpus:
             f"video {vid}: shot features are {shot.shape[0]}x{shot.shape[1]}, "
             f"expected {T}x{d_shot}",
         )
+        for key, feats in (("frame_feat", frame), ("shot_feat", shot)):
+            _require(
+                np.isfinite(feats).all(),
+                f"video {vid}: feature file {entry[key]} holds non-finite values",
+            )
         _require(
             len(entry["annotations"]) == T,
             f"video {vid}: {len(entry['annotations'])} annotation rows for {T} shots",

@@ -5,6 +5,9 @@ library failures with a single except clause while still distinguishing
 the failure class.
 """
 
+import dataclasses
+import math
+
 
 class QsummError(Exception):
     """Base class for all qsumm errors."""
@@ -40,3 +43,13 @@ class ConceptLookupError(QsummError, KeyError):
 
 class GenerationError(QsummError, RuntimeError):
     """The synthetic corpus generator could not satisfy its guarantees."""
+
+
+def require_finite_floats(cfg, section: str) -> None:
+    """Raise ConfigError for a NaN or infinite float field of a config
+    dataclass.  Range checks such as x <= 0 are false for NaN, so each
+    config runs this before its own checks."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}: {f.name} must be finite, got {value}")

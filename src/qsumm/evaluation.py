@@ -28,6 +28,7 @@ __all__ = [
     "max_weight_matching",
     "prf",
     "evaluate",
+    "evaluate_grid",
     "write_report_csv",
     "write_report_json",
     "write_length_study",
@@ -188,87 +189,66 @@ class EvalReport:
     length_dev: float
 
 
-def evaluate(
-    gparams: GeneratorParams,
-    corpus: Corpus,
-    split: str,
-    threshold: float = 0.5,
-    predict=None,
-) -> EvalReport:
-    """Score every (video, query) of a split with the generator in eval mode.
+# Cap on the recurrence buffers (pre-activations, hidden and cell
+# states, tanh of the cell) of one stacked generator call: about
+# T * 2 directions * 7 d_h * 8 bytes per query, 215 KB at desk scale
+# (4 queries per call) and 115 MB at paper scale (1 query per call).
+_STACK_BYTES = 1 << 20
 
-    Queries with an empty ground-truth summary (the none-present scenario)
-    appear in the per-query rows and in the length statistics, but are
-    left out of the precision/recall/F1 averages: with nothing to recover,
-    any prediction would score 0 by the zero conventions and drag the
-    averages down for the wrong reason.
 
-    predict, when given, replaces the generator: called as
-    predict(video, query) and expected to return a binary mask over the
-    video's shots.  Evaluation hooks and oracle tests use it.
-    """
-    videos = corpus.split_videos(split)
-    if not videos:
-        raise ContractError(f"evaluate: split {split!r} is empty")
-    rows = []
+def _query_scores(gparams: GeneratorParams, video, concepts) -> list:
+    """Eval-mode scores of each of a video's queries, (T,) arrays in
+    query order, from stacked generator calls that fit _STACK_BYTES."""
+    per_query = video.n_shots * 2 * 7 * gparams.enc_fwd.d_h * 8
+    stack = max(1, _STACK_BYTES // per_query)
+    scores = []
+    for lo in range(0, len(video.queries), stack):
+        chunk = np.stack([embed_query(q, concepts) for q in video.queries[lo : lo + stack]])
+        fwd = generator_forward(
+            gparams, video.frame_feats, video.shot_feats, chunk, train=False
+        )
+        scores += np.split(fwd.s.data, len(chunk))
+    return scores
+
+
+def _query_row(video, qi: int, query, mask, incidence) -> QueryResult:
+    gen_idx = np.flatnonzero(mask)
+    gt_idx = np.flatnonzero(query.gt_mask)
+    weights = _iou_matrix(incidence, gen_idx, gt_idx)
+    matched = len(max_weight_matching(weights))
+    p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
+    gamma_q = float(query.gt_mask.mean())
+    return QueryResult(
+        video_id=video.video_id,
+        query_index=qi,
+        scenario=query.scenario,
+        precision=p,
+        recall=r,
+        f1=f1,
+        n_selected=int(gen_idx.size),
+        n_gt=int(gt_idx.size),
+        length_dev=abs(float(mask.mean()) - gamma_q),
+        length_delta=float(mask.sum()) - float(gt_idx.size),
+    )
+
+
+def _report(split: str, threshold: float, rows: list) -> EvalReport:
     per_video = {}
-    deltas = []
-    devs = []
-    for video in videos:
-        if len(video.annotations) != video.n_shots:
-            raise FormatError(
-                f"evaluate: video {video.video_id} has {len(video.annotations)} "
-                f"annotation entries for {video.n_shots} shots"
-            )
-        incidence = _concept_incidence(video.annotations)
-        scored = []
-        for qi, query in enumerate(video.queries):
-            if predict is not None:
-                mask = np.asarray(predict(video, query)).astype(np.uint8)
-            else:
-                fwd = generator_forward(
-                    gparams, video.frame_feats, video.shot_feats,
-                    embed_query(query, corpus.concepts), train=False,
-                )
-                mask = select_shots(fwd.s, threshold)
-            gen_idx = np.flatnonzero(mask)
-            gt_idx = np.flatnonzero(query.gt_mask)
-            weights = _iou_matrix(incidence, gen_idx, gt_idx)
-            matched = len(max_weight_matching(weights))
-            p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
-            gamma_q = float(query.gt_mask.mean())
-            dev = abs(float(mask.mean()) - gamma_q)
-            delta = float(mask.sum()) - float(gt_idx.size)
-            rows.append(
-                QueryResult(
-                    video_id=video.video_id,
-                    query_index=qi,
-                    scenario=query.scenario,
-                    precision=p,
-                    recall=r,
-                    f1=f1,
-                    n_selected=int(gen_idx.size),
-                    n_gt=int(gt_idx.size),
-                    length_dev=dev,
-                    length_delta=delta,
-                )
-            )
-            deltas.append(delta)
-            devs.append(dev)
-            if gt_idx.size > 0:
-                scored.append((p, r, f1))
-        if scored:
-            arr = np.array(scored)
-            per_video[video.video_id] = {
-                "precision": float(arr[:, 0].mean()),
-                "recall": float(arr[:, 1].mean()),
-                "f1": float(arr[:, 2].mean()),
-                "n_queries": len(scored),
-            }
+    for row in rows:
+        if row.n_gt > 0:
+            per_video.setdefault(row.video_id, []).append((row.precision, row.recall, row.f1))
     if not per_video:
         raise ContractError(
             f"evaluate: no query in split {split!r} has a nonempty ground truth"
         )
+    for vid, scored in per_video.items():
+        arr = np.array(scored)
+        per_video[vid] = {
+            "precision": float(arr[:, 0].mean()),
+            "recall": float(arr[:, 1].mean()),
+            "f1": float(arr[:, 2].mean()),
+            "n_queries": len(scored),
+        }
     means = np.array(
         [[v["precision"], v["recall"], v["f1"]] for v in per_video.values()]
     )
@@ -280,9 +260,69 @@ def evaluate(
         precision=float(means[:, 0].mean()),
         recall=float(means[:, 1].mean()),
         f1=float(means[:, 2].mean()),
-        d=abs(float(np.mean(deltas))),
-        length_dev=float(np.mean(devs)),
+        d=abs(float(np.mean([r.length_delta for r in rows]))),
+        length_dev=float(np.mean([r.length_dev for r in rows])),
     )
+
+
+def evaluate_grid(
+    gparams: GeneratorParams,
+    corpus: Corpus,
+    split: str,
+    thresholds,
+    predict=None,
+) -> list:
+    """One EvalReport per threshold, in order, from one scoring pass.
+
+    The generator scores each video's queries once, in eval mode and in
+    stacked calls; the matching pass then thresholds those scores at
+    every grid value.  Queries with an empty ground-truth summary (the
+    none-present scenario) appear in the per-query rows and in the
+    length statistics, but are left out of the precision/recall/F1
+    averages: with nothing to recover, any prediction would score 0 by
+    the zero conventions and drag the averages down for the wrong
+    reason.
+
+    predict, when given, replaces the generator: called as
+    predict(video, query) for every threshold and expected to return a
+    binary mask over the video's shots.  Evaluation hooks and oracle
+    tests use it.
+    """
+    videos = corpus.split_videos(split)
+    if not videos:
+        raise ContractError(f"evaluate: split {split!r} is empty")
+    thresholds = tuple(thresholds)
+    if not thresholds:
+        raise ContractError("evaluate_grid: no thresholds")
+    rows = [[] for _ in thresholds]
+    for video in videos:
+        if len(video.annotations) != video.n_shots:
+            raise FormatError(
+                f"evaluate: video {video.video_id} has {len(video.annotations)} "
+                f"annotation entries for {video.n_shots} shots"
+            )
+        incidence = _concept_incidence(video.annotations)
+        scores = _query_scores(gparams, video, corpus.concepts) if predict is None else None
+        for threshold, out in zip(thresholds, rows):
+            for qi, query in enumerate(video.queries):
+                if predict is not None:
+                    mask = np.asarray(predict(video, query)).astype(np.uint8)
+                else:
+                    mask = select_shots(scores[qi], threshold)
+                out.append(_query_row(video, qi, query, mask, incidence))
+    return [_report(split, th, out) for th, out in zip(thresholds, rows)]
+
+
+def evaluate(
+    gparams: GeneratorParams,
+    corpus: Corpus,
+    split: str,
+    threshold: float = 0.5,
+    predict=None,
+) -> EvalReport:
+    """Score every (video, query) of a split at one threshold; the
+    one-threshold case of evaluate_grid."""
+    return evaluate_grid(gparams, corpus, split, (threshold,), predict)[0]
 
 
 def _atomic_write_text(path, text: str) -> None:

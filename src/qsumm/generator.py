@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, require_finite_floats
 from .layers import (
     LSTMParams,
     batchnorm_forward,
@@ -24,7 +24,16 @@ from .layers import (
     named_tensors,
     relu,
 )
-from .tensor import Tensor, as_tensor, concat_cols, reshape, sigmoid, tile_rows
+from .tensor import (
+    Tensor,
+    as_tensor,
+    concat_cols,
+    concat_rows,
+    reshape,
+    sigmoid,
+    slice_rows,
+    tile_rows,
+)
 
 __all__ = [
     "GeneratorConfig",
@@ -54,6 +63,7 @@ class GeneratorConfig:
     dropout_p: float = 0.5
 
     def __post_init__(self):
+        require_finite_floats(self, "generator")
         for name in ("d_frame", "d_shot", "d_text", "d_fused", "d_qenc", "d_h", "d_pred"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"generator: {name} must be >= 1, got {getattr(self, name)}")
@@ -156,6 +166,9 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     concat(frame, shot) -> FC -> ReLU gives the visual half; the query
     embedding goes through its own FC -> ReLU and is broadcast to every
     shot row.  Output rows are concat(visual, query), (T, d_fused+d_qenc).
+    A (Q, d_text) stack of query embeddings gives Q such blocks stacked
+    by rows, query by query: the visual FC runs once and each query's FC
+    is its own one-row product, as for a single query.
     """
     frame = as_tensor(frame_feats)
     shot = as_tensor(shot_feats)
@@ -167,9 +180,24 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     T = frame.data.shape[0]
     visual = relu(linear_forward(concat_cols(frame, shot), params.fuse_w, params.fuse_b))
     q = as_tensor(query_emb)
-    q2 = reshape(q, (1, q.data.size))
-    encoded = relu(linear_forward(q2, params.query_w, params.query_b))
-    return concat_cols(visual, tile_rows(encoded, T))
+    if q.data.ndim == 2:
+        rows = [slice_rows(q, i, i + 1) for i in range(q.data.shape[0])]
+    else:
+        rows = [reshape(q, (1, q.data.size))]
+    blocks = [
+        concat_cols(visual, tile_rows(relu(linear_forward(r, params.query_w, params.query_b)), T))
+        for r in rows
+    ]
+    return blocks[0] if len(blocks) == 1 else concat_rows(blocks)
+
+
+def _per_seq(x: Tensor, n_seq: int, fn) -> Tensor:
+    """fn applied to each of the n_seq equal row blocks of x, restacked
+    in order; plain fn(x) for one sequence."""
+    if n_seq == 1:
+        return fn(x)
+    T = x.data.shape[0] // n_seq
+    return concat_rows([fn(slice_rows(x, i * T, (i + 1) * T)) for i in range(n_seq)])
 
 
 def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -185,22 +213,33 @@ def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return batchnorm_forward(h, gamma, beta, "train", None)
 
 
-def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:
+def g_e_encode(f_vq: Tensor, params: GeneratorParams, n_seq: int = 1) -> Tensor:
     """Bi-LSTM over shots, sequence normalization, ReLU.
 
     The encoder normalizes per sequence, so training and inference run
-    it the same way.
+    it the same way.  f_vq may stack n_seq equal-length sequences by
+    rows; they share one recurrence and are normalized one by one.
     """
-    h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd)
-    return relu(_seq_norm(h, params.enc_bn_gamma, params.enc_bn_beta))
+    h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd, n_seq)
+    h = _per_seq(h, n_seq, lambda x: _seq_norm(x, params.enc_bn_gamma, params.enc_bn_beta))
+    return relu(h)
 
 
-def g_p_score(f_eq: Tensor, params: GeneratorParams, train: bool, rng=None) -> Tensor:
-    """Per-shot confidence scores in (0, 1), shape (T,)."""
-    h = linear_forward(f_eq, params.pred_w1, params.pred_b1)
-    h = relu(_seq_norm(h, params.pred_bn_gamma, params.pred_bn_beta))
-    h = dropout(h, params.dropout_p, train, rng)
-    z = linear_forward(h, params.pred_w2, params.pred_b2)
+def g_p_score(
+    f_eq: Tensor, params: GeneratorParams, train: bool, rng=None, n_seq: int = 1
+) -> Tensor:
+    """Per-shot confidence scores in (0, 1), shape (n_seq*T,).
+
+    Each of the n_seq stacked sequences is scored on its own.
+    """
+
+    def logits(x):
+        h = linear_forward(x, params.pred_w1, params.pred_b1)
+        h = relu(_seq_norm(h, params.pred_bn_gamma, params.pred_bn_beta))
+        h = dropout(h, params.dropout_p, train, rng)
+        return linear_forward(h, params.pred_w2, params.pred_b2)
+
+    z = _per_seq(f_eq, n_seq, logits)
     return sigmoid(reshape(z, (z.data.shape[0],)))
 
 
@@ -217,7 +256,11 @@ def g_g_gate(s, tau: float) -> Tensor:
 
 @dataclass
 class GenForward:
-    """Everything downstream consumers need from one generator pass."""
+    """Everything downstream consumers need from one generator pass.
+
+    For a stack of Q queries every field stacks Q sequences of T rows,
+    query by query.
+    """
 
     f_vq: Tensor
     f_eq: Tensor
@@ -228,9 +271,16 @@ class GenForward:
 def generator_forward(
     params: GeneratorParams, frame_feats, shot_feats, query_emb, train: bool, rng=None
 ) -> GenForward:
+    """One video under one (d_text,) query embedding or, in eval mode, a
+    (Q, d_text) stack of them.  Each query's rows equal those of a
+    one-query call bit for bit."""
+    shape = np.shape(query_emb)
+    n_seq = shape[0] if len(shape) == 2 else 1
+    if train and n_seq > 1:
+        raise ContractError(f"generator_forward: train mode takes one query, got {n_seq}")
     f_vq = g_r_fuse(frame_feats, shot_feats, query_emb, params)
-    f_eq = g_e_encode(f_vq, params)
-    s = g_p_score(f_eq, params, train, rng)
+    f_eq = g_e_encode(f_vq, params, n_seq)
+    s = g_p_score(f_eq, params, train, rng, n_seq)
     k = g_g_gate(s, params.tau)
     return GenForward(f_vq=f_vq, f_eq=f_eq, s=s, k=k)
 

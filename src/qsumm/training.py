@@ -36,7 +36,15 @@ from .discriminator import (
     random_scores,
     summary_repr,
 )
-from .errors import ConfigError, ContractError, DimensionError, FormatError, NumericError, VersionError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    FormatError,
+    NumericError,
+    VersionError,
+    require_finite_floats,
+)
 from .generator import (
     GeneratorConfig,
     GeneratorParams,
@@ -96,6 +104,7 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
+        require_finite_floats(self, "train")
         if self.max_steps < 1:
             raise ConfigError(f"train: max_steps must be >= 1, got {self.max_steps}")
         if self.n_critic < 1:

@@ -23,7 +23,7 @@ import pytest
 from test_evaluation import brute_force_best
 from qsumm.dataset import SynthConfig, embed_query, synth_corpus
 from qsumm.discriminator import DiscriminatorConfig
-from qsumm.evaluation import evaluate, max_weight_matching
+from qsumm.evaluation import evaluate, evaluate_grid, max_weight_matching
 from qsumm.generator import GeneratorConfig, g_g_gate, generator_forward
 from qsumm.gradcheck import SUITE_TOLERANCE, component_suite
 from qsumm.training import TrainConfig, load_checkpoint, train
@@ -61,17 +61,13 @@ def _desk_gen_cfg(corpus) -> GeneratorConfig:
 
 def _val_grid_score(params, corpus) -> float:
     """Mean validation F1 across the threshold grid."""
-    scores = [
-        evaluate(params, corpus, "val", threshold=th).f1 for th in THRESHOLD_GRID
-    ]
+    scores = [r.f1 for r in evaluate_grid(params, corpus, "val", THRESHOLD_GRID)]
     return float(np.mean(scores))
 
 
 def _val_tuned_threshold(params, corpus) -> float:
     """Pick the decision threshold on the validation split only."""
-    scored = [
-        (evaluate(params, corpus, "val", threshold=th).f1, th) for th in THRESHOLD_GRID
-    ]
+    scored = [(r.f1, r.threshold) for r in evaluate_grid(params, corpus, "val", THRESHOLD_GRID)]
     return max(scored)[1]
 
 

@@ -1,5 +1,6 @@
 """Exit codes, config overlay, and round trips through the command line."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,11 @@ import numpy as np
 import pytest
 
 from qsumm.cli import run_cli
+from qsumm.dataset import SynthConfig
+from qsumm.discriminator import DiscriminatorConfig
+from qsumm.errors import ConfigError
+from qsumm.generator import GeneratorConfig
+from qsumm.training import TrainConfig
 
 MINI = {
     "synth": {
@@ -237,6 +243,24 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["frame_feat", "shot_feat"])
+    def test_non_finite_features_are_runtime_error(self, workspace, tmp_path, capsys, key):
+        from qsumm.matrix_io import load_feature_matrix, write_matrix
+
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        video = json.loads((corpus / "manifest.json").read_text())["videos"][1]
+        path = corpus / video[key]
+        feats = load_feature_matrix(path)
+        feats[2, 3] = np.nan
+        write_matrix(path, feats)
+        rc = run_cli(["evaluate", "--corpus", str(corpus),
+                      "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"video {video['id']}" in err
+        assert video[key] in err and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_unknown_section_rejected(self, tmp_path, capsys):
@@ -275,6 +299,26 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "must be int" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"train": 3}, "section 'train' must be a JSON object"),
+        ({"train": []}, "section 'train' must be a JSON object"),
+        ({"synth": "x"}, "section 'synth' must be a JSON object"),
+        # json writes and reads the NaN token
+        ({"train": {"lr_gen": float("nan")}}, "lr_gen must be finite"),
+        ({"train": {"clip_c": float("nan")}}, "clip_c must be finite"),
+        ({"synth": {"relevance_strength": float("nan")}}, "relevance_strength must be finite"),
+    ], ids=["train-int", "train-list", "synth-str", "lr_gen-nan", "clip_c-nan",
+            "relevance_strength-nan"])
+    def test_bad_section_rejected(self, tmp_path, workspace, capsys, doc, message):
+        if "synth" in doc:
+            argv = ["synth", "--out", str(tmp_path / "c")]
+        else:
+            argv = ["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "r")]
+        assert run_cli(argv + ["--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
+
     def test_int_accepted_in_float_field(self, tmp_path):
         cfg = write_config(tmp_path, {"synth": dict(MINI["synth"], relevance_strength=2)})
         assert run_cli(["synth", "--out", str(tmp_path / "c"), "--config", cfg]) == 0
@@ -304,20 +348,61 @@ class TestConfigFile:
         assert a != (out_c / "metrics.csv").read_bytes()
 
 
+# every float field of the four config dataclasses; DiscriminatorConfig
+# has only int fields
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (SynthConfig, TrainConfig, GeneratorConfig, DiscriminatorConfig)
+    for f in dataclasses.fields(cls)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, field", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_non_finite_config_float_rejected(cls, field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cls(**{field: value})
+
+
+def test_float_field_list_covers_the_range_checked_fields():
+    names = {(cls.__name__, name) for cls, name in FLOAT_FIELDS}
+    assert ("SynthConfig", "relevance_strength") in names
+    assert ("GeneratorConfig", "tau") in names
+    assert {("TrainConfig", n) for n in ("clip_c", "lr_gen", "lr_critic", "decay", "omega",
+                                         "tau", "lambda_summ", "lambda_len")} <= names
+
+
+def run_module(module, tmp_path, cfg=MINI):
+    """python -m module synth ... in a subprocess; returns the process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, "synth", "--out", str(tmp_path / "c"), "--seed", "1",
+         "--config", write_config(tmp_path, cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestSynth:
     def test_module_entry_point_runs(self, tmp_path):
         # python -m qsumm.cli runs main() like the qsumm console script
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / "c"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsumm.cli", "synth", "--out", str(out), "--seed", "1",
-             "--config", write_config(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("qsumm.cli", tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert (out / "manifest.json").is_file()
+        assert (tmp_path / "c" / "manifest.json").is_file()
+
+    def test_package_entry_point_runs(self, tmp_path):
+        # python -m qsumm runs the same main()
+        proc = run_module("qsumm", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "c" / "manifest.json").is_file()
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        proc = run_module("qsumm", bad, {"synth": 3})
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path)

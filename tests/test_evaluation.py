@@ -8,12 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qsumm import evaluation
-from qsumm.dataset import SynthConfig, synth_corpus
+from qsumm.dataset import Corpus, SynthConfig, embed_query, synth_corpus
 from qsumm.errors import ContractError, FormatError
 from qsumm.evaluation import (
+    EvalReport,
+    QueryResult,
     _concept_incidence,
     _iou_matrix,
     evaluate,
+    evaluate_grid,
     iou,
     max_weight_matching,
     prf,
@@ -21,7 +24,13 @@ from qsumm.evaluation import (
     write_report_csv,
     write_report_json,
 )
-from qsumm.generator import GeneratorConfig, init_generator_params
+from qsumm.generator import (
+    GeneratorConfig,
+    GeneratorParams,
+    generator_forward,
+    init_generator_params,
+    select_shots,
+)
 
 MINI_SYNTH = SynthConfig(
     n_videos=3, n_shots=12, n_concepts=6, d_frame=8, d_shot=10, d_text=6
@@ -431,3 +440,228 @@ class TestReportFiles:
         write_report_csv(report, p1)
         write_report_csv(evaluate(mini_params, mini_corpus, "test"), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# evaluate() before the scoring pass was split from the matching pass:
+# one generator forward per (video, query) and threshold.  Kept verbatim
+# as the oracle for evaluate_grid and the stacked scoring.
+def reference_evaluate(
+    gparams: GeneratorParams,
+    corpus: Corpus,
+    split: str,
+    threshold: float = 0.5,
+    predict=None,
+) -> EvalReport:
+    """Score every (video, query) of a split with the generator in eval mode.
+
+    Queries with an empty ground-truth summary (the none-present scenario)
+    appear in the per-query rows and in the length statistics, but are
+    left out of the precision/recall/F1 averages: with nothing to recover,
+    any prediction would score 0 by the zero conventions and drag the
+    averages down for the wrong reason.
+
+    predict, when given, replaces the generator: called as
+    predict(video, query) and expected to return a binary mask over the
+    video's shots.  Evaluation hooks and oracle tests use it.
+    """
+    videos = corpus.split_videos(split)
+    if not videos:
+        raise ContractError(f"evaluate: split {split!r} is empty")
+    rows = []
+    per_video = {}
+    deltas = []
+    devs = []
+    for video in videos:
+        if len(video.annotations) != video.n_shots:
+            raise FormatError(
+                f"evaluate: video {video.video_id} has {len(video.annotations)} "
+                f"annotation entries for {video.n_shots} shots"
+            )
+        incidence = _concept_incidence(video.annotations)
+        scored = []
+        for qi, query in enumerate(video.queries):
+            if predict is not None:
+                mask = np.asarray(predict(video, query)).astype(np.uint8)
+            else:
+                fwd = generator_forward(
+                    gparams, video.frame_feats, video.shot_feats,
+                    embed_query(query, corpus.concepts), train=False,
+                )
+                mask = select_shots(fwd.s, threshold)
+            gen_idx = np.flatnonzero(mask)
+            gt_idx = np.flatnonzero(query.gt_mask)
+            weights = _iou_matrix(incidence, gen_idx, gt_idx)
+            matched = len(max_weight_matching(weights))
+            p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
+            gamma_q = float(query.gt_mask.mean())
+            dev = abs(float(mask.mean()) - gamma_q)
+            delta = float(mask.sum()) - float(gt_idx.size)
+            rows.append(
+                QueryResult(
+                    video_id=video.video_id,
+                    query_index=qi,
+                    scenario=query.scenario,
+                    precision=p,
+                    recall=r,
+                    f1=f1,
+                    n_selected=int(gen_idx.size),
+                    n_gt=int(gt_idx.size),
+                    length_dev=dev,
+                    length_delta=delta,
+                )
+            )
+            deltas.append(delta)
+            devs.append(dev)
+            if gt_idx.size > 0:
+                scored.append((p, r, f1))
+        if scored:
+            arr = np.array(scored)
+            per_video[video.video_id] = {
+                "precision": float(arr[:, 0].mean()),
+                "recall": float(arr[:, 1].mean()),
+                "f1": float(arr[:, 2].mean()),
+                "n_queries": len(scored),
+            }
+    if not per_video:
+        raise ContractError(
+            f"evaluate: no query in split {split!r} has a nonempty ground truth"
+        )
+    means = np.array(
+        [[v["precision"], v["recall"], v["f1"]] for v in per_video.values()]
+    )
+    return EvalReport(
+        split=split,
+        threshold=threshold,
+        rows=rows,
+        per_video=per_video,
+        precision=float(means[:, 0].mean()),
+        recall=float(means[:, 1].mean()),
+        f1=float(means[:, 2].mean()),
+        d=abs(float(np.mean(deltas))),
+        length_dev=float(np.mean(devs)),
+    )
+
+
+GRID = (0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60)
+DESK_GEN = GeneratorConfig(d_frame=32, d_shot=48, d_text=16)
+
+
+def truncated(corpus, video_id, n_shots):
+    """The corpus with one video cut to its first n_shots shots."""
+    videos = []
+    for v in corpus.videos:
+        if v.video_id == video_id:
+            v = dataclasses.replace(
+                v, frame_feats=v.frame_feats[:n_shots], shot_feats=v.shot_feats[:n_shots],
+                annotations=v.annotations[:n_shots],
+                queries=[dataclasses.replace(q, gt_mask=q.gt_mask[:n_shots]) for q in v.queries],
+            )
+        videos.append(v)
+    return dataclasses.replace(corpus, videos=videos)
+
+
+@pytest.fixture(scope="module")
+def desk_corpus():
+    """Desk-scale widths and 12 queries per video at 30 shots, with the
+    first training video cut to 19 shots so that the train split mixes
+    video lengths."""
+    corpus = synth_corpus(SynthConfig(n_videos=6, n_shots=30), seed=9)
+    return truncated(corpus, corpus.splits["train"][0], 19)
+
+
+@pytest.fixture(scope="module")
+def desk_params():
+    return init_generator_params(DESK_GEN, np.random.default_rng(3))
+
+
+def per_query_bytes(params, n_shots):
+    return n_shots * 2 * 7 * params.enc_fwd.d_h * 8
+
+
+def count_forwards(monkeypatch):
+    """Record the number of queries of every generator call evaluate makes."""
+    sizes = []
+    real = evaluation.generator_forward
+
+    def counted(params, frame, shot, query_emb, *a, **k):
+        sizes.append(np.shape(query_emb)[0])
+        return real(params, frame, shot, query_emb, *a, **k)
+
+    monkeypatch.setattr(evaluation, "generator_forward", counted)
+    return sizes
+
+
+class TestScoringPass:
+    @pytest.mark.parametrize("split, grid", [
+        ("val", GRID), ("test", GRID), ("train", GRID[::3]),
+    ], ids=["val", "test", "train"])
+    def test_grid_reports_equal_reference(self, desk_params, desk_corpus, split, grid):
+        # the train split has 4 videos of 19 and 30 shots; 3 thresholds keep it fast
+        reports = evaluate_grid(desk_params, desk_corpus, split, grid)
+        assert [r.threshold for r in reports] == list(grid)
+        n_selected = set()
+        for th, report in zip(grid, reports):
+            want = repr(dataclasses.asdict(reference_evaluate(desk_params, desk_corpus, split, th)))
+            assert repr(dataclasses.asdict(report)) == want
+            assert repr(dataclasses.asdict(evaluate(desk_params, desk_corpus, split, th))) == want
+            n_selected.add(tuple(r.n_selected for r in report.rows))
+        assert len(n_selected) > 1  # the grid moves the selection
+
+    def test_predict_hook_equals_reference(self, desk_corpus):
+        def predict(video, query):
+            return (np.arange(video.n_shots) % 3 == query.concept_a % 3).astype(np.uint8)
+
+        reports = evaluate_grid(None, desk_corpus, "train", (0.3, 0.6), predict=predict)
+        for th, report in zip((0.3, 0.6), reports):
+            want = reference_evaluate(None, desk_corpus, "train", th, predict=predict)
+            assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(want))
+
+    def test_video_without_queries(self, desk_params, desk_corpus):
+        vid = desk_corpus.splits["train"][1]
+        corpus = dataclasses.replace(desk_corpus, videos=[
+            dataclasses.replace(v, queries=[]) if v.video_id == vid else v
+            for v in desk_corpus.videos
+        ])
+        report = evaluate(desk_params, corpus, "train", 0.5)
+        want = reference_evaluate(desk_params, corpus, "train", 0.5)
+        assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(want))
+
+    def test_no_thresholds_rejected(self, desk_params, desk_corpus):
+        with pytest.raises(ContractError):
+            evaluate_grid(desk_params, desk_corpus, "val", ())
+
+    def test_desk_scale_stacks_four_queries(self, desk_params, monkeypatch):
+        corpus = synth_corpus(SynthConfig(n_videos=3), seed=9)
+        sizes = count_forwards(monkeypatch)
+        evaluation._query_scores(desk_params, corpus.videos[0], corpus.concepts)
+        assert corpus.videos[0].n_shots == 60 and sizes == [4, 4, 4]
+
+    def test_one_query_per_call_below_one_query_size(self, desk_params, desk_corpus, monkeypatch):
+        video = desk_corpus.split_videos("val")[0]
+        monkeypatch.setattr(evaluation, "_STACK_BYTES", per_query_bytes(desk_params, 30) - 1)
+        sizes = count_forwards(monkeypatch)
+        report = evaluate(desk_params, desk_corpus, "val", 0.45)
+        assert sizes == [1] * len(video.queries)
+        want = reference_evaluate(desk_params, desk_corpus, "val", 0.45)
+        assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(want))
+
+    @pytest.mark.parametrize("stack", [1, 5, 7, 12])
+    def test_stacked_scores_bit_equal_single_calls(self, desk_params, desk_corpus, monkeypatch,
+                                                   stack):
+        # 12 queries per video: stacks of 5 and 7 leave a short last chunk
+        sizes = count_forwards(monkeypatch)
+        videos = desk_corpus.split_videos("train")[:2]
+        assert [v.n_shots for v in videos] == [19, 30]
+        for video in videos:
+            monkeypatch.setattr(evaluation, "_STACK_BYTES",
+                                stack * per_query_bytes(desk_params, video.n_shots))
+            embs = [embed_query(q, desk_corpus.concepts) for q in video.queries]
+            assert any(not e.any() for e in embs)  # a none-present query
+            sizes.clear()
+            scores = evaluation._query_scores(desk_params, video, desk_corpus.concepts)
+            n = len(embs)
+            assert sizes == [min(stack, n - lo) for lo in range(0, n, stack)]
+            for emb, got in zip(embs, scores, strict=True):
+                one = generator_forward(desk_params, video.frame_feats, video.shot_feats, emb,
+                                        train=False)
+                assert np.array_equal(got, one.s.data)

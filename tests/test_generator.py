@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import max_rel_err
-from qsumm.errors import ConfigError, DimensionError
+from qsumm.errors import ConfigError, ContractError, DimensionError
 from qsumm.gradcheck import grad_check
 from qsumm.generator import (
     GeneratorConfig,
@@ -223,6 +223,55 @@ class TestComposition:
 
         err = grad_check(f, params.tensors(), seed=12)
         assert err < 1e-4, f"generator composite gradient error {err:.3g}"
+
+
+class TestStackedQueries:
+    """A (Q, d_text) stack of queries in eval mode gives, query by query,
+    the rows of one-query calls bit for bit."""
+
+    @pytest.mark.parametrize("T", [1, 7, 13])
+    def test_rows_equal_one_query_calls(self, T):
+        params = tiny_params(seed=4)
+        frame, shot, _ = tiny_inputs(T, seed=T)
+        queries = np.random.default_rng(5).standard_normal((5, TINY.d_text))
+        queries[2] = 0.0  # a none-present query embeds to zeros
+        stacked = generator_forward(params, frame, shot, queries, train=False)
+        assert stacked.s.data.shape == (5 * T,)
+        for i, q in enumerate(queries):
+            one = generator_forward(params, frame, shot, q, train=False)
+            for name in ("f_vq", "f_eq", "s", "k"):
+                block = getattr(stacked, name).data[i * T : (i + 1) * T]
+                assert np.array_equal(block, getattr(one, name).data), (name, i)
+
+    def test_stack_of_one_equals_one_query(self):
+        params = tiny_params()
+        frame, shot, q = tiny_inputs(6)
+        one = generator_forward(params, frame, shot, q, train=False)
+        stacked = generator_forward(params, frame, shot, q[None], train=False)
+        assert np.array_equal(stacked.k.data, one.k.data)
+
+    def test_train_mode_takes_one_query(self):
+        params = tiny_params()
+        frame, shot, q = tiny_inputs(6)
+        with pytest.raises(ContractError, match="one query"):
+            generator_forward(params, frame, shot, np.stack([q, q]), train=True,
+                              rng=np.random.default_rng(0))
+
+    def test_one_query_tape_is_unchanged(self):
+        # the one-query training pass records the nodes it recorded before
+        # stacking existed: no row slicing or restacking
+        params = tiny_params()
+        frame, shot, q = tiny_inputs(6)
+        with Tape() as tape:
+            generator_forward(params, frame, shot, q, train=True, rng=np.random.default_rng(0))
+        assert [bwd.__qualname__.split(".")[0] for _, _, bwd in tape.nodes] == [
+            "concat_cols", "matmul", "add", "relu",  # visual FC
+            "reshape", "matmul", "add", "relu", "tile_rows", "concat_cols",  # query FC
+            "_recurrence", "batchnorm_forward", "relu",  # encoder
+            "matmul", "add", "batchnorm_forward", "relu", "dropout", "matmul", "add",
+            "reshape", "sigmoid",  # scorer
+            "mul", "sub", "mul", "sigmoid",  # gate
+        ]
 
 
 class TestShapes:

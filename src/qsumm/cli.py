@@ -21,7 +21,7 @@ import typing
 from .dataset import SynthConfig, load_corpus, synth_corpus, write_corpus
 from .discriminator import DiscriminatorConfig
 from .errors import ConfigError, ContractError, QsummError
-from .generator import GeneratorConfig, generator_forward, select_shots
+from .generator import GeneratorConfig, check_threshold, generator_forward, select_shots
 from .gradcheck import SUITE_TOLERANCE, component_suite
 
 __all__ = ["run_cli", "main"]
@@ -146,7 +146,6 @@ def _cmd_train(args) -> int:
             "--paper-scale cannot be combined with --checkpoint: "
             "a resumed run keeps the model widths of its checkpoint"
         )
-    corpus = load_corpus(_corpus_manifest(args.corpus))
     section = {}
     if args.config:
         section = _load_config_file(args.config).get("train", {})
@@ -165,6 +164,7 @@ def _cmd_train(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
 
+    corpus = load_corpus(_corpus_manifest(args.corpus))
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
     # train() takes dims and tau from the corpus, and a resume its configs
     gen_cfg = disc_cfg = None
@@ -191,6 +191,7 @@ def _cmd_evaluate(args) -> int:
 
     if args.length_study and not args.out:
         raise UsageError("--length-study requires --out")
+    check_threshold(args.threshold)
     corpus = load_corpus(_corpus_manifest(args.corpus))
     gparams = load_generator(args.checkpoint)
     report = evaluate(gparams, corpus, args.split, threshold=args.threshold)
@@ -212,6 +213,7 @@ def _cmd_summarize(args) -> int:
     from .dataset import embed_query
     from .training import load_generator
 
+    check_threshold(args.threshold)
     corpus = load_corpus(_corpus_manifest(args.corpus))
     gparams = load_generator(args.checkpoint)
     video = corpus.video_by_id(args.video)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
 from .dataset import Corpus, embed_query
 from .errors import ContractError, FormatError
-from .generator import GeneratorParams, generator_forward, select_shots
+from .generator import GeneratorParams, check_threshold, generator_forward, select_shots
 
 __all__ = [
     "QueryResult",
@@ -75,9 +76,19 @@ def _hungarian_min(cost: np.ndarray) -> list:
     Python floats and visits only the columns not yet in the tree; it
     also applies the previous step's minv -= delta to those columns, the
     only ones whose minv is read again.
+
+    Steps that cannot change the result are skipped.  The result rests
+    only on < and ==, which ignore the sign of a zero, the most that
+    adding a zero can change.  So a zero delta moves no potential; and
+    until a nonzero delta does, a row with the costs and u of a row
+    already scanned in this insertion cannot lower any minv.  Its scan is
+    skipped, and the first minimum is the first later free column still
+    at delta, or, failing that, the first minimum of a full search.
     """
     n = cost.shape[0]
     rows = cost.tolist()
+    kinds = {}
+    kind = [None] + [kinds.setdefault(tuple(row), len(kinds)) for row in rows]
     INF = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -90,25 +101,41 @@ def _hungarian_min(cost: np.ndarray) -> list:
         used = [0]
         free = list(range(1, n + 1))  # unused columns, ascending
         delta = 0.0
+        k1 = 0  # where the last step's column stood in free
+        scanned = set()  # (kind, u) of the rows scanned since the last nonzero delta
         while True:
             i0 = p[j0]
-            row, u_i0 = rows[i0 - 1], u[i0]
-            shift, delta = delta, INF
-            j1 = 0
-            for j in free:
-                m = minv[j] - shift
-                cur = row[j - 1] - u_i0 - v[j]
-                if cur < m:
-                    m = cur
-                    way[j] = j0
-                minv[j] = m
-                if m < delta:
-                    delta = m
-                    j1 = j
-            for j in used:
-                u[p[j]] += delta
-                v[j] -= delta
-            free.remove(j1)
+            if delta:
+                scanned.clear()
+            key = (kind[i0], u[i0])
+            if key in scanned:
+                for j1 in islice(free, k1, None):
+                    if minv[j1] == delta:
+                        break
+                else:
+                    j1 = min(free, key=minv.__getitem__)  # the first minimum
+                    delta = minv[j1]
+            else:
+                scanned.add(key)
+                row, u_i0 = rows[i0 - 1], u[i0]
+                shift, delta = delta, INF
+                j1 = 0
+                for j in free:
+                    m = minv[j] - shift
+                    cur = row[j - 1] - u_i0 - v[j]
+                    if cur < m:
+                        m = cur
+                        way[j] = j0
+                    minv[j] = m
+                    if m < delta:
+                        delta = m
+                        j1 = j
+            if delta:
+                for j in used:
+                    u[p[j]] += delta
+                    v[j] -= delta
+            k1 = free.index(j1)
+            del free[k1]
             used.append(j1)
             j0 = j1
             if p[j0] == 0:
@@ -286,14 +313,16 @@ def evaluate_grid(
     predict, when given, replaces the generator: called as
     predict(video, query) for every threshold and expected to return a
     binary mask over the video's shots.  Evaluation hooks and oracle
-    tests use it.
+    tests use it.  Every threshold is checked before any scoring.
     """
-    videos = corpus.split_videos(split)
-    if not videos:
-        raise ContractError(f"evaluate: split {split!r} is empty")
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ContractError("evaluate_grid: no thresholds")
+    for threshold in thresholds:
+        check_threshold(threshold)
+    videos = corpus.split_videos(split)
+    if not videos:
+        raise ContractError(f"evaluate: split {split!r} is empty")
     rows = [[] for _ in thresholds]
     for video in videos:
         if len(video.annotations) != video.n_shots:

@@ -46,6 +46,7 @@ __all__ = [
     "g_p_score",
     "g_g_gate",
     "generator_forward",
+    "check_threshold",
     "select_shots",
 ]
 
@@ -285,9 +286,14 @@ def generator_forward(
     return GenForward(f_vq=f_vq, f_eq=f_eq, s=s, k=k)
 
 
-def select_shots(s, threshold: float = 0.5) -> np.ndarray:
-    """Binary summary: shot t selected iff s_t > threshold (strict)."""
+def check_threshold(threshold: float) -> None:
+    """Raise ConfigError unless 0 < threshold < 1, the range select_shots takes."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"select_shots: threshold must be in (0, 1), got {threshold}")
+
+
+def select_shots(s, threshold: float = 0.5) -> np.ndarray:
+    """Binary summary: shot t selected iff s_t > threshold (strict)."""
+    check_threshold(threshold)
     scores = s.data if isinstance(s, Tensor) else np.asarray(s)
     return (scores > threshold).astype(np.uint8)

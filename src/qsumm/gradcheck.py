@@ -81,6 +81,8 @@ def component_suite(seed: int = 0) -> dict:
     tiny dimensions.  Returns an ordered mapping name -> max relative
     error; every entry should sit below SUITE_TOLERANCE.
     """
+    if seed < 0:
+        raise ConfigError(f"gradcheck: seed must be >= 0, got {seed}")
     from .discriminator import (
         DiscriminatorConfig,
         critic_scores,

@@ -25,7 +25,9 @@ STREAMS = {
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
-    """A fresh generator for one named stream of a base seed."""
+    """A fresh generator for one named stream of a base seed >= 0."""
+    if seed < 0:
+        raise ConfigError(f"rng: seed must be >= 0, got {seed}")
     try:
         idx = STREAMS[name]
     except KeyError:

@@ -16,7 +16,6 @@ checkpoint that round-trips bit-exactly, RNG streams included.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -105,6 +104,8 @@ class TrainConfig:
 
     def __post_init__(self):
         require_finite_floats(self, "train")
+        if self.seed < 0:
+            raise ConfigError(f"train: seed must be >= 0, got {self.seed}")
         if self.max_steps < 1:
             raise ConfigError(f"train: max_steps must be >= 1, got {self.max_steps}")
         if self.n_critic < 1:
@@ -598,12 +599,6 @@ def _index_sections(fh, size: int, source: str) -> dict:
     if off != size:
         raise FormatError(f"{source}: {size - off} trailing bytes after last section")
     return index
-
-
-def _read_sections(buf: bytes, source: str) -> dict:
-    """Every section payload of an in-memory checkpoint, by name."""
-    index = _index_sections(io.BytesIO(buf), len(buf), source)
-    return {name: buf[off : off + n] for name, (off, n) in index.items()}
 
 
 class _NoDraws:

@@ -1,6 +1,7 @@
 """Exit codes, config overlay, and round trips through the command line."""
 
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -40,6 +41,14 @@ def write_config(tmp_path, cfg=MINI):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def read_sections(buf: bytes, source: str) -> dict:
+    """Every section payload of an in-memory checkpoint, by name."""
+    from qsumm import training
+
+    index = training._index_sections(io.BytesIO(buf), len(buf), source)
+    return {name: buf[off : off + n] for name, (off, n) in index.items()}
 
 
 def dir_bytes(path):
@@ -92,6 +101,26 @@ class TestExitCodes:
         assert run_cli(["evaluate", "--corpus", "x", "--checkpoint", "y",
                         "--split", "nope"]) == 1
 
+    @pytest.mark.parametrize("command", ["synth", "train", "train-config", "gradcheck"])
+    def test_negative_seed_is_runtime_error(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--seed", "-1"]
+        elif command == "train":
+            argv = ["train", "--corpus", workspace["corpus"], "--out", str(out), "--seed", "-1"]
+        elif command == "train-config":
+            # the config is checked before the (here missing) corpus is read
+            cfg = write_config(tmp_path, {"train": {"seed": -5}})
+            argv = ["train", "--corpus", str(tmp_path / "nowhere"), "--out", str(out),
+                    "--config", cfg]
+        else:
+            argv = ["gradcheck", "--seed", "-1"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_corpus_file_is_runtime_error(self, capsys):
         assert run_cli(["train", "--corpus", "/nonexistent", "--out", "/tmp/x"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -139,8 +168,7 @@ class TestExitCodes:
     def test_huge_config_dims_is_runtime_error(self, workspace, tmp_path, capsys):
         from qsumm import training
 
-        sections = training._read_sections(
-            open(workspace["checkpoint"], "rb").read(), "ckpt")
+        sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
         cfg = json.loads(sections["cfg/gen"])
         sections["cfg/gen"] = json.dumps({**cfg, "d_h": 2**20}).encode()
         blob = bytearray(training._FILE_HEAD.pack(
@@ -186,8 +214,7 @@ class TestExitCodes:
             self, workspace, tmp_path, capsys, section, edit):
         from qsumm import training
 
-        sections = training._read_sections(
-            open(workspace["checkpoint"], "rb").read(), "ckpt")
+        sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
         sections[section] = edit(sections[section])
         blob = bytearray(training._FILE_HEAD.pack(
             training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, len(sections)))
@@ -528,6 +555,23 @@ class TestTrainEvaluateSummarize:
                       "--video", "v999", "--query", "0"])
         assert rc == 2
         assert "v999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "summarize"])
+    @pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
+    def test_bad_threshold_fails_before_the_checkpoint_loads(
+            self, workspace, monkeypatch, capsys, command, threshold):
+        from qsumm import training
+
+        loads = []
+        monkeypatch.setattr(training, "load_generator", lambda path: loads.append(path))
+        argv = [command, "--corpus", workspace["corpus"], "--checkpoint",
+                workspace["checkpoint"], "--threshold", threshold]
+        if command == "summarize":
+            argv += ["--video", "v000", "--query", "0"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: select_shots: threshold must be in (0, 1)")
+        assert loads == []
 
     def test_summarize_query_out_of_range(self, workspace, capsys):
         rc = run_cli(["summarize", "--corpus", workspace["corpus"],

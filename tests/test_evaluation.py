@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from qsumm import evaluation
 from qsumm.dataset import Corpus, SynthConfig, embed_query, synth_corpus
-from qsumm.errors import ContractError, FormatError
+from qsumm.errors import ConfigError, ContractError, FormatError
 from qsumm.evaluation import (
     EvalReport,
     QueryResult,
@@ -237,6 +237,131 @@ class TestMatchingAgainstReference:
             assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
             assert sum(w[i, j] for i, j in pairs) == pytest.approx(
                 w[r, c].sum(), rel=1e-12, abs=1e-12)
+
+
+def list_hungarian_min(cost: np.ndarray) -> list:
+    """The list-based scan that _hungarian_min extends with the skips of
+    steps that cannot change its result, kept verbatim as the oracle for
+    those skips."""
+    n = cost.shape[0]
+    rows = cost.tolist()
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row matched to column j, 1-based
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [0]
+        free = list(range(1, n + 1))  # unused columns, ascending
+        delta = 0.0
+        while True:
+            i0 = p[j0]
+            row, u_i0 = rows[i0 - 1], u[i0]
+            shift, delta = delta, INF
+            j1 = 0
+            for j in free:
+                m = minv[j] - shift
+                cur = row[j - 1] - u_i0 - v[j]
+                if cur < m:
+                    m = cur
+                    way[j] = j0
+                minv[j] = m
+                if m < delta:
+                    delta = m
+                    j1 = j
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
+            used.append(j1)
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return [(p[j] - 1, j - 1) for j in range(1, n + 1)]
+
+
+def padded_cost(w: np.ndarray) -> np.ndarray:
+    """The square cost matrix max_weight_matching hands the solver."""
+    n = max(w.shape)
+    square = np.zeros((n, n))
+    square[: w.shape[0], : w.shape[1]] = w
+    return -square
+
+
+def few_set_weights(rng, n_gen, n_gt, n_sets):
+    """IoU between shots whose concept sets come from n_sets distinct
+    sets, one of them empty, as in the benchmark's evaluation sweep: rows
+    repeat, and shots without concepts give all-zero rows and columns;
+    the first generated and the first ground-truth shot have none."""
+    sets = [()] + [tuple(rng.choice(8, size=rng.integers(1, 4), replace=False))
+                   for _ in range(n_sets - 1)]
+    ann = [sets[k] for k in rng.integers(0, n_sets, size=n_gen + n_gt)]
+    ann[0] = ann[n_gen] = ()
+    return iou_loop(ann, range(n_gen), range(n_gen, n_gen + n_gt))
+
+
+def assert_same_as_list_scan(cost):
+    assert evaluation._hungarian_min(cost) == list_hungarian_min(cost)
+
+
+class TestSkippedSteps:
+    """_hungarian_min skips zero-delta potential updates, rows equal to a
+    row relaxed since the last nonzero delta, and the rescans after them;
+    it must return the list scan's assignment on inputs full of those."""
+
+    @pytest.mark.parametrize("shape", [(59, 27), (59, 11), (27, 59)])
+    def test_eval_sweep_shapes(self, shape):
+        rng = np.random.default_rng(310 + shape[1])
+        for n_sets in (2, 3, 5, 10, 10, 16):
+            w = few_set_weights(rng, *shape, n_sets)
+            assert_same_as_list_scan(padded_cost(w))
+
+    def test_duplicated_random_rows(self):
+        # a few distinct rows of coarse random costs, each used many times:
+        # repeated rows give zero deltas, the distinct values nonzero ones
+        rng = np.random.default_rng(311)
+        for trial in range(40):
+            n = int(rng.integers(2, 40))
+            distinct = np.round(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), n)), 1)
+            cost = distinct[rng.integers(0, len(distinct), size=n)]
+            assert_same_as_list_scan(cost)
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(312)
+        for trial in range(40):
+            n = int(rng.integers(2, 30))
+            distinct = rng.choice([0.0, -0.25, -0.5, -1.0], size=(int(rng.integers(1, 5)), n))
+            cost = distinct[rng.integers(0, len(distinct), size=n)]
+            zeros = cost == 0.0
+            signed = np.resize([0.0, -0.0], int(zeros.sum()))
+            rng.shuffle(signed)
+            cost[zeros] = signed
+            assert_same_as_list_scan(cost)
+            assert_same_as_list_scan(np.where(zeros, -cost, cost))
+
+    def test_small_tie_heavy_matrices(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.sampled_from([0.0, -0.0, -0.25, -0.5, -1.0, -1 / 3, 0.5])
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 8))
+            k = data.draw(st.integers(1, n))
+            distinct = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                          min_size=k, max_size=k))
+            pick = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+            assert_same_as_list_scan(np.array([distinct[r] for r in pick]))
+
+        check()
 
 
 class TestIouMatrix:
@@ -629,6 +754,19 @@ class TestScoringPass:
     def test_no_thresholds_rejected(self, desk_params, desk_corpus):
         with pytest.raises(ContractError):
             evaluate_grid(desk_params, desk_corpus, "val", ())
+
+    def test_bad_threshold_rejected_before_scoring(self, desk_params, desk_corpus, monkeypatch):
+        sizes = count_forwards(monkeypatch)
+        with pytest.raises(ConfigError, match="threshold must be in"):
+            evaluate_grid(desk_params, desk_corpus, "val", (0.5, 1.5))
+        assert sizes == []
+
+    def test_bad_threshold_rejected_with_predict(self, desk_corpus):
+        def predict(video, query):
+            return np.ones(video.n_shots, dtype=np.uint8)
+
+        with pytest.raises(ConfigError, match="threshold must be in"):
+            evaluate(None, desk_corpus, "val", threshold=5.0, predict=predict)
 
     def test_desk_scale_stacks_four_queries(self, desk_params, monkeypatch):
         corpus = synth_corpus(SynthConfig(n_videos=3), seed=9)

@@ -19,7 +19,6 @@ from .generator import GeneratorConfig
 # bilstm_forward stays importable here: perfbench/tracing.py wraps this name
 from .layers import (  # noqa: F401
     LSTMParams,
-    RunningStats,
     _recurrence,
     batchnorm_forward,
     bilstm_forward,
@@ -104,15 +103,10 @@ class DiscriminatorParams:
     fc3_b: Tensor
     out_w: Tensor
     out_b: Tensor
-    summ_bn_stats: RunningStats
-    vid_bn_stats: RunningStats
 
     def tensors(self) -> dict:
         """Trainable tensors in field order, keyed for optimizers and checkpoints."""
         return named_tensors(self)
-
-    def stats(self) -> dict:
-        return {"summ_bn": self.summ_bn_stats, "vid_bn": self.vid_bn_stats}
 
 
 def init_discriminator_params(cfg: DiscriminatorConfig, rng) -> DiscriminatorParams:
@@ -142,18 +136,16 @@ def init_discriminator_params(cfg: DiscriminatorConfig, rng) -> DiscriminatorPar
         fc3_b=fc3_b,
         out_w=out_w,
         out_b=out_b,
-        summ_bn_stats=RunningStats.create(2 * cfg.d_h),
-        vid_bn_stats=RunningStats.create(2 * cfg.d_h),
     )
 
 
-def discriminator_shapes(cfg: DiscriminatorConfig) -> tuple[dict, dict]:
-    """Shapes of init_discriminator_params(cfg): its tensors() and its stats().
+def discriminator_shapes(cfg: DiscriminatorConfig) -> dict:
+    """Shapes of init_discriminator_params(cfg).tensors().
 
     Same keys in the same order, computed from the config alone.
     """
     h2, h4 = 2 * cfg.d_h, 4 * cfg.d_h
-    tensors = {
+    return {
         **lstm_shapes("summ_fwd", cfg.d_summ_in, cfg.d_h),
         **lstm_shapes("summ_bwd", cfg.d_summ_in, cfg.d_h),
         "summ_bn_gamma": (h2,),
@@ -171,7 +163,6 @@ def discriminator_shapes(cfg: DiscriminatorConfig) -> tuple[dict, dict]:
         "out_w": (cfg.d_fc3, 1),
         "out_b": (1,),
     }
-    return tensors, {"summ_bn": (h2,), "vid_bn": (h2,)}
 
 
 @dataclass
@@ -206,8 +197,8 @@ def random_scores(T: int, rng) -> np.ndarray:
     return rng.integers(0, 2, size=T).astype(np.float64)
 
 
-def _pool(h, gamma, beta, stats, mode):
-    h = relu(batchnorm_forward(h, gamma, beta, mode, stats))
+def _pool(h, gamma, beta):
+    h = relu(batchnorm_forward(h, gamma, beta))
     pooled = mean_rows(h)
     return reshape(pooled, (1, pooled.data.size))
 
@@ -224,23 +215,21 @@ def _summary_seq(summ) -> Tensor:
     return summ.seq if isinstance(summ, SummaryRepr) else as_tensor(summ)
 
 
-def critic(summ, f_vq, params: DiscriminatorParams, train: bool) -> Tensor:
+def critic(summ, f_vq, params: DiscriminatorParams) -> Tensor:
     """Scalar critic value for one (summary, video) pair."""
-    return critic_scores([summ], f_vq, params, train)[0]
+    return critic_scores([summ], f_vq, params)[0]
 
 
-def critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list:
+def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """Score several summaries of one video, one scalar per summary.
 
-    The video branch runs once and is shared: batchnorm in train mode
-    normalizes by batch statistics, so sharing is value-identical to
-    repeating it per summary and skips the repeated running-stat
-    updates.  The video and the summaries, stacked by rows, go through
-    one recurrence call: both directions of the video and of every
-    summary advance in a single time loop, with values equal to encoding
-    each alone.  The encodings are then split back; the summaries pass
-    the summary batchnorm one at a time, in list order, so its running
-    stats see the same updates as with one critic call per summary.
+    The video branch runs once and is shared, which is value-identical
+    to repeating it per summary.  The video and the summaries, stacked
+    by rows, go through one recurrence call: both directions of the
+    video and of every summary advance in a single time loop, with
+    values equal to encoding each alone.  The encodings are then split
+    back, and each summary passes the summary batchnorm on its own,
+    because each is normalized over its own T shots.
     """
     f_vq = as_tensor(f_vq)
     T = f_vq.data.shape[0]
@@ -250,21 +239,14 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list
             raise DimensionError(
                 f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
             )
-    mode = "train" if train else "eval"
     groups = [(f_vq, 1, [(params.vid_fwd, False), (params.vid_bwd, True)])]
     if seqs:
         groups.append((concat_rows(seqs), len(seqs),
                        [(params.summ_fwd, False), (params.summ_bwd, True)]))
     h = _recurrence(groups, "critic")
-    v = _pool(
-        slice_rows(h, 0, T),
-        params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
-    )
+    v = _pool(slice_rows(h, 0, T), params.vid_bn_gamma, params.vid_bn_beta)
     out = []
     for i in range(1, len(seqs) + 1):
-        u = _pool(
-            slice_rows(h, i * T, (i + 1) * T),
-            params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,
-        )
+        u = _pool(slice_rows(h, i * T, (i + 1) * T), params.summ_bn_gamma, params.summ_bn_beta)
         out.append(_head(u, v, params))
     return out

@@ -201,19 +201,6 @@ def _per_seq(x: Tensor, n_seq: int, fn) -> Tensor:
     return concat_rows([fn(slice_rows(x, i * T, (i + 1) * T)) for i in range(n_seq)])
 
 
-def _seq_norm(h: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the time axis by the current sequence's statistics.
-
-    The batch axis inside the generator is time within one video, so
-    per-sequence statistics are the meaningful ones: a summary then
-    depends only on that video and the parameters.  Global running
-    averages of the per-sequence stats would not transfer to an unseen
-    video whose shots center elsewhere, so none are kept, and training
-    and inference normalize the same way.
-    """
-    return batchnorm_forward(h, gamma, beta, "train", None)
-
-
 def g_e_encode(f_vq: Tensor, params: GeneratorParams, n_seq: int = 1) -> Tensor:
     """Bi-LSTM over shots, sequence normalization, ReLU.
 
@@ -222,7 +209,8 @@ def g_e_encode(f_vq: Tensor, params: GeneratorParams, n_seq: int = 1) -> Tensor:
     rows; they share one recurrence and are normalized one by one.
     """
     h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd, n_seq)
-    h = _per_seq(h, n_seq, lambda x: _seq_norm(x, params.enc_bn_gamma, params.enc_bn_beta))
+    h = _per_seq(h, n_seq,
+                 lambda x: batchnorm_forward(x, params.enc_bn_gamma, params.enc_bn_beta))
     return relu(h)
 
 
@@ -236,7 +224,7 @@ def g_p_score(
 
     def logits(x):
         h = linear_forward(x, params.pred_w1, params.pred_b1)
-        h = relu(_seq_norm(h, params.pred_bn_gamma, params.pred_bn_beta))
+        h = relu(batchnorm_forward(h, params.pred_bn_gamma, params.pred_bn_beta))
         h = dropout(h, params.dropout_p, train, rng)
         return linear_forward(h, params.pred_w2, params.pred_b2)
 

@@ -93,7 +93,6 @@ def component_suite(seed: int = 0) -> dict:
     from .generator import GeneratorConfig, generator_forward, init_generator_params
     from .layers import (
         LSTMParams,
-        RunningStats,
         _recurrence,
         batchnorm_forward,
         bilstm_forward,
@@ -131,14 +130,9 @@ def component_suite(seed: int = 0) -> dict:
         x = Tensor(rng.standard_normal((6, 4)))
         gamma = Tensor(rng.uniform(0.5, 1.5, 4))
         beta = Tensor(rng.standard_normal(4) * 0.5)
-        stats = RunningStats.create(4)
         r = _coeffs(rng, (6, 4))
-
-        def f():
-            out = batchnorm_forward(x, gamma, beta, "train", stats)
-            return mean_all(out * r)
-
-        return f, {"x": x, "gamma": gamma, "beta": beta}
+        return lambda: mean_all(batchnorm_forward(x, gamma, beta) * r), {
+            "x": x, "gamma": gamma, "beta": beta}
 
     def dropout_case(rng):
         x = Tensor(rng.standard_normal((5, 4)))
@@ -239,7 +233,7 @@ def component_suite(seed: int = 0) -> dict:
             from .discriminator import critic
 
             summ = summary_repr(f_eq, scores, "generated")
-            return critic(summ, f_vq, params, train=True) * 0.01
+            return critic(summ, f_vq, params) * 0.01
 
         targets = dict(params.tensors())
         targets.update({"in_f_eq": f_eq, "in_f_vq": f_vq, "in_scores": scores})
@@ -265,7 +259,7 @@ def component_suite(seed: int = 0) -> dict:
                 summary_repr(fwd.f_eq, fwd.s, "generated"),
                 summary_repr(fwd.f_eq, rand, "random"),
             ]
-            d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, dparams, train=True)
+            d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, dparams)
             return (d_g - d_q * 0.5 - d_r * 0.5) * 0.01
 
         targets = {f"gen/{k}": v for k, v in gparams.tensors().items()}

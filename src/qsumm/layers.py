@@ -1,5 +1,8 @@
 """Layer primitives: linear, batchnorm, dropout, LSTM cells and sequences.
 
+Batchnorm has one mode: it normalizes by the statistics of the batch it
+is given and keeps no running averages.
+
 The LSTM comes in two forms.  lstm_cell composes taped primitives and is
 the reference single-step implementation.  Everything else runs through
 one batched recurrence kernel: it advances several directions over
@@ -38,7 +41,6 @@ from .tensor import (
 __all__ = [
     "linear_forward",
     "elementwise_activation",
-    "RunningStats",
     "batchnorm_forward",
     "dropout",
     "LSTMParams",
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
 
 
 def init_linear(d_in: int, d_out: int, rng) -> tuple[Tensor, Tensor]:
@@ -81,31 +82,16 @@ def elementwise_activation(x: Tensor, kind: str) -> Tensor:
     return fn(x)
 
 
-@dataclass
-class RunningStats:
-    """Exponential moving averages of per-column batch statistics."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def create(cls, d: int) -> "RunningStats":
-        return cls(mean=np.zeros(d), var=np.ones(d))
-
-
-def batchnorm_forward(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mode: str,
-    stats: RunningStats | None,
-) -> Tensor:
+def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Column-wise batch normalization over the row axis.
 
-    Train mode normalizes by the batch mean and biased variance (with the
-    epsilon floor handling constant columns and n == 1) and folds the batch
-    statistics into the running stats, if stats is not None.  Eval mode
-    normalizes by the running stats and touches nothing.
+    Normalizes by the batch mean and biased variance, with the epsilon
+    floor handling constant columns and n == 1.  Every caller normalizes
+    a sequence over its own time axis, so an output depends only on that
+    sequence and the parameters.  Running averages of the batch
+    statistics would not transfer to an unseen video whose shots center
+    elsewhere, so none are kept, and training and inference normalize
+    the same way.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"batchnorm: need a matrix, got shape {x.data.shape}")
@@ -117,39 +103,20 @@ def batchnorm_forward(
             f"batchnorm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match {d} columns"
         )
-    if mode == "train":
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        if stats is not None:
-            stats.mean = BN_MOMENTUM * stats.mean + (1.0 - BN_MOMENTUM) * mu
-            stats.var = BN_MOMENTUM * stats.var + (1.0 - BN_MOMENTUM) * var
-    elif mode == "eval":
-        mu = stats.mean
-        var = stats.var
-    else:
-        raise ConfigError(f"batchnorm: unknown mode {mode!r}")
-
+    mu = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv
     out = Tensor(gamma.data * xhat + beta.data)
 
-    if mode == "train":
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            dxhat = g * gamma.data
-            dx = (inv / n) * (
-                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-            )
-            return [dx, dgamma, dbeta]
-
-    else:
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            return [g * (gamma.data * inv), dgamma, dbeta]
+    def bwd(g):
+        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        dxhat = g * gamma.data
+        dx = (inv / n) * (
+            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+        )
+        return [dx, dgamma, dbeta]
 
     record(out, (x, gamma, beta), bwd)
     return out
@@ -202,9 +169,9 @@ def named_tensors(params) -> dict:
     """Trainable tensors of a parameter dataclass, keyed in field order.
 
     A Tensor field x is keyed x; an LSTMParams field x gives x_wx, x_wh
-    and x_b, the keys lstm_shapes uses.  Other fields (running stats,
-    scalars) are skipped.  The keys name optimizer slots and checkpoint
-    sections.
+    and x_b, the keys lstm_shapes uses.  Other fields, such as the
+    generator's scalar tau, are skipped.  The keys name optimizer slots
+    and checkpoint sections.
     """
     out = {}
     for f in fields(params):

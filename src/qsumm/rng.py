@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 __all__ = ["STREAMS", "RngHub", "stream_rng"]
 
@@ -57,8 +57,25 @@ class RngHub:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "RngHub":
-        hub = cls(state["seed"])
-        for name, s in state["streams"].items():
-            hub.streams[name].bit_generator.state = s
+    def from_state(cls, state) -> "RngHub":
+        """The hub that state() described.
+
+        Raises FormatError unless state is an object with an integer seed
+        >= 0 and a streams object holding exactly the names of STREAMS,
+        each a state PCG64 accepts, so a resume never starts a stream
+        over in silence.
+        """
+        if not isinstance(state, dict):
+            raise FormatError(f"rng state: need an object, got {type(state).__name__}")
+        seed, streams = state.get("seed"), state.get("streams")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise FormatError(f"rng state: seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(streams, dict) or set(streams) != set(STREAMS):
+            raise FormatError(f"rng state: streams must hold exactly {sorted(STREAMS)}")
+        hub = cls(seed)
+        for name, s in streams.items():
+            try:
+                hub.streams[name].bit_generator.state = s
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise FormatError(f"rng state: stream {name!r} is no PCG64 state: {e!r}") from None
         return hub

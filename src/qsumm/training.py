@@ -76,10 +76,11 @@ __all__ = [
 
 METRICS_HEADER = "step,critic_loss,gen_adv,loss_summ,loss_length,total_gen"
 CHECKPOINT_MAGIC = b"QSCK"
-# Version 1 also held the generator's batchnorm running stats, which
-# nothing read, as gstats/* sections.  A v1 file still loads: the loader
-# never asks for those sections, so they are skipped.
-CHECKPOINT_VERSION = 2
+# Versions 1 and 2 also held batchnorm running stats that nothing read:
+# v1 the generator's and the critic's, v2 the critic's only.  Older files
+# still load: the loader never asks for those sections, so they are
+# skipped.
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,15 @@ def _check_tau(gen_cfg, cfg) -> None:
         )
 
 
+def _check_dims(corpus, gen_cfg) -> None:
+    for name in ("d_frame", "d_shot", "d_text"):
+        if getattr(gen_cfg, name) != corpus.dims[name]:
+            raise ConfigError(
+                f"train: generator {name}={getattr(gen_cfg, name)} does not match "
+                f"corpus {name}={corpus.dims[name]}"
+            )
+
+
 def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
     if gen_cfg is None:
         gen_cfg = GeneratorConfig(
@@ -248,12 +258,7 @@ def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
         )
     else:
         _check_tau(gen_cfg, cfg)
-    for name in ("d_frame", "d_shot", "d_text"):
-        if getattr(gen_cfg, name) != corpus.dims[name]:
-            raise ConfigError(
-                f"train: generator {name}={getattr(gen_cfg, name)} does not match "
-                f"corpus {name}={corpus.dims[name]}"
-            )
+    _check_dims(corpus, gen_cfg)
     if disc_cfg is None:
         disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
     expect = DiscriminatorConfig.for_generator(gen_cfg)
@@ -290,6 +295,7 @@ def train(
     if resume is not None:
         gen_cfg, disc_cfg = resume.gen_cfg, resume.disc_cfg
         _check_tau(gen_cfg, cfg)
+        _check_dims(corpus, gen_cfg)
         gparams, dparams = resume.gen_params, resume.disc_params
         gen_opt, disc_opt = resume.gen_opt, resume.disc_opt
         hub = RngHub.from_state(resume.rng_state)
@@ -367,7 +373,7 @@ def train(
                     ]
                     if r is not None:
                         summs.append(summary_repr(fwd.f_eq, r, "random"))
-                    scores = critic_scores(summs, fwd.f_vq, dparams, train=True)
+                    scores = critic_scores(summs, fwd.f_vq, dparams)
                     counters["summary_branch_evals"] += len(summs)
                     d_g, d_q = scores[0], scores[1]
                     d_r = scores[2] if r is not None else None
@@ -389,7 +395,7 @@ def train(
                 )
                 # only the generated-summary branch feeds the generator update
                 q_summ = summary_repr(fwd.f_eq, fwd.s, "generated")
-                d_q = critic(q_summ, fwd.f_vq, dparams, train=True)
+                d_q = critic(q_summ, fwd.f_vq, dparams)
                 counters["summary_branch_evals"] += 1
                 total = gen_adv = mul(d_q, -omega)
                 ls_w = ll_w = 0.0
@@ -470,18 +476,13 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
 
 
-def _tensor_sections(gen: dict, disc: dict, disc_stats: dict, gen_acc: dict,
-                     disc_acc: dict) -> dict:
+def _tensor_sections(gen: dict, disc: dict, gen_acc: dict, disc_acc: dict) -> dict:
     """Section name -> value for every tensor section, in file order.
 
-    gen, disc and the accumulators are keyed as tensors() keys them;
-    disc_stats is keyed as the critic's stats(), with (mean, var) values.
+    All four are keyed as tensors() keys them.
     """
     out = {f"gparam/{k}": v for k, v in gen.items()}
     out.update((f"dparam/{k}", v) for k, v in disc.items())
-    for k, (mean, var) in disc_stats.items():
-        out[f"dstats/{k}/mean"] = mean
-        out[f"dstats/{k}/var"] = var
     out.update((f"gopt/acc/{k}", v) for k, v in gen_acc.items())
     out.update((f"dopt/acc/{k}", v) for k, v in disc_acc.items())
     return out
@@ -492,18 +493,15 @@ def _arrays(params) -> dict:
 
 
 def _checkpoint_arrays(ckpt: Checkpoint) -> dict:
-    return _tensor_sections(
-        _arrays(ckpt.gen_params), _arrays(ckpt.disc_params),
-        {k: (st.mean, st.var) for k, st in ckpt.disc_params.stats().items()},
-        ckpt.gen_opt.acc, ckpt.disc_opt.acc,
-    )
+    return _tensor_sections(_arrays(ckpt.gen_params), _arrays(ckpt.disc_params),
+                            ckpt.gen_opt.acc, ckpt.disc_opt.acc)
 
 
 def _config_sizes(gen_cfg, disc_cfg) -> dict:
     """Element count of every tensor section the two configs imply."""
     gt = generator_shapes(gen_cfg)
-    dt, ds = discriminator_shapes(disc_cfg)
-    shapes = _tensor_sections(gt, dt, {k: (s, s) for k, s in ds.items()}, gt, dt)
+    dt = discriminator_shapes(disc_cfg)
+    shapes = _tensor_sections(gt, dt, gt, dt)
     return {name: math.prod(shape) for name, shape in shapes.items()}
 
 
@@ -636,8 +634,8 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
     """Walk, check and read a checkpoint file section by section.
 
     Every section the configs imply is validated in both modes; any
-    other section, such as a v1 file's gstats/*, is skipped.  With
-    generator_only, only the generator's arrays are kept, and
+    other section, such as an older file's running stats, is skipped.
+    With generator_only, only the generator's arrays are kept, and
     disc_params, gen_opt and disc_opt are None.
     """
     source = str(path)
@@ -682,6 +680,10 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
         gen_cfg = config(GeneratorConfig, "cfg/gen")
         disc_cfg = config(DiscriminatorConfig, "cfg/disc")
         rng_state = parse("rng")
+        try:
+            RngHub.from_state(rng_state)
+        except FormatError as e:
+            raise FormatError(f"{source}: {e}") from None
 
         # every tensor section's size is checked against the configs before
         # any array is allocated, so a config with huge dims cannot allocate
@@ -716,7 +718,7 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
             best_val_step=counts["best_val_step"],
         )
         if generator_only:
-            arrays = _tensor_sections(_arrays(gparams), {}, {}, {}, {})
+            arrays = _tensor_sections(_arrays(gparams), {}, {}, {})
         else:
             ckpt.disc_params = init_discriminator_params(disc_cfg, _NoDraws)
             ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())

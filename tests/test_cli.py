@@ -11,10 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from test_training import write_sections
 from qsumm.cli import run_cli
 from qsumm.dataset import SynthConfig
 from qsumm.discriminator import DiscriminatorConfig
-from qsumm.errors import ConfigError
+from qsumm.errors import ConfigError, FormatError
 from qsumm.generator import GeneratorConfig
 from qsumm.training import TrainConfig
 
@@ -166,18 +167,11 @@ class TestExitCodes:
         assert "error:" in err and section in err and "Traceback" not in err
 
     def test_huge_config_dims_is_runtime_error(self, workspace, tmp_path, capsys):
-        from qsumm import training
-
         sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
         cfg = json.loads(sections["cfg/gen"])
         sections["cfg/gen"] = json.dumps({**cfg, "d_h": 2**20}).encode()
-        blob = bytearray(training._FILE_HEAD.pack(
-            training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, len(sections)))
-        for name, payload in sections.items():
-            blob += training._SECTION_HEAD.pack(len(name)) + name.encode()
-            blob += training._PAYLOAD_HEAD.pack(len(payload)) + payload
         path = tmp_path / "huge.qsck"
-        path.write_bytes(bytes(blob))
+        write_sections(path, sections)
         rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -212,21 +206,41 @@ class TestExitCodes:
             "rng-bad-json", "meta-without-step"])
     def test_malformed_checkpoint_section_is_runtime_error(
             self, workspace, tmp_path, capsys, section, edit):
-        from qsumm import training
-
         sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
         sections[section] = edit(sections[section])
-        blob = bytearray(training._FILE_HEAD.pack(
-            training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION, len(sections)))
-        for name, payload in sections.items():
-            blob += training._SECTION_HEAD.pack(len(name)) + name.encode()
-            blob += training._PAYLOAD_HEAD.pack(len(payload)) + payload
         path = tmp_path / "bad.qsck"
-        path.write_bytes(bytes(blob))
+        write_sections(path, sections)
         rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda rng: {},
+        lambda rng: [],
+        lambda rng: {"seed": 0, "streams": {"sampling": 3}},
+        lambda rng: {"seed": 0, "streams": {"bogus": {}}},
+        lambda rng: {"seed": 0, "streams": {}},
+        lambda rng: {**rng, "seed": True},
+        lambda rng: {**rng, "seed": -1},
+        lambda rng: {**rng, "streams": {**rng["streams"], "dropout": {"bit_generator": "MT19937"}}},
+    ], ids=["empty-object", "list", "int-stream", "unknown-stream", "no-streams", "bool-seed",
+            "negative-seed", "foreign-stream"])
+    def test_malformed_rng_section_is_runtime_error(self, workspace, tmp_path, capsys, edit):
+        from qsumm.training import load_checkpoint, load_generator
+
+        sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
+        sections["rng"] = json.dumps(edit(json.loads(sections["rng"]))).encode()
+        path = tmp_path / "bad.qsck"
+        write_sections(path, sections)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match="rng"):
+                load(path)
+        rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),
+                      "--config", workspace["cfg"], "--checkpoint", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rng" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, where", [
         ("annotations", "shot 0"), ("concept_a", "query 0"),

@@ -28,18 +28,14 @@ from qsumm.tensor import Tape, Tensor, as_tensor, concat_rows, slice_rows
 # The critic as it was before its two branches shared one recurrence
 # call: a video Bi-LSTM call, then one batched call for the summaries.
 # The one-call critic must match it bit for bit.
-def reference_critic_scores(summs, f_vq, params: DiscriminatorParams, train: bool) -> list:
+def reference_critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """Score several summaries of one video, one scalar per summary.
 
-    The video branch runs once and is shared: batchnorm in train mode
-    normalizes by batch statistics, so sharing is value-identical to
-    repeating it per summary and skips the repeated running-stat
-    updates.  The summaries are stacked by rows into one batched Bi-LSTM
-    call, so both directions of every summary advance in a single time
-    loop, with values equal to encoding each summary alone.  The
-    encodings are then split back and pass the summary batchnorm one at
-    a time, in list order, so its running stats see the same updates as
-    with one critic call per summary.
+    The video branch runs once and is shared.  The summaries are stacked
+    by rows into one batched Bi-LSTM call, so both directions of every
+    summary advance in a single time loop, with values equal to encoding
+    each summary alone.  The encodings are then split back and each
+    passes the summary batchnorm on its own.
     """
     f_vq = as_tensor(f_vq)
     T = f_vq.data.shape[0]
@@ -49,20 +45,14 @@ def reference_critic_scores(summs, f_vq, params: DiscriminatorParams, train: boo
             raise DimensionError(
                 f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
             )
-    mode = "train" if train else "eval"
-    v = _pool(
-        bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
-        params.vid_bn_gamma, params.vid_bn_beta, params.vid_bn_stats, mode,
-    )
+    v = _pool(bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
+              params.vid_bn_gamma, params.vid_bn_beta)
     if not seqs:
         return []
     h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd, n_seq=len(seqs))
     out = []
     for i in range(len(seqs)):
-        u = _pool(
-            slice_rows(h, i * T, (i + 1) * T),
-            params.summ_bn_gamma, params.summ_bn_beta, params.summ_bn_stats, mode,
-        )
+        u = _pool(slice_rows(h, i * T, (i + 1) * T), params.summ_bn_gamma, params.summ_bn_beta)
         out.append(_head(u, v, params))
     return out
 
@@ -140,16 +130,16 @@ class TestCritic:
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
         summ = summary_repr(f_eq, np.full(5, 0.6), "generated")
-        out = critic(summ, f_vq, params, train=True)
+        out = critic(summ, f_vq, params)
         assert out.data.shape == ()
         assert np.isfinite(out.data)
 
-    def test_eval_mode_deterministic(self):
+    def test_deterministic(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
         summ = summary_repr(f_eq, np.full(5, 0.6), "generated")
-        a = float(critic(summ, f_vq, params, train=False))
-        b = float(critic(summ, f_vq, params, train=False))
+        a = float(critic(summ, f_vq, params))
+        b = float(critic(summ, f_vq, params))
         assert a == b
 
     def test_zero_params_zero_output(self):
@@ -158,7 +148,7 @@ class TestCritic:
             t.data[:] = 0.0
         f_eq, f_vq = tiny_inputs()
         summ = summary_repr(f_eq, np.ones(5), "ground-truth")
-        assert float(critic(summ, f_vq, params, train=False)) == 0.0
+        assert float(critic(summ, f_vq, params)) == 0.0
 
     def test_shot_count_mismatch(self):
         params = tiny_params()
@@ -166,13 +156,13 @@ class TestCritic:
         _, f_vq = tiny_inputs(5)
         summ = summary_repr(f_eq, np.ones(4), "generated")
         with pytest.raises(DimensionError):
-            critic(summ, f_vq, params, train=False)
+            critic(summ, f_vq, params)
 
     def test_plain_tensor_accepted_as_summary(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        via_repr = float(critic(summary_repr(f_eq, np.ones(5), "generated"), f_vq, params, train=False))
-        direct = float(critic(Tensor(f_eq), f_vq, params, train=False))
+        via_repr = float(critic(summary_repr(f_eq, np.ones(5), "generated"), f_vq, params))
+        direct = float(critic(Tensor(f_eq), f_vq, params))
         assert via_repr == direct
 
 
@@ -186,28 +176,11 @@ class TestSharedVideoBranch:
             summary_repr(f_eq, random_scores(6, rng), "random"),
         ]
         shared = [
-            float(x) for x in critic_scores(summs, f_vq, tiny_params(seed=7), train=True)
+            float(x) for x in critic_scores(summs, f_vq, tiny_params(seed=7))
         ]
         separate_params = tiny_params(seed=7)
-        separate = [float(critic(s, f_vq, separate_params, train=True)) for s in summs]
+        separate = [float(critic(s, f_vq, separate_params)) for s in summs]
         assert_allclose(shared, separate, rtol=0, atol=0)
-
-    def test_video_stats_updated_once(self):
-        f_eq, f_vq = tiny_inputs(6, seed=5)
-        summs = [summary_repr(f_eq, np.full(6, v), "generated") for v in (0.2, 0.5, 0.8)]
-
-        shared_params = tiny_params(seed=8)
-        critic_scores(summs, f_vq, shared_params, train=True)
-
-        once_params = tiny_params(seed=8)
-        critic(summs[0], f_vq, once_params, train=True)
-
-        assert_allclose(
-            shared_params.vid_bn_stats.mean, once_params.vid_bn_stats.mean, atol=0
-        )
-        assert_allclose(
-            shared_params.vid_bn_stats.var, once_params.vid_bn_stats.var, atol=0
-        )
 
     def test_gradients_match_separate_calls(self):
         f_eq, f_vq = (Tensor(a) for a in tiny_inputs(6, seed=12))
@@ -220,9 +193,9 @@ class TestSharedVideoBranch:
             with Tape(watch=watch) as tape:
                 summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
                 if batched:
-                    d = critic_scores(summs, f_vq, params, train=True)
+                    d = critic_scores(summs, f_vq, params)
                 else:
-                    d = [critic(s, f_vq, params, train=True) for s in summs]
+                    d = [critic(s, f_vq, params) for s in summs]
                 loss = d[0] - d[1] * 0.5 - d[2] * 0.5
             tape.backward(loss)
             return [t.grad.copy() for t in watch]
@@ -238,19 +211,16 @@ class TestSharedVideoBranch:
             summary_repr(short, np.ones(3), "random"),
         ]
         with pytest.raises(DimensionError):
-            critic_scores(summs, f_vq, tiny_params(), train=False)
+            critic_scores(summs, f_vq, tiny_params())
 
 
 class TestReferenceOracle:
     """critic_scores against the two-call reference, bit for bit."""
 
     @staticmethod
-    def run(score_fn, n_summ, train):
+    def run(score_fn, n_summ):
         rng = np.random.default_rng(40 + n_summ)
         params = tiny_params(seed=41)
-        for st in (params.summ_bn_stats, params.vid_bn_stats):
-            st.mean = rng.standard_normal(st.mean.shape)
-            st.var = rng.uniform(0.5, 2.0, st.var.shape)
         f_eq = Tensor(rng.standard_normal((6, TINY.d_summ_in)))
         f_vq = Tensor(rng.standard_normal((6, TINY.d_vid_in)))
         scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(n_summ)]
@@ -259,7 +229,7 @@ class TestReferenceOracle:
             summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
             for summ in summs:
                 tape.watch(summ.seq)
-            d = score_fn(summs, f_vq, params, train)
+            d = score_fn(summs, f_vq, params)
             loss = Tensor(0.0)
             for c, x in zip(coef, d):
                 loss = loss + x * c
@@ -267,22 +237,17 @@ class TestReferenceOracle:
         grads = {k: t.grad for k, t in params.tensors().items()}
         grads.update(f_vq=f_vq.grad, f_eq=f_eq.grad)
         grads.update({f"summary{i}": summ.seq.grad for i, summ in enumerate(summs)})
-        stats = [st.mean for st in params.stats().values()] + [
-            st.var for st in params.stats().values()]
-        return [float(x) for x in d], grads, stats
+        return [float(x) for x in d], grads
 
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("n_summ", [0, 1, 2, 3])
-    def test_bit_equal_to_reference(self, n_summ, train):
-        out, grads, stats = self.run(critic_scores, n_summ, train)
-        ref_out, ref_grads, ref_stats = self.run(reference_critic_scores, n_summ, train)
+    def test_bit_equal_to_reference(self, n_summ):
+        out, grads = self.run(critic_scores, n_summ)
+        ref_out, ref_grads = self.run(reference_critic_scores, n_summ)
         assert len(out) == n_summ
         assert out == ref_out
         assert list(grads) == list(ref_grads)
         for key in grads:
             assert np.array_equal(grads[key], ref_grads[key]), key
-        for a, b in zip(stats, ref_stats):
-            assert np.array_equal(a, b)
 
 
 class TestCriticGradients:
@@ -295,7 +260,7 @@ class TestCriticGradients:
 
         def f():
             summ = summary_repr(f_eq, scores, "generated")
-            return critic(summ, f_vq, params, train=True) * 0.01
+            return critic(summ, f_vq, params) * 0.01
 
         targets = dict(params.tensors())
         targets.update({"in_f_eq": f_eq, "in_f_vq": f_vq, "in_scores": scores})
@@ -310,10 +275,8 @@ class TestShapes:
     ])
     def test_shapes_match_init(self, cfg):
         params = init_discriminator_params(cfg, np.random.default_rng(0))
-        tensors, stats = discriminator_shapes(cfg)
-        assert list(tensors.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
-        assert list(stats.items()) == [(k, st.mean.shape) for k, st in params.stats().items()]
-        assert list(stats.items()) == [(k, st.var.shape) for k, st in params.stats().items()]
+        shapes = discriminator_shapes(cfg)
+        assert list(shapes.items()) == [(k, t.data.shape) for k, t in params.tensors().items()]
 
 
 class TestDerivedTensors:

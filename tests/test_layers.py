@@ -10,7 +10,6 @@ from qsumm.layers import (
     BN_EPS,
     _recurrence,
     LSTMParams,
-    RunningStats,
     batchnorm_forward,
     bilstm_forward,
     dropout,
@@ -77,55 +76,42 @@ class TestBatchnorm:
         x = Tensor(np.full((6, 3), 2.5))
         gamma = Tensor(np.ones(3))
         beta = Tensor([1.0, -1.0, 0.25])
-        y = batchnorm_forward(x, gamma, beta, "train", RunningStats.create(3))
+        y = batchnorm_forward(x, gamma, beta)
         assert_allclose(y.data, np.tile(beta.data, (6, 1)))
 
     def test_train_normalizes(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((32, 5)) * 3.0 + 1.0)
-        y = batchnorm_forward(x, Tensor(np.ones(5)), Tensor(np.zeros(5)), "train", RunningStats.create(5))
+        y = batchnorm_forward(x, Tensor(np.ones(5)), Tensor(np.zeros(5)))
         assert np.all(np.abs(y.data.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(y.data.var(axis=0) - 1.0) < 1e-4)
 
-    def test_eval_matches_hand_computation(self):
+    def test_matches_hand_computation(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 3))
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        stats = RunningStats(mean=np.array([0.5, -1.0, 2.0]), var=np.array([2.0, 0.5, 1.5]))
-        y = batchnorm_forward(Tensor(x), Tensor(gamma), Tensor(beta), "eval", stats)
+        y = batchnorm_forward(Tensor(x), Tensor(gamma), Tensor(beta))
         want = np.empty_like(x)
-        for i in range(4):
-            for j in range(3):
-                want[i, j] = (x[i, j] - stats.mean[j]) / math.sqrt(stats.var[j] + BN_EPS) * gamma[j] + beta[j]
+        for j in range(3):
+            mean = sum(x[i, j] for i in range(4)) / 4
+            var = sum((x[i, j] - mean) ** 2 for i in range(4)) / 4
+            for i in range(4):
+                want[i, j] = (x[i, j] - mean) / math.sqrt(var + BN_EPS) * gamma[j] + beta[j]
         assert max_rel_err(y.data, want) < 1e-10
-
-    def test_running_stats_momentum(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((16, 2))
-        stats = RunningStats(mean=np.array([1.0, 1.0]), var=np.array([4.0, 4.0]))
-        batchnorm_forward(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), "train", stats)
-        assert_allclose(stats.mean, 0.9 * np.ones(2) + 0.1 * x.mean(axis=0))
-        assert_allclose(stats.var, 0.9 * 4.0 * np.ones(2) + 0.1 * x.var(axis=0))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             batchnorm_forward(
-                Tensor(np.zeros((0, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)), "train", RunningStats.create(3)
+                Tensor(np.zeros((0, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3))
             )
 
     def test_single_row_is_finite(self):
         y = batchnorm_forward(
-            Tensor([[3.0, -2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), "train", RunningStats.create(2)
+            Tensor([[3.0, -2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2))
         )
         assert np.all(np.isfinite(y.data))
         assert_allclose(y.data, np.zeros((1, 2)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            batchnorm_forward(
-                Tensor(np.ones((2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), "test", RunningStats.create(2)
-            )
 
     def test_train_gradients(self):
         rng = np.random.default_rng(9)
@@ -137,21 +123,7 @@ class TestBatchnorm:
         r = rng.standard_normal((7, 4)) + np.sign(rng.standard_normal((7, 4)))
 
         def f():
-            y = batchnorm_forward(x, gamma, beta, "train", RunningStats.create(4))
-            return mean_all(y * r)
-
-        check_grads(f, {"x": x, "gamma": gamma, "beta": beta})
-
-    def test_eval_gradients(self):
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.standard_normal((5, 3)))
-        gamma = Tensor(rng.uniform(0.5, 1.5, 3))
-        beta = Tensor(rng.standard_normal(3))
-        stats = RunningStats(mean=rng.standard_normal(3), var=rng.uniform(0.5, 2.0, 3))
-        r = rng.standard_normal((5, 3)) + np.sign(rng.standard_normal((5, 3)))
-
-        def f():
-            y = batchnorm_forward(x, gamma, beta, "eval", stats)
+            y = batchnorm_forward(x, gamma, beta)
             return mean_all(y * r)
 
         check_grads(f, {"x": x, "gamma": gamma, "beta": beta})

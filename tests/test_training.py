@@ -29,7 +29,6 @@ from qsumm.errors import (
     VersionError,
 )
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
-from qsumm.layers import RunningStats
 from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
 from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
 from qsumm.tensor import Tape, Tensor, mul
@@ -221,7 +220,7 @@ class TestPhaseSeparation:
                 summary_repr(fwd.f_eq, fwd.s, "generated"),
                 summary_repr(fwd.f_eq, np.ones(batch.length), "random"),
             ]
-            d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, self.dparams, train=True)
+            d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, self.dparams)
             c_loss, _ = adversarial_losses(d_g, d_q, d_r, 0.5)
         tape.backward(c_loss)
         assert all(t.grad is not None for t in disc_tensors.values())
@@ -235,7 +234,7 @@ class TestPhaseSeparation:
             )
             d_q = critic(
                 summary_repr(fwd.f_eq, fwd.s, "generated"),
-                fwd.f_vq, self.dparams, train=True,
+                fwd.f_vq, self.dparams,
             )
             total = mul(d_q, -0.5) + loss_summ(fwd.s, batch.gt) + loss_length(fwd.k, batch.gamma)
         tape.backward(total)
@@ -259,7 +258,7 @@ class TestPhaseSeparation:
         with Tape(watch=disc_tensors.values()) as tape:
             d_q = critic(
                 summary_repr(fwd.f_eq, fwd.s, "generated"),
-                fwd.f_vq, self.dparams, train=True,
+                fwd.f_vq, self.dparams,
             )
         tape.backward(d_q)
         rmsprop_step(disc_tensors, OptimizerState.for_params(disc_tensors), 1e-3)
@@ -275,7 +274,7 @@ class TestPhaseSeparation:
             )
             d_q = critic(
                 summary_repr(fwd.f_eq, fwd.s, "generated"),
-                fwd.f_vq, self.dparams, train=True,
+                fwd.f_vq, self.dparams,
             )
         tape.backward(d_q)
         rmsprop_step(gen_tensors, OptimizerState.for_params(gen_tensors), 1e-3)
@@ -453,11 +452,10 @@ class TestCheckpoint:
 # The checkpoint writer and the whole-buffer reader as they were before
 # save and load streamed section by section, kept as the byte-level and
 # state-level reference for the streaming code.  The writer still emits
-# version 1, with the generator's running stats (gen_stats, now given by
-# the caller) as gstats/* sections; the reader accepts versions 1 and 2
-# and, like the loader, no longer reads gstats/*.
-
-REFERENCE_VERSION = 1
+# the older versions: the generator's and the critic's running stats,
+# now given by the caller as key -> (mean, var), go to gstats/* and
+# dstats/* sections, and the caller names the version.  The reader
+# accepts versions 1 to 3 and, like the loader, reads neither.
 
 
 def _config_json(cfg) -> bytes:
@@ -468,7 +466,7 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 2 else arr.reshape(1, arr.size)
 
 
-def reference_sections_of(ckpt: Checkpoint, gen_stats: dict):
+def reference_sections_of(ckpt: Checkpoint, gen_stats: dict, disc_stats: dict):
     meta = {
         "format": "qsumm-checkpoint",
         "step": ckpt.step,
@@ -483,14 +481,14 @@ def reference_sections_of(ckpt: Checkpoint, gen_stats: dict):
     yield "cfg/disc", _config_json(ckpt.disc_cfg)
     for key, t in ckpt.gen_params.tensors().items():
         yield f"gparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
-    for key, st in gen_stats.items():
-        yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
-        yield f"gstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
+    for key, (mean, var) in gen_stats.items():
+        yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(mean), version=2)
+        yield f"gstats/{key}/var", matrix_bytes(_as_matrix(var), version=2)
     for key, t in ckpt.disc_params.tensors().items():
         yield f"dparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
-    for key, st in ckpt.disc_params.stats().items():
-        yield f"dstats/{key}/mean", matrix_bytes(_as_matrix(st.mean), version=2)
-        yield f"dstats/{key}/var", matrix_bytes(_as_matrix(st.var), version=2)
+    for key, (mean, var) in disc_stats.items():
+        yield f"dstats/{key}/mean", matrix_bytes(_as_matrix(mean), version=2)
+        yield f"dstats/{key}/var", matrix_bytes(_as_matrix(var), version=2)
     for key, acc in ckpt.gen_opt.acc.items():
         yield f"gopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
     for key, acc in ckpt.disc_opt.acc.items():
@@ -498,10 +496,11 @@ def reference_sections_of(ckpt: Checkpoint, gen_stats: dict):
     yield "rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")
 
 
-def reference_save_checkpoint(ckpt: Checkpoint, path, gen_stats: dict) -> None:
+def reference_save_checkpoint(ckpt: Checkpoint, path, version: int, gen_stats: dict,
+                              disc_stats: dict) -> None:
     """Write the full training state, atomically."""
-    sections = list(reference_sections_of(ckpt, gen_stats))
-    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, REFERENCE_VERSION, len(sections)))
+    sections = list(reference_sections_of(ckpt, gen_stats, disc_stats))
+    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, version, len(sections)))
     for name, payload in sections:
         encoded = name.encode("utf-8")
         blob += _SECTION_HEAD.pack(len(encoded))
@@ -520,10 +519,10 @@ def reference_read_sections(buf: bytes, source: str) -> dict:
     magic, version, n = _FILE_HEAD.unpack_from(buf, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{source}: bad checkpoint magic {magic!r}")
-    if version not in (REFERENCE_VERSION, CHECKPOINT_VERSION):
+    if not 1 <= version <= CHECKPOINT_VERSION:
         raise VersionError(
             f"{source}: checkpoint version {version} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected 1 to {CHECKPOINT_VERSION})"
         )
     sections = {}
     off = _FILE_HEAD.size
@@ -616,9 +615,6 @@ def reference_load_checkpoint(path) -> Checkpoint:
         reference_fill_array(t.data, need(f"gparam/{key}"), f"gparam/{key}", source)
     for key, t in dparams.tensors().items():
         reference_fill_array(t.data, need(f"dparam/{key}"), f"dparam/{key}", source)
-    for key, st in dparams.stats().items():
-        reference_fill_array(st.mean, need(f"dstats/{key}/mean"), f"dstats/{key}/mean", source)
-        reference_fill_array(st.var, need(f"dstats/{key}/var"), f"dstats/{key}/var", source)
 
     gen_opt = OptimizerState.for_params(gparams.tensors())
     gen_opt.step = counts["gen_opt_step"]
@@ -673,31 +669,33 @@ def mini_checkpoint(mini_corpus):
     return dataclasses.replace(ckpt, best_val_f1=0.25, best_val_step=2)
 
 
-def stand_in_stats(gen_cfg, seed=0) -> dict:
-    """Generator running stats as a version 1 file held them, made up."""
+def stand_in_stats(widths: dict, seed) -> dict:
+    """Running stats as an older file held them, made up: key -> (mean, var)."""
     rng = np.random.default_rng(seed)
-    return {
-        key: RunningStats(mean=rng.standard_normal(d), var=rng.uniform(0.5, 2.0, d))
-        for key, d in (("enc_bn", 2 * gen_cfg.d_h), ("pred_bn", gen_cfg.d_pred))
-    }
+    return {key: (rng.standard_normal(d), rng.uniform(0.5, 2.0, d)) for key, d in widths.items()}
 
 
-def write_v1(ckpt, path) -> None:
-    reference_save_checkpoint(ckpt, path, stand_in_stats(ckpt.gen_cfg))
+def write_old(ckpt, path, version: int) -> None:
+    """A version 1 file (generator and critic stats) or 2 (critic stats only)."""
+    gen = {"enc_bn": 2 * ckpt.gen_cfg.d_h, "pred_bn": ckpt.gen_cfg.d_pred}
+    disc = {"summ_bn": 2 * ckpt.disc_cfg.d_h, "vid_bn": 2 * ckpt.disc_cfg.d_h}
+    reference_save_checkpoint(ckpt, path, version,
+                              stand_in_stats(gen, seed=0) if version == 1 else {},
+                              stand_in_stats(disc, seed=1))
 
 
 class TestCheckpointAgainstReference:
     def test_save_equals_reference_writer(self, mini_checkpoint, tmp_path):
-        # version 2 is version 1 without the gstats/* sections
+        # version 3 is version 1 without the gstats/* and dstats/* sections
         save_checkpoint(mini_checkpoint, tmp_path / "a.qsck")
-        write_v1(mini_checkpoint, tmp_path / "b.qsck")
+        write_old(mini_checkpoint, tmp_path / "b.qsck", version=1)
         sections = reference_read_sections((tmp_path / "b.qsck").read_bytes(), "v1")
-        assert any(name.startswith("gstats/") for name in sections)
-        write_sections(tmp_path / "b2.qsck", {
-            name: payload for name, payload in sections.items()
-            if not name.startswith("gstats/")
+        stats = ("gstats/", "dstats/")
+        assert {name[:7] for name in sections if name.startswith(stats)} == set(stats)
+        write_sections(tmp_path / "b3.qsck", {
+            name: payload for name, payload in sections.items() if not name.startswith(stats)
         })
-        assert (tmp_path / "a.qsck").read_bytes() == (tmp_path / "b2.qsck").read_bytes()
+        assert (tmp_path / "a.qsck").read_bytes() == (tmp_path / "b3.qsck").read_bytes()
         assert not os.path.exists(tmp_path / "a.qsck.tmp")
 
     def test_load_equals_reference_reader(self, mini_checkpoint, tmp_path):
@@ -745,30 +743,42 @@ class TestCheckpointAgainstReference:
 
 
 class TestCheckpointV1:
-    """Version 1 files, with their gstats/* sections, still load and resume."""
+    """Version 1 and 2 files, with their running stats sections, still
+    load and resume."""
 
     def test_v1_loads_to_the_v2_state(self, mini_checkpoint, tmp_path):
-        v1, v2 = tmp_path / "v1.qsck", tmp_path / "v2.qsck"
-        write_v1(mini_checkpoint, v1)
-        save_checkpoint(mini_checkpoint, v2)
-        assert v1.read_bytes()[4] == 1 and v2.read_bytes()[4] == 2
-        assert bits(load_checkpoint(v1)) == bits(load_checkpoint(v2))
-        assert bits(load_checkpoint(v1)) == bits(mini_checkpoint)
-        assert bits(load_generator(v1)) == bits(load_generator(v2))
+        # ... and both load to the state of the version 3 file
+        paths = [tmp_path / f"v{v}.qsck" for v in (1, 2, 3)]
+        write_old(mini_checkpoint, paths[0], version=1)
+        write_old(mini_checkpoint, paths[1], version=2)
+        save_checkpoint(mini_checkpoint, paths[2])
+        assert [p.read_bytes()[4] for p in paths] == [1, 2, 3]
+        v3 = bits(load_checkpoint(paths[2]))
+        assert v3 == bits(mini_checkpoint)
+        for path in paths[:2]:
+            assert bits(load_checkpoint(path)) == v3
+            assert bits(load_generator(path)) == bits(load_generator(paths[2]))
 
-    def test_resume_from_v1_logs_identical_metrics(self, mini_corpus, tmp_path):
+    @staticmethod
+    def resume_from_old(mini_corpus, tmp_path, version):
         full_dir, split_dir = tmp_path / "full", tmp_path / "split"
         train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=4),
               gen_cfg=MINI_GEN, out_dir=full_dir)
         half = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
                      gen_cfg=MINI_GEN, out_dir=split_dir)
-        write_v1(half.checkpoint, tmp_path / "v1.qsck")
-        ckpt = load_checkpoint(tmp_path / "v1.qsck")
+        write_old(half.checkpoint, tmp_path / "old.qsck", version)
+        ckpt = load_checkpoint(tmp_path / "old.qsck")
         train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=4),
               out_dir=split_dir, resume=ckpt)
         assert (full_dir / "metrics.csv").read_bytes() == (split_dir / "metrics.csv").read_bytes()
         assert (full_dir / "checkpoint.qsck").read_bytes() == (
             split_dir / "checkpoint.qsck").read_bytes()
+
+    def test_resume_from_v1_logs_identical_metrics(self, mini_corpus, tmp_path):
+        self.resume_from_old(mini_corpus, tmp_path, version=1)
+
+    def test_resume_from_v2_logs_identical_metrics(self, mini_corpus, tmp_path):
+        self.resume_from_old(mini_corpus, tmp_path, version=2)
 
     def test_version_zero_rejected(self, mini_checkpoint, tmp_path):
         # TestCheckpoint.test_version_mismatch covers the version above
@@ -900,6 +910,15 @@ class TestResume:
             assert np.array_equal(cb.gen_params.tensors()[k].data, t.data)
         assert ca.rng_state == cb.rng_state
         assert a == b
+
+    def test_corpus_dims_checked_on_resume(self, mini_corpus, tmp_path):
+        result = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
+                       gen_cfg=MINI_GEN)
+        wider = synth_corpus(dataclasses.replace(MINI_SYNTH, d_text=7), seed=11)
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=4)
+        with pytest.raises(ConfigError, match="d_text=6 does not match corpus d_text=7"):
+            train(wider, cfg, out_dir=tmp_path, resume=result.checkpoint)
+        assert not os.path.exists(tmp_path / "metrics.csv")
 
     def test_tau_conflict_on_resume_rejected(self, mini_corpus, tmp_path):
         result = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import insort
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -84,11 +85,32 @@ def _hungarian_min(cost: np.ndarray) -> list:
     already scanned in this insertion cannot lower any minv.  Its scan is
     skipped, and the first minimum is the first later free column still
     at delta, or, failing that, the first minimum of a full search.
+
+    Free columns are scanned by class.  Two free columns with == costs
+    and == v read == values in every scan of an insertion, so they hold
+    == minv and the same way throughout it, and the ascending scan picks
+    the lower one first.  A class is keyed by its cost column and v, so
+    signed zeros merge.  A scan visits only the lowest free column of
+    each class, in ascending order, and its pick is the least
+    (minv, column), the column the full scan picks; when it leaves, the
+    next column of its class takes its minv and way.  After a pick at a
+    zero delta, the class's next columns are picked in turn for as long
+    as each one's matched row would have its scan skipped and the column
+    lies below every other class's lowest free column at delta, which a
+    zero-delta step leaves unchanged.  Only a nonzero delta moves a v,
+    and only for columns in the tree, so the classes carry over to the
+    next insertion and only those columns are regrouped.
     """
     n = cost.shape[0]
     rows = cost.tolist()
     kinds = {}
     kind = [None] + [kinds.setdefault(tuple(row), len(kinds)) for row in rows]
+    col_kinds = {}
+    cls = [None] + [(col_kinds.setdefault(tuple(col), len(col_kinds)), 0.0)
+                    for col in cost.T.tolist()]  # cls[j]: (cost column kind, v)
+    classes = {}  # class -> its columns, ascending
+    for j in range(1, n + 1):
+        classes.setdefault(cls[j], []).append(j)
     INF = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -99,9 +121,14 @@ def _hungarian_min(cost: np.ndarray) -> list:
         j0 = 0
         minv = [INF] * (n + 1)
         used = [0]
-        free = list(range(1, n + 1))  # unused columns, ascending
+        lowest = []  # the lowest free column of each class, ascending
+        rest = {}  # class -> iterator over its other free columns
+        for key, members in classes.items():
+            rest[key] = it = iter(members)
+            lowest.append(next(it))
+        lowest.sort()
         delta = 0.0
-        k1 = 0  # where the last step's column stood in free
+        k1 = 0  # where the last step's column stood in lowest
         scanned = set()  # (kind, u) of the rows scanned since the last nonzero delta
         while True:
             i0 = p[j0]
@@ -109,18 +136,18 @@ def _hungarian_min(cost: np.ndarray) -> list:
                 scanned.clear()
             key = (kind[i0], u[i0])
             if key in scanned:
-                for j1 in islice(free, k1, None):
+                for j1 in islice(lowest, k1, None):
                     if minv[j1] == delta:
                         break
                 else:
-                    j1 = min(free, key=minv.__getitem__)  # the first minimum
+                    j1 = min(lowest, key=minv.__getitem__)  # the first minimum
                     delta = minv[j1]
             else:
                 scanned.add(key)
                 row, u_i0 = rows[i0 - 1], u[i0]
                 shift, delta = delta, INF
                 j1 = 0
-                for j in free:
+                for j in lowest:
                     m = minv[j] - shift
                     cur = row[j - 1] - u_i0 - v[j]
                     if cur < m:
@@ -134,12 +161,41 @@ def _hungarian_min(cost: np.ndarray) -> list:
                 for j in used:
                     u[p[j]] += delta
                     v[j] -= delta
-            k1 = free.index(j1)
-            del free[k1]
+            k1 = lowest.index(j1)
+            del lowest[k1]
             used.append(j1)
+            it = rest[cls[j1]]
+            j2 = next(it, 0)
+            m, w = minv[j1], way[j1]
+            if not delta:
+                rival = None  # the lowest free column of another class at delta
+                while j2 and p[j1] and (kind[p[j1]], u[p[j1]]) in scanned:
+                    if rival is None:
+                        for rival in islice(lowest, k1, None):
+                            if minv[rival] == delta:
+                                break
+                        else:
+                            rival = n + 1
+                    if j2 > rival:
+                        break
+                    way[j2] = w
+                    used.append(j2)
+                    j1, j2 = j2, next(it, 0)
+            if j2:
+                minv[j2], way[j2] = m, w
+                insort(lowest, j2, k1)
             j0 = j1
             if p[j0] == 0:
                 break
+        for j in used[1:]:
+            old, new = cls[j], (cls[j][0], v[j])
+            if new != old:
+                members = classes[old]
+                members.remove(j)
+                if not members:
+                    del classes[old]
+                insort(classes.setdefault(new, []), j)
+                cls[j] = new
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -219,8 +275,9 @@ class EvalReport:
 # Cap on the recurrence buffers (pre-activations, hidden and cell
 # states, tanh of the cell) of one stacked generator call: about
 # T * 2 directions * 7 d_h * 8 bytes per query, 215 KB at desk scale
-# (4 queries per call) and 115 MB at paper scale (1 query per call).
-_STACK_BYTES = 1 << 20
+# (19 queries fit, so a video's 12 queries run as one call) and 115 MB
+# at paper scale (1 query per call).
+_STACK_BYTES = 4 << 20
 
 
 def _query_scores(gparams: GeneratorParams, video, concepts) -> list:

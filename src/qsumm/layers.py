@@ -249,7 +249,10 @@ def _recurrence(groups, name: str) -> Tensor:
     running each pair alone.  The sequence axis is padded to the largest
     n_seq; a padded pair starts from zero pre-activations and zero
     gradients, stays finite and is never read.  Gate activations
-    overwrite the pre-activation buffer.  The whole recurrence is one
+    overwrite the pre-activation buffer, and the loop writes into
+    preallocated buffers only.  Hidden states go to a T+1-row buffer
+    whose first row is the zero start state, so BPTT reads the previous
+    states as a view of it.  The whole recurrence is one
     tape node whose backward runs BPTT over the cached gates for every
     pair at once.
     """
@@ -286,19 +289,24 @@ def _recurrence(groups, name: str) -> Tensor:
         pre[:, m, :n] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
         pre[:, m, n:] = 0.0
     w_h = np.stack([p.w_h.data for p, *_ in slots])[:, None]  # (M, 1, H, 4H)
-    hs = np.empty((T, M, B, H))
+    hs = np.empty((T + 1, M, B, H))  # hs[t] is the hidden state before step t
+    hs[0] = 0.0
     cs = np.empty((T, M, B, H))
     tc = np.empty((T, M, B, H))
-    h = c = np.zeros((M, B, H))
+    c = np.zeros((M, B, H))
+    zh = np.empty((M, B, 1, 4 * H))
+    g = np.empty((M, B, H))
+    ig = np.empty((M, B, H))
     for t in range(T):
         z = pre[t]
-        z += np.matmul(h[:, :, None, :], w_h)[:, :, 0]
-        g = np.tanh(z[..., 2 * H : 3 * H])
+        z += np.matmul(hs[t, :, :, None, :], w_h, out=zh)[:, :, 0]
+        np.tanh(z[..., 2 * H : 3 * H], out=g)
         _sigmoid(z, out=z)
         z[..., 2 * H : 3 * H] = g
         c = np.multiply(z[..., H : 2 * H], c, out=cs[t])
-        c += z[..., :H] * g
-        h = np.multiply(z[..., 3 * H :], np.tanh(c, out=tc[t]), out=hs[t])
+        c += np.multiply(z[..., :H], g, out=ig)
+        np.multiply(z[..., 3 * H :], np.tanh(c, out=tc[t]), out=hs[t + 1])
+    h_prev, hs = hs[:-1], hs[1:]
     gates = pre.reshape(T, M, B, 4, H)  # now [i, f, g, o] activations
 
     def in_time(a, reverse):
@@ -363,8 +371,6 @@ def _recurrence(groups, name: str) -> Tensor:
             dh = np.matmul(dz_t.reshape(M, B, 1, 4 * H), w_hT)[:, :, 0]
             dc *= gf[t]
         dz = dz.reshape(T, M, B, 4 * H)
-        h_prev = np.zeros_like(hs)
-        h_prev[1:] = hs[:-1]
         grads = []
         for m in range(M - 1, -1, -1):
             p, reverse, n, xs = slots[m]

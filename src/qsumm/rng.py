@@ -35,6 +35,15 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, idx])
 
 
+def _leaves(obj):
+    """The values inside nested dicts, depth first."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
 class RngHub:
     """All named streams for one base seed, with checkpointable state."""
 
@@ -62,8 +71,8 @@ class RngHub:
 
         Raises FormatError unless state is an object with an integer seed
         >= 0 and a streams object holding exactly the names of STREAMS,
-        each a state PCG64 accepts, so a resume never starts a stream
-        over in silence.
+        each a state PCG64 accepts whose numbers are all integers, so a
+        resume never starts a stream over or truncates one in silence.
         """
         if not isinstance(state, dict):
             raise FormatError(f"rng state: need an object, got {type(state).__name__}")
@@ -74,6 +83,8 @@ class RngHub:
             raise FormatError(f"rng state: streams must hold exactly {sorted(STREAMS)}")
         hub = cls(seed)
         for name, s in streams.items():
+            if any(isinstance(x, (bool, float)) for x in _leaves(s)):
+                raise FormatError(f"rng state: stream {name!r} holds a number that is no integer")
             try:
                 hub.streams[name].bit_generator.state = s
             except (KeyError, TypeError, ValueError, OverflowError) as e:

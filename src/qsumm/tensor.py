@@ -399,8 +399,8 @@ def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
     out=z evaluates it in place.
     """
     e = np.exp(-np.abs(z))
-    # e <= 1, so the max picks 1 where z >= 0 and e below
-    num = np.maximum(e, np.heaviside(z, 1.0))
+    # e <= 1, so the max picks 1 where z >= 0 and e below; NaN stays NaN
+    num = np.maximum(e, z >= 0.0)
     return np.divide(num, 1.0 + e, out=out)
 
 

@@ -52,6 +52,13 @@ def read_sections(buf: bytes, source: str) -> dict:
     return {name: buf[off : off + n] for name, (off, n) in index.items()}
 
 
+def stream_number(rng: dict, stream: str, field: str, value) -> dict:
+    """rng with one integer of a stream's PCG64 state replaced by value;
+    numpy's setter would truncate 1.5 to 1 and take True as 1."""
+    rng["streams"][stream]["state"][field] = value
+    return rng
+
+
 def dir_bytes(path):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -224,8 +231,10 @@ class TestExitCodes:
         lambda rng: {**rng, "seed": True},
         lambda rng: {**rng, "seed": -1},
         lambda rng: {**rng, "streams": {**rng["streams"], "dropout": {"bit_generator": "MT19937"}}},
+        lambda rng: stream_number(rng, "sampling", "state", 1.5),
+        lambda rng: stream_number(rng, "dropout", "inc", True),
     ], ids=["empty-object", "list", "int-stream", "unknown-stream", "no-streams", "bool-seed",
-            "negative-seed", "foreign-stream"])
+            "negative-seed", "foreign-stream", "float-in-stream", "bool-in-stream"])
     def test_malformed_rng_section_is_runtime_error(self, workspace, tmp_path, capsys, edit):
         from qsumm.training import load_checkpoint, load_generator
 

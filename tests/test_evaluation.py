@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -307,44 +308,63 @@ def few_set_weights(rng, n_gen, n_gt, n_sets):
     return iou_loop(ann, range(n_gen), range(n_gen, n_gen + n_gt))
 
 
-def assert_same_as_list_scan(cost):
+def assert_same_as_list_scan(cost, picks=None):
+    """The list scan's assignment on cost and, given a picks rng, also on
+    cost[:, picks] for a permutation and for a draw with replacement of
+    its columns, which moves and duplicates whole columns."""
     assert evaluation._hungarian_min(cost) == list_hungarian_min(cost)
+    if picks is not None:
+        n = cost.shape[1]
+        for cols in (picks.permutation(n), picks.integers(0, n, size=n)):
+            assert evaluation._hungarian_min(cost[:, cols]) == list_hungarian_min(cost[:, cols])
+
+
+def signed_zeros(rng, cost):
+    """cost with its zeros set to 0.0 and -0.0 in about equal numbers."""
+    cost = cost.copy()
+    zeros = cost == 0.0
+    signed = np.resize([0.0, -0.0], int(zeros.sum()))
+    rng.shuffle(signed)
+    cost[zeros] = signed
+    return cost
 
 
 class TestSkippedSteps:
     """_hungarian_min skips zero-delta potential updates, rows equal to a
-    row relaxed since the last nonzero delta, and the rescans after them;
-    it must return the list scan's assignment on inputs full of those."""
+    row relaxed since the last nonzero delta, and the rescans after them,
+    and scans one column per class of equal columns; it must return the
+    list scan's assignment on inputs full of those."""
 
     @pytest.mark.parametrize("shape", [(59, 27), (59, 11), (27, 59)])
     def test_eval_sweep_shapes(self, shape):
         rng = np.random.default_rng(310 + shape[1])
+        picks = np.random.default_rng(410 + shape[1])
         for n_sets in (2, 3, 5, 10, 10, 16):
             w = few_set_weights(rng, *shape, n_sets)
-            assert_same_as_list_scan(padded_cost(w))
+            assert_same_as_list_scan(padded_cost(w), picks)
 
     def test_duplicated_random_rows(self):
         # a few distinct rows of coarse random costs, each used many times:
         # repeated rows give zero deltas, the distinct values nonzero ones
         rng = np.random.default_rng(311)
+        picks = np.random.default_rng(411)
         for trial in range(40):
             n = int(rng.integers(2, 40))
             distinct = np.round(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), n)), 1)
             cost = distinct[rng.integers(0, len(distinct), size=n)]
-            assert_same_as_list_scan(cost)
+            assert_same_as_list_scan(cost, picks)
 
     def test_signed_zeros(self):
         rng = np.random.default_rng(312)
+        picks = np.random.default_rng(412)
         for trial in range(40):
             n = int(rng.integers(2, 30))
             distinct = rng.choice([0.0, -0.25, -0.5, -1.0], size=(int(rng.integers(1, 5)), n))
-            cost = distinct[rng.integers(0, len(distinct), size=n)]
-            zeros = cost == 0.0
-            signed = np.resize([0.0, -0.0], int(zeros.sum()))
-            rng.shuffle(signed)
-            cost[zeros] = signed
-            assert_same_as_list_scan(cost)
-            assert_same_as_list_scan(np.where(zeros, -cost, cost))
+            cost = signed_zeros(rng, distinct[rng.integers(0, len(distinct), size=n)])
+            assert_same_as_list_scan(cost, picks)
+            assert_same_as_list_scan(np.where(cost == 0.0, -cost, cost), picks)
+            # duplicated columns that differ only in the signs of their zeros
+            assert_same_as_list_scan(signed_zeros(picks, cost[:, picks.integers(0, n, size=n)]))
 
     def test_small_tie_heavy_matrices(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -359,7 +379,10 @@ class TestSkippedSteps:
             distinct = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
                                           min_size=k, max_size=k))
             pick = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-            assert_same_as_list_scan(np.array([distinct[r] for r in pick]))
+            cols = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            cost = np.array([distinct[r] for r in pick])
+            assert_same_as_list_scan(cost)
+            assert_same_as_list_scan(cost[:, cols])
 
         check()
 
@@ -768,11 +791,31 @@ class TestScoringPass:
         with pytest.raises(ConfigError, match="threshold must be in"):
             evaluate(None, desk_corpus, "val", threshold=5.0, predict=predict)
 
-    def test_desk_scale_stacks_four_queries(self, desk_params, monkeypatch):
+    def test_desk_scale_stacks_a_video_in_one_call(self, desk_params, monkeypatch):
         corpus = synth_corpus(SynthConfig(n_videos=3), seed=9)
         sizes = count_forwards(monkeypatch)
         evaluation._query_scores(desk_params, corpus.videos[0], corpus.concepts)
-        assert corpus.videos[0].n_shots == 60 and sizes == [4, 4, 4]
+        assert corpus.videos[0].n_shots == 60 and sizes == [12]
+
+    def test_paper_scale_scores_one_query_per_call(self, desk_corpus, monkeypatch):
+        # One query of the paper-scale generator on a 1000-shot video needs
+        # about 115 MB of recurrence buffers, far above the cap.  Stand-ins
+        # keep paper-scale arrays out: a d_h-only encoder, zero-strided
+        # frame features and a generator that returns zero scores.
+        cfg = GeneratorConfig.paper_scale()
+        video = dataclasses.replace(desk_corpus.split_videos("val")[0],
+                                    frame_feats=np.broadcast_to(0.0, (1000, cfg.d_frame)))
+        gparams = SimpleNamespace(enc_fwd=SimpleNamespace(d_h=cfg.d_h))
+        sizes = []
+
+        def forward(params, frame, shot, query_emb, train):
+            sizes.append(len(query_emb))
+            return SimpleNamespace(s=SimpleNamespace(data=np.zeros(len(query_emb) * len(frame))))
+
+        monkeypatch.setattr(evaluation, "generator_forward", forward)
+        scores = evaluation._query_scores(gparams, video, desk_corpus.concepts)
+        assert per_query_bytes(gparams, video.n_shots) > evaluation._STACK_BYTES
+        assert sizes == [1] * len(video.queries) and len(scores) == 12
 
     def test_one_query_per_call_below_one_query_size(self, desk_params, desk_corpus, monkeypatch):
         video = desk_corpus.split_videos("val")[0]

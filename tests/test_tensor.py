@@ -7,6 +7,7 @@ from qsumm.errors import ContractError, DimensionError
 from qsumm.tensor import (
     Tape,
     Tensor,
+    _sigmoid,
     absolute,
     add,
     concat_cols,
@@ -65,6 +66,23 @@ class TestForward:
         y = sigmoid(Tensor([-1000.0, 1000.0])).data
         assert y[0] == 0.0 and y[1] == 1.0
         assert np.all(np.isfinite(y))
+
+    def test_sigmoid_kernel_equals_heaviside_form(self):
+        # The numerator _sigmoid took from np.heaviside before it compared
+        # z >= 0 directly, kept as the oracle for that rewrite.
+        def heaviside_sigmoid(z):
+            e = np.exp(-np.abs(z))
+            return np.divide(np.maximum(e, np.heaviside(z, 1.0)), 1.0 + e)
+
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                   700.0, -700.0]
+        z = np.concatenate([special, np.random.default_rng(5).normal(scale=8.0, size=1989)])
+        want = heaviside_sigmoid(z).view(np.int64)
+        assert np.array_equal(_sigmoid(z).view(np.int64), want)
+        buf = z.reshape(4, -1).copy()
+        _sigmoid(buf, out=buf)
+        assert np.array_equal(buf.ravel().view(np.int64), want)
 
     def test_structural_ops(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))

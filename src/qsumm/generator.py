@@ -181,6 +181,12 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     T = frame.data.shape[0]
     visual = relu(linear_forward(concat_cols(frame, shot), params.fuse_w, params.fuse_b))
     q = as_tensor(query_emb)
+    d_text = params.query_w.data.shape[0]
+    if q.data.ndim not in (1, 2) or q.data.shape[0] == 0 or q.data.shape[-1] != d_text:
+        raise DimensionError(
+            f"g_r_fuse: need a ({d_text},) query or a nonempty (Q, {d_text}) stack of queries, "
+            f"got query shape {q.data.shape}"
+        )
     if q.data.ndim == 2:
         rows = [slice_rows(q, i, i + 1) for i in range(q.data.shape[0])]
     else:

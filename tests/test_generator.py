@@ -257,6 +257,16 @@ class TestStackedQueries:
             generator_forward(params, frame, shot, np.stack([q, q]), train=True,
                               rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [(1, 1, TINY.d_text), (2, 1, TINY.d_text), (0, TINY.d_text),
+                                       (), (TINY.d_text + 1,), (1, TINY.d_text - 1)])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_query_must_be_a_vector_or_nonempty_stack(self, shape, train):
+        params = tiny_params()
+        frame, shot, _ = tiny_inputs(6)
+        with pytest.raises(DimensionError, match=rf"query shape \({', '.join(map(str, shape))}"):
+            generator_forward(params, frame, shot, np.zeros(shape), train=train,
+                              rng=np.random.default_rng(0))
+
     def test_one_query_tape_is_unchanged(self):
         # the one-query training pass records the nodes it recorded before
         # stacking existed: no row slicing or restacking

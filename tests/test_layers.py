@@ -5,9 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import check_grads, max_rel_err
+from qsumm import layers
+from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, ContractError, DimensionError
+from qsumm.generator import GeneratorConfig
 from qsumm.layers import (
     BN_EPS,
+    _loop_slots,
     _recurrence,
     LSTMParams,
     batchnorm_forward,
@@ -482,3 +486,117 @@ class TestRecurrenceGroups:
             _recurrence([(a, 1, dirs_a), (b, 1, dirs_b)], "test")
         with pytest.raises(DimensionError, match="direction count"):
             _recurrence([(a, 1, dirs_a), (b, 2, dirs_b[:1])], "test")
+
+
+def recurrence_case(kind):
+    """Groups of _recurrence calls with T=6 and d_h=3: one direction, a
+    Bi-LSTM over 1 or 3 stacked sequences, and a critic-style call whose
+    groups differ in d_in and n_seq, so that the video's pairs are padded."""
+    rng = np.random.default_rng(36)
+    T, d_h = 6, 3
+    shapes = {"one direction": [(4, 1, 1)], "bilstm n_seq=1": [(4, 1, 2)],
+              "bilstm n_seq=3": [(4, 3, 2)], "critic": [(4, 1, 2), (6, 3, 2)]}[kind]
+    return [(Tensor(rng.standard_normal((n_seq * T, d_in))), n_seq,
+             [(LSTMParams.create(d_in, d_h, rng), k == 1) for k in range(D)])
+            for d_in, n_seq, D in shapes]
+
+
+def run_recurrence(groups, r_seed=37):
+    """Output and every input's gradient of sum(_recurrence(groups) * r)."""
+    watch = [t for seq, _, dirs in groups
+             for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
+    with Tape(watch=watch) as tape:
+        out = _recurrence(groups, "test")
+        loss = sum_all(out * np.random.default_rng(r_seed).standard_normal(out.data.shape))
+    tape.backward(loss)
+    return [out.data] + [t.grad.copy() for t in watch]
+
+
+SLOT_BYTES = 32 * 3 * 3  # w_h of one d_h=3 slot
+
+
+class TestRecurrenceLoops:
+    """Slots split into time loops by _LOOP_WEIGHT_BYTES give the values
+    and gradients of one loop over all slots, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["one direction", "bilstm n_seq=1", "bilstm n_seq=3",
+                                      "critic"])
+    @pytest.mark.parametrize("slots_per_loop", [1, 3])
+    def test_split_loops_bit_equal_one_loop(self, kind, slots_per_loop, monkeypatch):
+        groups = recurrence_case(kind)
+        n_slots = sum(len(dirs) for _, _, dirs in groups)
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 1 << 40)
+        assert len(_loop_slots(n_slots, 3)) == 1
+        one_loop = run_recurrence(groups)
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", slots_per_loop * SLOT_BYTES)
+        loops = _loop_slots(n_slots, 3)
+        assert [s.stop - s.start for s in loops][:-1] == [slots_per_loop] * (len(loops) - 1)
+        split = run_recurrence(groups)
+        for a, b in zip(one_loop, split, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_one_slot_per_loop_matches_unrolled_cells(self, monkeypatch):
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
+        groups = recurrence_case("critic")
+        out = _recurrence(groups, "test").data
+        T, H = 6, 3
+        lo = 0
+        for seq, n_seq, dirs in groups:
+            block = out[lo : lo + n_seq * T]
+            lo += n_seq * T
+            for b in range(n_seq):
+                for k, (p, reverse) in enumerate(dirs):
+                    h = Tensor(np.zeros(H))
+                    c = Tensor(np.zeros(H))
+                    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+                        h, c = lstm_cell(Tensor(seq.data[b * T + t]), h, c, p)
+                        assert max_rel_err(block[b * T + t, k * H : (k + 1) * H], h.data) < 1e-12
+
+    def test_one_slot_per_loop_gradients_match_unrolled_cells(self, monkeypatch):
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
+        rng = np.random.default_rng(38)
+        pf = LSTMParams.create(3, 2, rng)
+        pb = LSTMParams.create(3, 2, rng)
+        seq = Tensor(rng.standard_normal((4, 3)))
+        watch = [pf.w_x, pf.w_h, pf.b, pb.w_x, pb.w_h, pb.b, seq]
+
+        with Tape(watch=watch) as tape:
+            loss = mean_all(bilstm_forward(seq, pf, pb))
+        tape.backward(loss)
+        fused = [t.grad.copy() for t in watch]
+
+        with Tape(watch=watch) as tape:
+            rows = []
+            for p, order in ((pf, range(4)), (pb, range(3, -1, -1))):
+                h = Tensor(np.zeros(2))
+                c = Tensor(np.zeros(2))
+                for t in order:
+                    h, c = lstm_cell(slice_row(seq, t), h, c, p)
+                    rows.append(sum_all(h))
+            loss = rows[0]
+            for row in rows[1:]:
+                loss = loss + row
+            loss = loss * (1.0 / 16.0)
+        tape.backward(loss)
+        for a, t in zip(fused, watch):
+            assert max_rel_err(a, t.grad) < 1e-10
+
+
+class TestLoopSizes:
+    """Loops per recurrence from shapes alone, without building the
+    paper-scale weights (a d_h=1024 w_h is 32 MiB)."""
+
+    def test_desk_scale_runs_one_loop(self):
+        assert _loop_slots(2, GeneratorConfig().d_h) == [slice(0, 2)]
+        assert _loop_slots(4, DiscriminatorConfig.for_generator(GeneratorConfig()).d_h) == [
+            slice(0, 4)]
+
+    def test_paper_scale_runs_one_slot_per_loop(self):
+        # generator: 32 MiB per direction; critic: 2 MiB per slot, two above the cap
+        assert _loop_slots(2, GeneratorConfig.paper_scale().d_h) == [slice(0, 1), slice(1, 2)]
+        assert _loop_slots(4, DiscriminatorConfig.paper_scale().d_h) == [
+            slice(m, m + 1) for m in range(4)]
+
+    def test_slots_fill_loops_up_to_the_cap(self):
+        # d_h=128: 512 KiB per slot, four to a 2 MiB loop
+        assert _loop_slots(6, 128) == [slice(0, 4), slice(4, 6)]

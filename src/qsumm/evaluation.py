@@ -2,7 +2,8 @@
 
 Selected shots are matched one-to-one against ground-truth shots by
 maximum-weight bipartite matching, with concept-set IoU as the edge
-weight.  Precision, recall and F1 count matched pairs; queries are
+weight; of the matchings of maximum weight, one with the most pairs
+counts.  Precision, recall and F1 count matched pairs; queries are
 averaged uniformly within each video and videos uniformly across the
 split.  The report also carries the summary-length distance d (mean
 over queries of the signed selected-minus-truth shot count) and the
@@ -12,10 +13,10 @@ mean per-query deviation of summary length from the target fraction.
 from __future__ import annotations
 
 import json
+import math
 import os
-from bisect import insort
 from dataclasses import asdict, dataclass
-from itertools import islice
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,150 +67,110 @@ def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
-def _hungarian_min(cost: np.ndarray) -> list:
-    """Optimal assignment on a square cost matrix, potentials method.
+def _integer_weights(values, k: int) -> dict:
+    """Exact integer weights of a matrix's distinct positive values.
 
-    Rows are inserted one at a time; each insertion grows an alternating
-    tree over columns until a free column is found, updating the dual
-    potentials by the minimum reduced cost.  O(n^3) total.  Scan order
-    (rows ascending, columns ascending, strict improvement) fixes which
-    optimal assignment is returned when several exist.  The scan runs on
-    Python floats and visits only the columns not yet in the tree; it
-    also applies the previous step's minv -= delta to those columns, the
-    only ones whose minv is read again.
-
-    Steps that cannot change the result are skipped.  The result rests
-    only on < and ==, which ignore the sign of a zero, the most that
-    adding a zero can change.  So a zero delta moves no potential; and
-    until a nonzero delta does, a row with the costs and u of a row
-    already scanned in this insertion cannot lower any minv.  Its scan is
-    skipped, and the first minimum is the first later free column still
-    at delta, or, failing that, the first minimum of a full search.
-
-    Free columns are scanned by class.  Two free columns with == costs
-    and == v read == values in every scan of an insertion, so they hold
-    == minv and the same way throughout it, and the ascending scan picks
-    the lower one first.  A class is keyed by its cost column and v, so
-    signed zeros merge.  A scan visits only the lowest free column of
-    each class, in ascending order, and its pick is the least
-    (minv, column), the column the full scan picks; when it leaves, the
-    next column of its class takes its minv and way.  After a pick at a
-    zero delta, the class's next columns are picked in turn for as long
-    as each one's matched row would have its scan skipped and the column
-    lies below every other class's lowest free column at delta, which a
-    zero-delta step leaves unchanged.  Only a nonzero delta moves a v,
-    and only for columns in the tree, so the classes carry over to the
-    next insertion and only those columns are regrouped.
+    A value x reads as the fraction q of denominator <= 2**26 nearest to
+    it when q rounds back to x, and as x's own binary fraction otherwise,
+    so an IoU a/b reads exactly as a/b.  Over L, the lcm of the values'
+    denominators, a/b weighs a*(L/b)*k + 1: with k above the largest
+    possible matching size, a heavier integer total is a heavier exact
+    total or, at an equal one, more pairs.
     """
-    n = cost.shape[0]
-    rows = cost.tolist()
-    kinds = {}
-    kind = [None] + [kinds.setdefault(tuple(row), len(kinds)) for row in rows]
-    col_kinds = {}
-    cls = [None] + [(col_kinds.setdefault(tuple(col), len(col_kinds)), 0.0)
-                    for col in cost.T.tolist()]  # cls[j]: (cost column kind, v)
-    classes = {}  # class -> its columns, ascending
-    for j in range(1, n + 1):
-        classes.setdefault(cls[j], []).append(j)
+    exact = {}
+    for x in values:
+        q = Fraction(x).limit_denominator(1 << 26)
+        exact[x] = q if float(q) == x else Fraction(x)
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    return {x: q.numerator * (scale // q.denominator) * k + 1 for x, q in exact.items()}
+
+
+def _transport(profit, supply, demand) -> list:
+    """Max-profit flows from kinds to classes, exact in Python ints.
+
+    Kind r offers supply[r] units, class c takes at most demand[c], and
+    a unit sent from r to c gains profit[r][c] > 0; 0 marks no edge.
+    This is min-cost flow on costs -profit by successive shortest paths.
+    A unit ends in a class with demand left or, unmatched and at no
+    gain, in a sink.  Each round runs Dijkstra on reduced costs from one
+    kind with supply left until it reaches such an end, and sends the
+    bottleneck amount along the path.  Every end keeps the sink's
+    potential, so the first end reached is the nearest.  An edge that
+    carries flow has reduced cost 0 both ways, so the kinds a full class
+    sends back to are reached at its distance, and only classes queue.
+    A round sends at least one unit and costs O(kinds * classes), so a
+    matrix without repeats takes O(n^3).  Returns the kinds x classes
+    flow table.
+    """
+    nk, nc = len(supply), len(demand)
+    supply, demand = list(supply), list(demand)
+    edges = [[(c, p) for c, p in enumerate(row) if p] for row in profit]
+    pot_k = [max(row) for row in profit]
+    pot_c = [0] * (nc + 1)  # classes, then the sink
+    into = [{} for _ in range(nc)]  # into[c][r]: units sent from kind r to class c
     INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j, 1-based
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [0]
-        lowest = []  # the lowest free column of each class, ascending
-        rest = {}  # class -> iterator over its other free columns
-        for key, members in classes.items():
-            rest[key] = it = iter(members)
-            lowest.append(next(it))
-        lowest.sort()
-        delta = 0.0
-        k1 = 0  # where the last step's column stood in lowest
-        scanned = set()  # (kind, u) of the rows scanned since the last nonzero delta
-        while True:
-            i0 = p[j0]
-            if delta:
-                scanned.clear()
-            key = (kind[i0], u[i0])
-            if key in scanned:
-                for j1 in islice(lowest, k1, None):
-                    if minv[j1] == delta:
-                        break
-                else:
-                    j1 = min(lowest, key=minv.__getitem__)  # the first minimum
-                    delta = minv[j1]
-            else:
-                scanned.add(key)
-                row, u_i0 = rows[i0 - 1], u[i0]
-                shift, delta = delta, INF
-                j1 = 0
-                for j in lowest:
-                    m = minv[j] - shift
-                    cur = row[j - 1] - u_i0 - v[j]
-                    if cur < m:
-                        m = cur
-                        way[j] = j0
-                    minv[j] = m
-                    if m < delta:
-                        delta = m
-                        j1 = j
-            if delta:
-                for j in used:
-                    u[p[j]] += delta
-                    v[j] -= delta
-            k1 = lowest.index(j1)
-            del lowest[k1]
-            used.append(j1)
-            it = rest[cls[j1]]
-            j2 = next(it, 0)
-            m, w = minv[j1], way[j1]
-            if not delta:
-                rival = None  # the lowest free column of another class at delta
-                while j2 and p[j1] and (kind[p[j1]], u[p[j1]]) in scanned:
-                    if rival is None:
-                        for rival in islice(lowest, k1, None):
-                            if minv[rival] == delta:
-                                break
-                        else:
-                            rival = n + 1
-                    if j2 > rival:
-                        break
-                    way[j2] = w
-                    used.append(j2)
-                    j1, j2 = j2, next(it, 0)
-            if j2:
-                minv[j2], way[j2] = m, w
-                insort(lowest, j2, k1)
-            j0 = j1
-            if p[j0] == 0:
-                break
-        for j in used[1:]:
-            old, new = cls[j], (cls[j][0], v[j])
-            if new != old:
-                members = classes[old]
-                members.remove(j)
-                if not members:
-                    del classes[old]
-                insort(classes.setdefault(new, []), j)
-                cls[j] = new
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return [(p[j] - 1, j - 1) for j in range(1, n + 1)]
+    for source in range(nk):
+        while supply[source]:
+            dist = [INF] * (nc + 1)
+            prev = [0] * (nc + 1)  # the kind a class or the sink was reached from
+            back = [None] * nk  # the class a kind was reached back from, -1: the source
+            kdist = [INF] * nk
+            back[source], kdist[source] = -1, 0
+            frontier, du = [source], 0
+            todo = list(range(nc + 1))
+            while True:
+                for r in frontier:
+                    base = du + pot_k[r]
+                    for c, p in edges[r]:
+                        if (d := base - p - pot_c[c]) < dist[c]:
+                            dist[c], prev[c] = d, r
+                    if (d := base - pot_c[nc]) < dist[nc]:
+                        dist[nc], prev[nc] = d, r
+                end = min(todo, key=dist.__getitem__)
+                du = dist[end]
+                if end == nc or demand[end]:
+                    break
+                todo.remove(end)
+                frontier = [r for r in into[end] if back[r] is None]
+                for r in frontier:
+                    back[r], kdist[r] = end, du
+            pot_k = [p + (d if d < du else du) for p, d in zip(pot_k, kdist)]
+            pot_c = [p + (d if d < du else du) for p, d in zip(pot_c, dist)]
+            units, r = supply[source], prev[end]
+            if end < nc:
+                units = min(units, demand[end])
+            while r != source:
+                units = min(units, into[back[r]][r])
+                r = prev[back[r]]
+            supply[source] -= units
+            if end < nc:
+                demand[end] -= units
+            c = end
+            while c != -1:
+                r = prev[c]
+                if c < nc:
+                    into[c][r] = into[c].get(r, 0) + units
+                c = back[r]
+                if c != -1:
+                    into[c][r] -= units
+                    if not into[c][r]:
+                        del into[c][r]
+    return [[flows.get(r, 0) for flows in into] for r in range(nk)]
 
 
 def max_weight_matching(weights) -> list:
-    """Maximum-weight pairs (i, j) of a rectangular weight matrix.
+    """Pairs (i, j) of a maximum-weight matching of a rectangular matrix,
+    and among those of one with the most pairs.
 
-    The matrix is zero-padded to square and solved as a minimization of
-    negated weights; pairs whose weight is exactly 0 are pruned, so the
-    result only contains edges that share at least one concept.  Pairs
-    come back sorted by (i, j).
+    Only positive entries are edges, and weights compare as the exact
+    fractions _integer_weights reads them as.  So [[1, .5], [.5, 0]]
+    gives [(0, 1), (1, 0)], and three pairs at IoU 1/3 tie two at IoU
+    1/2 and win, although 3 * fl(1/3) < 1.  Rows and columns without a
+    positive entry drop out; equal rows form kinds and equal columns
+    classes, and _transport solves the problem once over kinds x
+    classes.  Each kind-class flow becomes pairs of the kind's lowest
+    unused rows with the class's lowest unused columns.  Pairs come back
+    sorted.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -219,15 +180,27 @@ def max_weight_matching(weights) -> list:
         return []
     if not np.isfinite(w).all():
         raise ContractError("max_weight_matching: weights must be finite")
-    n = max(n_gen, n_gt)
-    square = np.zeros((n, n))
-    square[:n_gen, :n_gt] = w
-    assignment = _hungarian_min(-square)
-    pairs = [
-        (i, j)
-        for i, j in assignment
-        if i < n_gen and j < n_gt and w[i, j] > 0.0
-    ]
+    lines = w.tolist()
+    kinds, classes = {}, {}
+    for i, line in enumerate(lines):
+        kinds.setdefault(tuple(line), []).append(i)
+    for j, col in enumerate(zip(*lines)):
+        classes.setdefault(col, []).append(j)
+    kinds = {line: m for line, m in kinds.items() if max(line) > 0.0}
+    classes = [m for col, m in classes.items() if max(col) > 0.0]
+    if not kinds:
+        return []
+    table = [[line[m[0]] for m in classes] for line in kinds]
+    weight = _integer_weights({x for row in table for x in row if x > 0.0},
+                              min(n_gen, n_gt) + 1)
+    flow = _transport([[weight.get(x, 0) for x in row] for row in table],
+                      [len(m) for m in kinds.values()], [len(m) for m in classes])
+    unused = [iter(m) for m in classes]
+    pairs = []
+    for rows, sent in zip(kinds.values(), flow):
+        free = iter(rows)
+        for taken, units in zip(unused, sent):
+            pairs += [(next(free), next(taken)) for _ in range(units)]
     pairs.sort()
     return pairs
 

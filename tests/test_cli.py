@@ -271,6 +271,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and f"video {video['id']} {where}" in err
 
+    @pytest.mark.parametrize("value", [0.5, "1", True])
+    def test_non_binary_gt_mask_is_runtime_error(self, workspace, tmp_path, capsys, value):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        video = manifest["videos"][0]
+        video["queries"][0]["gt_mask"][0] = value
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli(["evaluate", "--corpus", str(corpus),
+                      "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"video {video['id']} query 0: gt mask" in err
+
     def test_non_integer_dim_is_runtime_error_for_train(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace["corpus"], corpus)

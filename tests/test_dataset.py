@@ -319,8 +319,13 @@ class TestCorpusRoundTrip:
         (lambda d: d["dims"].update(d_frame=str(d["dims"]["d_frame"])), "dims d_frame"),
         (lambda d: d["dims"].update(d_shot=True), "dims d_shot"),
         (lambda d: d["dims"].update(d_shot=0), "dims d_shot"),
+        *[(lambda d, v=v: d["videos"][0]["queries"][0]["gt_mask"].__setitem__(1, v),
+           "video v000 query 0: gt mask") for v in (0.5, 1.7, 1.0, "1", True, -1, 2)],
+        (lambda d: d["videos"][0]["queries"][0].update(gt_mask=1), "video v000 query 0: gt mask"),
     ], ids=["no-scenario", "no-frame-feat", "gt-mask-overflow", "annotations-not-list",
-            "dims-float", "dims-string", "dims-bool", "dims-zero"])
+            "dims-float", "dims-string", "dims-bool", "dims-zero", "gt-mask-half",
+            "gt-mask-fraction", "gt-mask-float-one", "gt-mask-string", "gt-mask-bool",
+            "gt-mask-negative", "gt-mask-two", "gt-mask-not-list"])
     def test_malformed_entry_is_format_error(self, tmp_path, edit, match):
         manifest = self._written(tmp_path)
         doc = json.loads(open(manifest).read())

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import json
+import math
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,11 +112,35 @@ class TestMatching:
         with pytest.raises(ContractError):
             max_weight_matching([[np.inf]])
 
-    def test_tie_break_follows_scan_order(self):
-        # {(0, 0)} and {(0, 1), (1, 0)} both weigh 1.0; the scan order
-        # (rows ascending, columns ascending, strict improvement) keeps
-        # the first, so this query scores one match, not two
-        assert max_weight_matching([[1.0, 0.5], [0.5, 0.0]]) == [(0, 0)]
+    def test_tie_break_takes_most_pairs(self):
+        # {(0, 0)} and {(0, 1), (1, 0)} both weigh 1.0; the rule takes the
+        # matching with more pairs, so this query scores two matches
+        assert max_weight_matching([[1.0, 0.5], [0.5, 0.0]]) == [(0, 1), (1, 0)]
+
+    def test_ties_compare_exact_fractions(self):
+        # the diagonal (three pairs at IoU 1/3) and {(0, 1), (1, 2)} (two
+        # at 1/2) both weigh exactly 1, so the three pairs win; read as
+        # binary fractions the diagonal weighs 3 * fl(1/3) < 1 and loses
+        third, half = 1 / 3, 1 / 2
+        assert 3 * Fraction(third) < 1 == 2 * Fraction(half)
+        w = [[third, half, 0.0], [0.0, third, half], [0.0, 0.0, third]]
+        assert max_weight_matching(w) == [(0, 0), (1, 1), (2, 2)]
+        assert max_weight_matching(np.array(w).T) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_no_repeats_worst_case(self):
+        # nothing repeats, so no row or column shares a kind or a class:
+        # the solver's O(n^3) worst case
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(102)
+        start = time.monotonic()
+        for shape in [(60, 60), (60, 45), (45, 60)]:
+            w = rng.uniform(0.0, 1.0, shape)
+            pairs = max_weight_matching(w)
+            r, c = optimize.linear_sum_assignment(w, maximize=True)
+            assert len(pairs) == min(shape)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            assert sum(w[i, j] for i, j in pairs) == pytest.approx(w[r, c].sum(), rel=1e-12)
+        assert time.monotonic() - start < 30.0
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(100)
@@ -147,8 +173,8 @@ class TestMatching:
 
 
 def reference_hungarian_min(cost: np.ndarray) -> list:
-    """The numpy-scalar solver that the list-based _hungarian_min replaced,
-    kept verbatim as the oracle for its scan-order result."""
+    """A numpy-scalar potentials solver for square assignment, kept as a
+    weight oracle."""
     n = cost.shape[0]
     INF = np.inf
     u = np.zeros(n + 1)
@@ -211,22 +237,17 @@ def iou_like(rng, n_gen, n_gt, pool=6):
 class TestMatchingAgainstReference:
     SHAPES = [(1, 1), (59, 27), (27, 59), (59, 59), (120, 120), (120, 45), (45, 120)]
 
-    def test_same_pairs_as_reference_solver(self, monkeypatch):
+    def test_same_weight_as_reference_solver(self):
         rng = np.random.default_rng(300)
         shapes = self.SHAPES + [tuple(rng.integers(1, 41, size=2)) for _ in range(60)]
-        cases = []
         for k, (n_gen, n_gt) in enumerate(shapes):
             w = iou_like(rng, int(n_gen), int(n_gt), pool=(4, 6, 12)[k % 3])
-            cases.append((w, max_weight_matching(w)))
-        monkeypatch.setattr(evaluation, "_hungarian_min", reference_hungarian_min)
-        for w, pairs in cases:
-            assert pairs == max_weight_matching(w), f"shape {w.shape}"
+            assert_optimal(w, reference_hungarian_min)
 
-    def test_square_solver_returns_reference_assignment(self):
+    def test_square_matrices_weigh_as_reference_assignment(self):
         rng = np.random.default_rng(301)
         for n in (1, 2, 5, 17, 60):
-            cost = -iou_like(rng, n, n, pool=4)
-            assert evaluation._hungarian_min(cost) == reference_hungarian_min(cost)
+            assert_optimal(iou_like(rng, n, n, pool=4), reference_hungarian_min)
 
     def test_total_weight_matches_scipy(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -241,9 +262,9 @@ class TestMatchingAgainstReference:
 
 
 def list_hungarian_min(cost: np.ndarray) -> list:
-    """The list-based scan that _hungarian_min extends with the skips of
-    steps that cannot change its result, kept verbatim as the oracle for
-    those skips."""
+    """Square assignment by the potentials method on Python floats,
+    scanning rows and columns in ascending order, kept as a weight
+    oracle."""
     n = cost.shape[0]
     rows = cost.tolist()
     INF = float("inf")
@@ -288,12 +309,54 @@ def list_hungarian_min(cost: np.ndarray) -> list:
     return [(p[j] - 1, j - 1) for j in range(1, n + 1)]
 
 
-def padded_cost(w: np.ndarray) -> np.ndarray:
-    """The square cost matrix max_weight_matching hands the solver."""
+def exact_weights(w: np.ndarray) -> np.ndarray:
+    """The matching rule's integer weights, written out apart from the
+    solver: each positive value read as the fraction of denominator
+    <= 2**26 nearest to it if that rounds back to it, else exactly; a/b
+    weighs a*(L/b)*K + 1 over L, the lcm of the denominators, with
+    K = min(n_gen, n_gt) + 1; other entries weigh 0."""
+    exact = {}
+    for x in set(w[w > 0].tolist()):
+        q = Fraction(x).limit_denominator(1 << 26)
+        exact[x] = q if float(q) == x else Fraction(x)
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    k = min(w.shape) + 1
+    return np.array([[exact[x].numerator * (scale // exact[x].denominator) * k + 1
+                      if x > 0 else 0 for x in row] for row in w.tolist()],
+                    dtype=object).reshape(w.shape)
+
+
+def clipped_padded_cost(w: np.ndarray) -> np.ndarray:
+    """-w zero-padded to square, with non-positive weights at 0, so a
+    square assignment of least cost carries a maximum matching weight."""
     n = max(w.shape)
     square = np.zeros((n, n))
-    square[: w.shape[0], : w.shape[1]] = w
+    square[: w.shape[0], : w.shape[1]] = np.maximum(w, 0.0)
     return -square
+
+
+def assert_optimal(w: np.ndarray, weight_solver=list_hungarian_min):
+    """max_weight_matching(w) is a matching of the maximum weight, the
+    weight of weight_solver's assignment, and has as many pairs as
+    scipy's optimum on the rule's integer weights.  Those weights stay
+    below 2**53 on the inputs here, so scipy's floats hold them exactly."""
+    optimize = pytest.importorskip("scipy.optimize")
+    pairs = max_weight_matching(w)
+    assert pairs == sorted(pairs)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    assert all(w[i, j] > 0 for i, j in pairs)
+    total = sum(w[i, j] for i, j in pairs)
+    clipped = np.maximum(w, 0.0)
+    padded = weight_solver(clipped_padded_cost(w))
+    want = sum(clipped[i, j] for i, j in padded if i < w.shape[0] and j < w.shape[1])
+    assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
+    r, c = optimize.linear_sum_assignment(clipped, maximize=True)
+    assert total == pytest.approx(clipped[r, c].sum(), rel=1e-12, abs=1e-12)
+    ints = exact_weights(w)
+    assert int(ints.sum()) < 2**53
+    r, c = optimize.linear_sum_assignment(ints.astype(np.float64), maximize=True)
+    assert sum(ints[i, j] for i, j in pairs) == sum(ints[r, c])
+    assert len(pairs) == sum(1 for i, j in zip(r, c) if ints[i, j] > 0)
 
 
 def few_set_weights(rng, n_gen, n_gt, n_sets):
@@ -308,81 +371,89 @@ def few_set_weights(rng, n_gen, n_gt, n_sets):
     return iou_loop(ann, range(n_gen), range(n_gen, n_gen + n_gt))
 
 
-def assert_same_as_list_scan(cost, picks=None):
-    """The list scan's assignment on cost and, given a picks rng, also on
-    cost[:, picks] for a permutation and for a draw with replacement of
-    its columns, which moves and duplicates whole columns."""
-    assert evaluation._hungarian_min(cost) == list_hungarian_min(cost)
+def assert_optimal_on_columns(w, picks=None):
+    """assert_optimal on w and, given a picks rng, also on w[:, cols] for
+    a permutation and for a draw with replacement of its columns, which
+    moves and duplicates whole columns."""
+    assert_optimal(w)
     if picks is not None:
-        n = cost.shape[1]
+        n = w.shape[1]
         for cols in (picks.permutation(n), picks.integers(0, n, size=n)):
-            assert evaluation._hungarian_min(cost[:, cols]) == list_hungarian_min(cost[:, cols])
+            assert_optimal(w[:, cols])
 
 
-def signed_zeros(rng, cost):
-    """cost with its zeros set to 0.0 and -0.0 in about equal numbers."""
-    cost = cost.copy()
-    zeros = cost == 0.0
+def signed_zeros(rng, w):
+    """w with its zeros set to 0.0 and -0.0 in about equal numbers."""
+    w = w.copy()
+    zeros = w == 0.0
     signed = np.resize([0.0, -0.0], int(zeros.sum()))
     rng.shuffle(signed)
-    cost[zeros] = signed
-    return cost
+    w[zeros] = signed
+    return w
 
 
 class TestSkippedSteps:
-    """_hungarian_min skips zero-delta potential updates, rows equal to a
-    row relaxed since the last nonzero delta, and the rescans after them,
-    and scans one column per class of equal columns; it must return the
-    list scan's assignment on inputs full of those."""
+    """Tie-heavy inputs: zero padding, repeated rows and columns, equal
+    IoU values and signed zeros, where many matchings share the maximum
+    weight and differ in size."""
 
     @pytest.mark.parametrize("shape", [(59, 27), (59, 11), (27, 59)])
     def test_eval_sweep_shapes(self, shape):
         rng = np.random.default_rng(310 + shape[1])
         picks = np.random.default_rng(410 + shape[1])
         for n_sets in (2, 3, 5, 10, 10, 16):
-            w = few_set_weights(rng, *shape, n_sets)
-            assert_same_as_list_scan(padded_cost(w), picks)
+            assert_optimal_on_columns(few_set_weights(rng, *shape, n_sets), picks)
 
     def test_duplicated_random_rows(self):
-        # a few distinct rows of coarse random costs, each used many times:
-        # repeated rows give zero deltas, the distinct values nonzero ones
+        # a few distinct rows of coarse random weights, each used many
+        # times, with negative entries that are not edges
         rng = np.random.default_rng(311)
         picks = np.random.default_rng(411)
         for trial in range(40):
             n = int(rng.integers(2, 40))
             distinct = np.round(rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), n)), 1)
-            cost = distinct[rng.integers(0, len(distinct), size=n)]
-            assert_same_as_list_scan(cost, picks)
+            assert_optimal_on_columns(distinct[rng.integers(0, len(distinct), size=n)], picks)
 
     def test_signed_zeros(self):
+        # the sign of a zero changes no pair
         rng = np.random.default_rng(312)
         picks = np.random.default_rng(412)
         for trial in range(40):
             n = int(rng.integers(2, 30))
-            distinct = rng.choice([0.0, -0.25, -0.5, -1.0], size=(int(rng.integers(1, 5)), n))
-            cost = signed_zeros(rng, distinct[rng.integers(0, len(distinct), size=n)])
-            assert_same_as_list_scan(cost, picks)
-            assert_same_as_list_scan(np.where(cost == 0.0, -cost, cost), picks)
+            distinct = rng.choice([0.0, 0.25, 0.5, 1.0], size=(int(rng.integers(1, 5)), n))
+            w = distinct[rng.integers(0, len(distinct), size=n)]
+            assert_optimal_on_columns(signed_zeros(rng, w), picks)
+            pairs = max_weight_matching(w)
+            assert max_weight_matching(signed_zeros(rng, w)) == pairs
+            assert max_weight_matching(np.where(w == 0.0, -0.0, w)) == pairs
             # duplicated columns that differ only in the signs of their zeros
-            assert_same_as_list_scan(signed_zeros(picks, cost[:, picks.integers(0, n, size=n)]))
+            cols = w[:, picks.integers(0, n, size=n)]
+            assert max_weight_matching(signed_zeros(picks, cols)) == max_weight_matching(cols)
 
     def test_small_tie_heavy_matrices(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        values = st.sampled_from([0.0, -0.0, -0.25, -0.5, -1.0, -1 / 3, 0.5])
+        values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1 / 3, 2 / 3, -0.5])
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None)
         @hypothesis.given(data=st.data())
         def check(data):
-            n = data.draw(st.integers(1, 8))
-            k = data.draw(st.integers(1, n))
-            distinct = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+            n_gen = data.draw(st.integers(1, 8))
+            n_gt = data.draw(st.integers(1, 8))
+            k = data.draw(st.integers(1, n_gen))
+            distinct = data.draw(st.lists(st.lists(values, min_size=n_gt, max_size=n_gt),
                                           min_size=k, max_size=k))
-            pick = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-            cols = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-            cost = np.array([distinct[r] for r in pick])
-            assert_same_as_list_scan(cost)
-            assert_same_as_list_scan(cost[:, cols])
+            pick = data.draw(st.lists(st.integers(0, k - 1), min_size=n_gen, max_size=n_gen))
+            perm = data.draw(st.permutations(range(n_gt)))
+            cols = data.draw(st.lists(st.integers(0, n_gt - 1), min_size=n_gt, max_size=n_gt))
+            w = np.array([distinct[r] for r in pick])
+            assert_optimal(w)
+            assert_optimal(w[:, perm])
+            assert_optimal(w[:, cols])
+            if n_gen * n_gt <= 30:
+                pairs = max_weight_matching(w)
+                want_total, _ = brute_force_best(np.maximum(w, 0.0))
+                assert sum(w[i, j] for i, j in pairs) == pytest.approx(want_total, abs=1e-12)
 
         check()
 

@@ -16,13 +16,13 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 
 from .dataset import SynthConfig, load_corpus, synth_corpus, write_corpus
 from .discriminator import DiscriminatorConfig
 from .errors import ConfigError, ContractError, QsummError
 from .generator import GeneratorConfig, check_threshold, generator_forward, select_shots
 from .gradcheck import SUITE_TOLERANCE, component_suite
+from .matrix_io import write_atomic
 
 __all__ = ["run_cli", "main"]
 
@@ -86,7 +86,8 @@ def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as e:
+        # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -99,25 +100,14 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-# JSON value types a config field of each annotated type accepts; a
-# bool is never taken for a number, and an int is taken for a float
-_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,)}
-
-
 def _overlay(base_cls, defaults, section: dict, source: str):
-    types = typing.get_type_hints(base_cls)
-    unknown = set(section) - set(types)
+    unknown = set(section) - {f.name for f in dataclasses.fields(base_cls)}
     if unknown:
         raise ConfigError(f"{source}: unknown {base_cls.__name__} fields {sorted(unknown)}")
-    for name, value in section.items():
-        kind = types[name]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ACCEPTS[kind]):
-            raise ConfigError(
-                f"{source}: {base_cls.__name__}.{name} must be {kind.__name__}, got {value!r}"
-            )
-    merged = dict(defaults)
-    merged.update(section)
-    return base_cls(**merged)
+    try:
+        return base_cls(**{**defaults, **section})
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from None
 
 
 def _corpus_manifest(path) -> str:
@@ -235,10 +225,7 @@ def _cmd_summarize(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        tmp = f"{args.out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, args.out)
+        write_atomic(args.out, text)
         print(f"wrote {int(selected.sum())} selected shots to {args.out}")
     else:
         sys.stdout.write(text)

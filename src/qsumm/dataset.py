@@ -28,9 +28,10 @@ from .errors import (
     FormatError,
     GenerationError,
     QsummError,
-    require_finite_floats,
+    check_fields,
+    is_json_int,
 )
-from .matrix_io import load_feature_matrix, write_matrix
+from .matrix_io import load_feature_matrix, write_atomic, write_matrix
 from .rng import STREAMS, stream_rng
 
 __all__ = [
@@ -139,7 +140,7 @@ class SynthConfig:
     relevance_strength: float = 3.0
 
     def __post_init__(self):
-        require_finite_floats(self, "synth")
+        check_fields(self, "synth")
         for name in ("n_videos", "n_shots", "d_frame", "d_shot", "d_text"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synth: {name} must be >= 1, got {getattr(self, name)}")
@@ -370,11 +371,7 @@ def write_corpus(corpus: Corpus, out_dir) -> str:
         "splits": corpus.splits,
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return path
 
 
@@ -383,12 +380,8 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _require_concept(c, n_concepts: int, where: str) -> None:
-    _require(_is_int(c), f"{where}: concept id {c!r} is not an integer")
+    _require(is_json_int(c), f"{where}: concept id {c!r} is not an integer")
     _require(0 <= c < n_concepts, f"{where}: dangling concept id {c}")
 
 
@@ -412,7 +405,8 @@ def _load_corpus(manifest_path) -> Corpus:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"{manifest_path}: manifest is not UTF-8 JSON: {e}") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
     _require(manifest.get("format") == MANIFEST_FORMAT, f"{manifest_path}: not a corpus manifest")
@@ -427,7 +421,7 @@ def _load_corpus(manifest_path) -> Corpus:
     )
     for key in ("d_frame", "d_shot", "d_text"):
         _require(
-            _is_int(dims[key]) and dims[key] >= 1,
+            is_json_int(dims[key]) and dims[key] >= 1,
             f"{manifest_path}: dims {key} must be a positive integer, got {dims[key]!r}",
         )
     d_frame, d_shot, d_text = dims["d_frame"], dims["d_shot"], dims["d_text"]
@@ -490,7 +484,7 @@ def _load_corpus(manifest_path) -> Corpus:
             _require(a != b, f"video {vid} query {qi}: repeated concept {a}")
             gt = q["gt_mask"]
             _require(
-                isinstance(gt, list) and all(_is_int(v) and v in (0, 1) for v in gt),
+                isinstance(gt, list) and all(is_json_int(v) and v in (0, 1) for v in gt),
                 f"video {vid} query {qi}: gt mask entries must be the integers 0 and 1",
             )
             mask = np.array(gt, dtype=np.uint8)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, require_finite_floats
+from .errors import ConfigError, DimensionError, check_fields
 from .generator import GeneratorConfig
 # bilstm_forward stays importable here: perfbench/tracing.py wraps this name
 from .layers import (  # noqa: F401
@@ -65,9 +65,8 @@ class DiscriminatorConfig:
     d_fc3: int = 16
 
     def __post_init__(self):
-        require_finite_floats(self, "discriminator")
-        for name in ("d_summ_in", "d_vid_in", "d_h", "d_fc1", "d_fc2", "d_fc3"):
-            if getattr(self, name) < 1:
+        for name, kind in check_fields(self, "discriminator").items():
+            if kind == "int" and getattr(self, name) < 1:
                 raise ConfigError(f"discriminator: {name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod

@@ -45,11 +45,39 @@ class GenerationError(QsummError, RuntimeError):
     """The synthetic corpus generator could not satisfy its guarantees."""
 
 
-def require_finite_floats(cfg, section: str) -> None:
-    """Raise ConfigError for a NaN or infinite float field of a config
-    dataclass.  Range checks such as x <= 0 are false for NaN, so each
-    config runs this before its own checks."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{section}: {f.name} must be finite, got {value}")
+def is_json_int(value) -> bool:
+    """An int that is no bool: the one integer test for config fields,
+    checkpoint counts and the numbers of a corpus manifest."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return (is_json_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# annotated type name -> (test, what the message says a value must be)
+_FIELD_TYPES = {
+    "int": (is_json_int, "int"),
+    "float": (_is_finite_number, "finite float"),
+    "bool": (lambda v: isinstance(v, bool), "bool"),
+    "str": (lambda v: isinstance(v, str), "str"),
+}
+
+
+def check_fields(record, section: str) -> dict:
+    """Raise ConfigError unless every field of the dataclass `record`
+    holds its annotated type: an int is no bool, a float field takes an
+    int or a float that is finite as a float, and nothing is converted.
+    Range checks such as x <= 0 are false for NaN, so each record runs
+    this before its own.  Returns field name -> annotated type name."""
+    kinds = {}
+    for f in dataclasses.fields(record):
+        kind = kinds[f.name] = getattr(f.type, "__name__", f.type)
+        test, expected = _FIELD_TYPES[kind]
+        value = getattr(record, f.name)
+        if not test(value):
+            raise ConfigError(f"{section}: {f.name} must be {expected}, got {value!r}")
+    return kinds

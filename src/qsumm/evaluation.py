@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ import numpy as np
 from .dataset import Corpus, embed_query
 from .errors import ContractError, FormatError
 from .generator import GeneratorParams, check_threshold, generator_forward, select_shots
+from .matrix_io import write_atomic
 
 __all__ = [
     "QueryResult",
@@ -384,13 +384,6 @@ def evaluate(
     return evaluate_grid(gparams, corpus, split, (threshold,), predict)[0]
 
 
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_report_csv(report: EvalReport, path) -> None:
     """Per-query rows, then per-video means, then the corpus mean."""
     lines = ["video_id,query_id,scenario,precision,recall,f1"]
@@ -406,7 +399,7 @@ def write_report_csv(report: EvalReport, path) -> None:
     lines.append(
         f",,corpus-mean,{report.precision!r},{report.recall!r},{report.f1!r}"
     )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -421,7 +414,7 @@ def write_report_json(report: EvalReport, path) -> None:
         "per_video": report.per_video,
         "rows": [asdict(r) for r in report.rows],
     }
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def write_length_study(report: EvalReport, path) -> None:
@@ -431,4 +424,4 @@ def write_length_study(report: EvalReport, path) -> None:
         f"d,{report.d!r}",
         f"length_dev,{report.length_dev!r}",
     ]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

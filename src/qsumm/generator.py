@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, require_finite_floats
+from .errors import ConfigError, ContractError, DimensionError, check_fields
 from .layers import (
     LSTMParams,
     batchnorm_forward,
@@ -64,9 +64,8 @@ class GeneratorConfig:
     dropout_p: float = 0.5
 
     def __post_init__(self):
-        require_finite_floats(self, "generator")
-        for name in ("d_frame", "d_shot", "d_text", "d_fused", "d_qenc", "d_h", "d_pred"):
-            if getattr(self, name) < 1:
+        for name, kind in check_fields(self, "generator").items():
+            if kind == "int" and getattr(self, name) < 1:
                 raise ConfigError(f"generator: {name} must be >= 1, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ConfigError(f"generator: tau must be positive, got {self.tau}")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import FormatError, VersionError
 
-__all__ = ["write_matrix", "load_feature_matrix", "matrix_bytes", "matrix_from_bytes",
-           "encode_matrix", "parse_matrix_header", "HEADER_SIZE"]
+__all__ = ["write_atomic", "write_matrix", "load_feature_matrix", "matrix_bytes",
+           "matrix_from_bytes", "encode_matrix", "parse_matrix_header", "HEADER_SIZE"]
 
 MAGIC = b"QSFM"
 _HEADER = struct.Struct("<4sIQQ")
@@ -76,13 +76,17 @@ def matrix_from_bytes(buf: bytes, source: str = "<bytes>") -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def write_matrix(path, arr: np.ndarray, version: int = 1) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
-    data = matrix_bytes(arr, version=version)
+def write_atomic(path, data: bytes | str) -> None:
+    """Write data, a str as UTF-8, to a temp file in the same directory
+    in one call, then rename it over path."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def write_matrix(path, arr: np.ndarray, version: int = 1) -> None:
+    write_atomic(path, matrix_bytes(arr, version=version))
 
 
 def load_feature_matrix(path) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, is_json_int
 
 __all__ = ["STREAMS", "RngHub", "stream_rng"]
 
@@ -77,7 +77,7 @@ class RngHub:
         if not isinstance(state, dict):
             raise FormatError(f"rng state: need an object, got {type(state).__name__}")
         seed, streams = state.get("seed"), state.get("streams")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not is_json_int(seed) or seed < 0:
             raise FormatError(f"rng state: seed must be an integer >= 0, got {seed!r}")
         if not isinstance(streams, dict) or set(streams) != set(STREAMS):
             raise FormatError(f"rng state: streams must hold exactly {sorted(STREAMS)}")

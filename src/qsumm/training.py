@@ -42,7 +42,7 @@ from .errors import (
     FormatError,
     NumericError,
     VersionError,
-    require_finite_floats,
+    check_fields,
 )
 from .generator import (
     GeneratorConfig,
@@ -104,7 +104,7 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        require_finite_floats(self, "train")
+        check_fields(self, "train")
         if self.seed < 0:
             raise ConfigError(f"train: seed must be >= 0, got {self.seed}")
         if self.max_steps < 1:
@@ -134,6 +134,27 @@ class TrainConfig:
 
     def effective_omega(self) -> float:
         return 1.0 if self.two_player else self.omega
+
+
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """A checkpoint's "meta" section: step counts and the best val F1."""
+
+    step: int
+    best_val_f1: float
+    best_val_step: int
+    gen_opt_step: int
+    disc_opt_step: int
+    format: str = "qsumm-checkpoint"
+
+    def __post_init__(self):
+        for name, kind in check_fields(self, "meta").items():
+            if kind == "int" and getattr(self, name) < 0:
+                raise ConfigError(f"meta: {name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.best_val_f1 <= 1.0:
+            raise ConfigError(f"meta: best_val_f1 must be in [0, 1], got {self.best_val_f1}")
+        if self.format != "qsumm-checkpoint":
+            raise ConfigError(f"meta: unexpected format tag {self.format!r}")
 
 
 def loss_summ(s, s_g) -> Tensor:
@@ -232,36 +253,24 @@ def _check_finite(value: float, step: int, term: str) -> float:
     return value
 
 
-def _check_tau(gen_cfg, cfg) -> None:
-    if gen_cfg.tau != cfg.tau:
+def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
+    """The given model configs, checked against the corpus, cfg and each
+    other; a missing one is built to fit them."""
+    if gen_cfg is None:
+        gen_cfg = GeneratorConfig(**corpus.dims, tau=cfg.tau)
+    elif gen_cfg.tau != cfg.tau:
         raise ConfigError(
             f"train: generator tau {gen_cfg.tau} conflicts with training tau {cfg.tau}"
         )
-
-
-def _check_dims(corpus, gen_cfg) -> None:
-    for name in ("d_frame", "d_shot", "d_text"):
-        if getattr(gen_cfg, name) != corpus.dims[name]:
+    for name, want in corpus.dims.items():
+        if getattr(gen_cfg, name) != want:
             raise ConfigError(
                 f"train: generator {name}={getattr(gen_cfg, name)} does not match "
-                f"corpus {name}={corpus.dims[name]}"
+                f"corpus {name}={want}"
             )
-
-
-def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
-    if gen_cfg is None:
-        gen_cfg = GeneratorConfig(
-            d_frame=corpus.dims["d_frame"],
-            d_shot=corpus.dims["d_shot"],
-            d_text=corpus.dims["d_text"],
-            tau=cfg.tau,
-        )
-    else:
-        _check_tau(gen_cfg, cfg)
-    _check_dims(corpus, gen_cfg)
-    if disc_cfg is None:
-        disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
     expect = DiscriminatorConfig.for_generator(gen_cfg)
+    if disc_cfg is None:
+        disc_cfg = expect
     if (disc_cfg.d_summ_in, disc_cfg.d_vid_in) != (expect.d_summ_in, expect.d_vid_in):
         raise ConfigError(
             "train: discriminator branch widths do not match the generator's outputs"
@@ -294,15 +303,14 @@ def train(
         raise ContractError("train: corpus has no videos")
     if resume is not None:
         gen_cfg, disc_cfg = resume.gen_cfg, resume.disc_cfg
-        _check_tau(gen_cfg, cfg)
-        _check_dims(corpus, gen_cfg)
+    gen_cfg, disc_cfg = _resolve_configs(corpus, cfg, gen_cfg, disc_cfg)
+    if resume is not None:
         gparams, dparams = resume.gen_params, resume.disc_params
         gen_opt, disc_opt = resume.gen_opt, resume.disc_opt
         hub = RngHub.from_state(resume.rng_state)
         start_step = resume.step
         best_f1, best_step = resume.best_val_f1, resume.best_val_step
     else:
-        gen_cfg, disc_cfg = _resolve_configs(corpus, cfg, gen_cfg, disc_cfg)
         hub = RngHub(cfg.seed)
         gparams = init_generator_params(gen_cfg, hub["init"])
         dparams = init_discriminator_params(disc_cfg, hub["init"])
@@ -507,15 +515,14 @@ def _config_sizes(gen_cfg, disc_cfg) -> dict:
 
 def _sections_of(ckpt: Checkpoint):
     """(name, payload parts) in file order; tensors yield (header, array)."""
-    meta = {
-        "format": "qsumm-checkpoint",
-        "step": ckpt.step,
-        "best_val_f1": ckpt.best_val_f1,
-        "best_val_step": ckpt.best_val_step,
-        "gen_opt_step": ckpt.gen_opt.step,
-        "disc_opt_step": ckpt.disc_opt.step,
-    }
-    yield "meta", (json.dumps(meta, sort_keys=True).encode("utf-8"),)
+    meta = CheckpointMeta(
+        step=ckpt.step,
+        best_val_f1=ckpt.best_val_f1,
+        best_val_step=ckpt.best_val_step,
+        gen_opt_step=ckpt.gen_opt.step,
+        disc_opt_step=ckpt.disc_opt.step,
+    )
+    yield "meta", (_config_json(meta),)
     yield "cfg/train", (_config_json(ckpt.train_cfg),)
     yield "cfg/gen", (_config_json(ckpt.gen_cfg),)
     yield "cfg/disc", (_config_json(ckpt.disc_cfg),)
@@ -653,29 +660,17 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
             raw = _read_exact(fh, n, source)
             try:
                 return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
+            except (ValueError, RecursionError) as e:
                 raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
 
         def config(cls, name: str):
-            fields = parse(name)
-            if not isinstance(fields, dict):
-                raise FormatError(f"{source}: section {name!r} is not a JSON object")
             try:
-                return cls(**fields)
-            except TypeError as e:
+                return cls(**parse(name))
+            except (ConfigError, TypeError) as e:
                 raise FormatError(f"{source}: section {name!r}: {e}") from None
 
-        meta = parse("meta")
-        if not isinstance(meta, dict):
-            raise FormatError(f"{source}: section 'meta' is not a JSON object")
-        if meta.get("format") != "qsumm-checkpoint":
-            raise FormatError(f"{source}: unexpected meta format tag {meta.get('format')!r}")
-        try:
-            counts = {k: int(meta[k])
-                      for k in ("step", "best_val_step", "gen_opt_step", "disc_opt_step")}
-            best_val_f1 = float(meta["best_val_f1"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{source}: bad or missing meta field: {e!r}") from None
+        meta = config(CheckpointMeta, "meta")
         train_cfg = config(TrainConfig, "cfg/train")
         gen_cfg = config(GeneratorConfig, "cfg/gen")
         disc_cfg = config(DiscriminatorConfig, "cfg/disc")
@@ -688,8 +683,6 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
         # every tensor section's size is checked against the configs before
         # any array is allocated, so a config with huge dims cannot allocate
         sizes = _config_sizes(gen_cfg, disc_cfg)
-        if not all(isinstance(n, int) for n in sizes.values()):
-            raise FormatError(f"{source}: configs do not describe a model (non-integer dims)")
         dtypes = {}
         for name, count in sizes.items():
             off, n = need(name)
@@ -705,7 +698,7 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
 
         gparams = init_generator_params(gen_cfg, _NoDraws)
         ckpt = Checkpoint(
-            step=counts["step"],
+            step=meta.step,
             train_cfg=train_cfg,
             gen_cfg=gen_cfg,
             disc_cfg=disc_cfg,
@@ -714,17 +707,17 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
             gen_opt=None,
             disc_opt=None,
             rng_state=rng_state,
-            best_val_f1=best_val_f1,
-            best_val_step=counts["best_val_step"],
+            best_val_f1=meta.best_val_f1,
+            best_val_step=meta.best_val_step,
         )
         if generator_only:
             arrays = _tensor_sections(_arrays(gparams), {}, {}, {})
         else:
             ckpt.disc_params = init_discriminator_params(disc_cfg, _NoDraws)
             ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())
-            ckpt.gen_opt.step = counts["gen_opt_step"]
+            ckpt.gen_opt.step = meta.gen_opt_step
             ckpt.disc_opt = OptimizerState.for_params(ckpt.disc_params.tensors())
-            ckpt.disc_opt.step = counts["disc_opt_step"]
+            ckpt.disc_opt.step = meta.disc_opt_step
             arrays = _checkpoint_arrays(ckpt)
         scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
         for name, count in sizes.items():

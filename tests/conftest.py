@@ -47,3 +47,18 @@ def check_grads(f, params, eps=1e-5, tol=1e-6):
     for name in params:
         err = max_rel_err(auto[name], num[name])
         assert err < tol, f"{name}: max relative error {err:.3g} >= {tol}"
+
+
+def json_values(st):
+    """A hypothesis strategy for any JSON value: null, bools, ints up to
+    401 digits, floats with NaN and the infinities, strings, lists and
+    objects."""
+    huge = st.sampled_from([2**63, 2**1024, 10**400, -(10**400)])
+    leaves = (st.none() | st.booleans() | st.integers() | huge | st.floats()
+              | st.text(max_size=4))
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )

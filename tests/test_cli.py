@@ -3,15 +3,19 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
+from conftest import json_values
 from test_training import write_sections
+from qsumm import cli
 from qsumm.cli import run_cli
 from qsumm.dataset import SynthConfig
 from qsumm.discriminator import DiscriminatorConfig
@@ -209,8 +213,11 @@ class TestExitCodes:
         ("rng", lambda b: b"[1,"),
         ("meta", lambda b: json.dumps(
             {k: v for k, v in json.loads(b).items() if k != "step"}).encode()),
+        ("meta", lambda b: b.replace(b'"step": ', b'"step": 1' + b"0" * 5000 + b", \"x\": ")),
+        ("meta", lambda b: b"[" * 100_000 + b"]" * 100_000),
     ], ids=["cfg-unknown-key", "cfg-float-dim", "meta-not-utf8", "meta-bad-json", "cfg-bad-json",
-            "rng-bad-json", "meta-without-step"])
+            "rng-bad-json", "meta-without-step", "meta-int-of-5001-digits",
+            "meta-nested-too-deep"])
     def test_malformed_checkpoint_section_is_runtime_error(
             self, workspace, tmp_path, capsys, section, edit):
         sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
@@ -371,8 +378,10 @@ class TestConfigFile:
         ({"train": {"lr_gen": float("nan")}}, "lr_gen must be finite"),
         ({"train": {"clip_c": float("nan")}}, "clip_c must be finite"),
         ({"synth": {"relevance_strength": float("nan")}}, "relevance_strength must be finite"),
+        # a JSON integer too large for a float
+        ({"synth": {"relevance_strength": 10**400}}, "relevance_strength must be finite"),
     ], ids=["train-int", "train-list", "synth-str", "lr_gen-nan", "clip_c-nan",
-            "relevance_strength-nan"])
+            "relevance_strength-nan", "relevance_strength-int-1e400"])
     def test_bad_section_rejected(self, tmp_path, workspace, capsys, doc, message):
         if "synth" in doc:
             argv = ["synth", "--out", str(tmp_path / "c")]
@@ -382,6 +391,20 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("raw", [
+        b'{"synth": {"n_videos": "\xff"}}',
+        b'{"synth": {"n_videos": 1' + b"0" * 5000 + b"}}",
+        b'{"synth": {"n_videos": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}",
+    ], ids=["not-utf8", "int-of-5001-digits", "nested-too-deep"])
+    def test_undecodable_config_rejected(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        out = tmp_path / "c"
+        assert run_cli(["synth", "--out", str(out), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not valid JSON" in err
+        assert not out.exists()
 
     def test_int_accepted_in_float_field(self, tmp_path):
         cfg = write_config(tmp_path, {"synth": dict(MINI["synth"], relevance_strength=2)})
@@ -412,6 +435,59 @@ class TestConfigFile:
         assert a != (out_c / "metrics.csv").read_bytes()
 
 
+CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
+
+
+def violates_type(kind, value) -> bool:
+    """The type rule, written out apart from the library: an int field
+    takes an int, a bool field a bool, and a float field an int or a
+    float that is finite as a float."""
+    if kind in (int, bool):
+        return type(value) is not kind
+    try:
+        return type(value) not in (int, float) or not math.isfinite(value)
+    except OverflowError:
+        return True
+
+
+def test_any_json_value_builds_or_raises_config_error(workspace, tmp_path, capsys):
+    """For any JSON value in one field of a config section, the config
+    layer builds the config or raises ConfigError.  A value of the wrong
+    type also fails end to end: exit 2, an error line, no output."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [(section, name, kind) for section, cls in CONFIG_SECTIONS.items()
+              for name, kind in typing.get_type_hints(cls).items()]
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(field=st.sampled_from(fields), value=json_values(st))
+    def check(field, value):
+        section, name, kind = field
+        path = write_config(tmp_path, {section: {name: value}})
+        cls = CONFIG_SECTIONS[section]
+        doc = cli._load_config_file(path)
+        try:
+            cli._overlay(cls, dataclasses.asdict(cls()), doc[section], path)
+            built = True
+        except ConfigError:
+            built = False
+        if not violates_type(kind, value):
+            return
+        assert not built
+        out = tmp_path / "out"
+        if section == "synth":
+            argv = ["synth", "--out", str(out)]
+        else:
+            argv = ["train", "--corpus", workspace["corpus"], "--out", str(out)]
+        assert run_cli(argv + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    check()
+
+
 # every float field of the four config dataclasses; DiscriminatorConfig
 # has only int fields
 FLOAT_FIELDS = [
@@ -422,8 +498,8 @@ FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-too-large-for-a-float"])
 @pytest.mark.parametrize("cls, field", FLOAT_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
 def test_non_finite_config_float_rejected(cls, field, value):

@@ -266,6 +266,14 @@ class TestCorpusRoundTrip:
         for name in names_a:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_manifest_is_sorted_indented_json(self, tmp_path):
+        # the manifest's bytes are a format: sorted keys, indent 1, a final
+        # newline; every file is renamed into place, so no temp file stays
+        write_corpus(synth_corpus(self.cfg, seed=8), tmp_path / "a")
+        text = (tmp_path / "a" / "manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+        assert not [n for n in os.listdir(tmp_path / "a") if n.endswith(".tmp")]
+
     def test_minimal_manifest_roundtrip(self, tmp_path):
         table = ConceptTable(
             embeddings=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]], dtype=np.float32).astype(np.float64),
@@ -332,6 +340,20 @@ class TestCorpusRoundTrip:
         edit(doc)
         open(manifest, "w").write(json.dumps(doc))
         with pytest.raises(FormatError, match=match):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b'"dims": {', b'"dims": {"x": 1' + b"0" * 5000 + b", ", 1),
+        lambda b: b.replace(b'"dims": {', b'"x": ' + b"[" * 100_000 + b"]" * 100_000
+                            + b', "dims": {', 1),
+    ], ids=["int-of-5001-digits", "nested-too-deep"])
+    def test_undecodable_manifest_is_format_error(self, tmp_path, edit):
+        manifest = self._written(tmp_path)
+        with open(manifest, "rb") as fh:
+            blob = fh.read()
+        with open(manifest, "wb") as fh:
+            fh.write(edit(blob))
+        with pytest.raises(FormatError):
             load_corpus(manifest)
 
     def test_damaged_manifest_bytes_raise_typed_errors(self, tmp_path):

@@ -53,25 +53,36 @@ def mini_params():
     return init_generator_params(MINI_GEN, np.random.default_rng(22))
 
 
+def exact_iou(x: float) -> Fraction:
+    """x read as the fraction of denominator <= 2**26 nearest to it if
+    that rounds back to x, else exactly: the matching rule's reading."""
+    q = Fraction(x).limit_denominator(1 << 26)
+    return q if float(q) == x else Fraction(x)
+
+
 def brute_force_best(w: np.ndarray):
-    """Max total weight and its positive-pair count over all assignments."""
+    """Over all assignments, the maximum total weight and, among the
+    assignments of that exact total, the most positive pairs.  Weights
+    are read by exact_iou and summed as integers over their common
+    denominator, so equal totals compare equal."""
     n_gen, n_gt = w.shape
-    best_total, best_count = 0.0, 0
     if n_gen == 0 or n_gt == 0:
-        return best_total, best_count
+        return 0.0, 0
+    exact = {x: exact_iou(x) for x in set(w[w > 0].tolist())}
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    ints = [[exact[x].numerator * (scale // exact[x].denominator) if x > 0 else 0
+             for x in row] for row in w.tolist()]
     if n_gen <= n_gt:
-        for cols in itertools.permutations(range(n_gt), n_gen):
-            total = sum(w[i, j] for i, j in enumerate(cols))
-            if total > best_total:
-                best_total = total
-                best_count = sum(1 for i, j in enumerate(cols) if w[i, j] > 0)
+        assignments = (list(enumerate(cols))
+                       for cols in itertools.permutations(range(n_gt), n_gen))
     else:
-        for rows in itertools.permutations(range(n_gen), n_gt):
-            total = sum(w[i, j] for j, i in enumerate(rows))
-            if total > best_total:
-                best_total = total
-                best_count = sum(1 for j, i in enumerate(rows) if w[i, j] > 0)
-    return best_total, best_count
+        assignments = ([(i, j) for j, i in enumerate(rows)]
+                       for rows in itertools.permutations(range(n_gen), n_gt))
+    best = (0, 0)
+    for pairs in assignments:
+        edges = [ints[i][j] for i, j in pairs if ints[i][j] > 0]
+        best = max(best, (sum(edges), len(edges)))
+    return best[0] / scale, best[1]
 
 
 class TestIou:
@@ -143,13 +154,27 @@ class TestMatching:
         assert time.monotonic() - start < 30.0
 
     def test_brute_force_oracle(self):
+        # uniform draws, then tie-heavy ones: the IoU matrices of few
+        # concept sets and matrices of a few coarse fractions, where
+        # matchings of the same exact total can differ in size.  The two
+        # fixed matrices are such ties: {(0, 0)} and {(0, 1), (1, 0)} both
+        # weigh 1, and so do the diagonal and {(0, 1), (1, 2)}
         rng = np.random.default_rng(100)
+        fixed = [np.array([[1.0, 0.5], [0.5, 0.0]]),
+                 np.array([[1 / 3, 1 / 2, 0.0], [0.0, 1 / 3, 1 / 2], [0.0, 0.0, 1 / 3]])]
         start = time.monotonic()
-        for trial in range(200):
+        for trial in range(600 + len(fixed)):
             n_gen = int(rng.integers(1, 7))
             n_gt = int(rng.integers(1, 7))
-            w = rng.uniform(0, 1, (n_gen, n_gt))
-            w[rng.uniform(size=w.shape) < 0.3] = 0.0
+            if trial < 200:
+                w = rng.uniform(0, 1, (n_gen, n_gt))
+                w[rng.uniform(size=w.shape) < 0.3] = 0.0
+            elif trial < 400:
+                w = few_set_weights(rng, n_gen, n_gt, int(rng.integers(2, 6)))
+            elif trial < 600:
+                w = rng.choice([0.0, 0.0, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4, 1.0], (n_gen, n_gt))
+            else:
+                w = fixed[trial - 600]
             pairs = max_weight_matching(w)
             total = sum(w[i, j] for i, j in pairs)
             want_total, want_count = brute_force_best(w)
@@ -315,10 +340,7 @@ def exact_weights(w: np.ndarray) -> np.ndarray:
     <= 2**26 nearest to it if that rounds back to it, else exactly; a/b
     weighs a*(L/b)*K + 1 over L, the lcm of the denominators, with
     K = min(n_gen, n_gt) + 1; other entries weigh 0."""
-    exact = {}
-    for x in set(w[w > 0].tolist()):
-        q = Fraction(x).limit_denominator(1 << 26)
-        exact[x] = q if float(q) == x else Fraction(x)
+    exact = {x: exact_iou(x) for x in set(w[w > 0].tolist())}
     scale = math.lcm(*(q.denominator for q in exact.values()))
     k = min(w.shape) + 1
     return np.array([[exact[x].numerator * (scale // exact[x].denominator) * k + 1

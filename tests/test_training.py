@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import check_grads
+from conftest import check_grads, json_values
 from test_discriminator import reference_critic_scores
 from qsumm import discriminator
 from qsumm import training
@@ -187,6 +187,28 @@ class TestConfigValidation:
     def test_two_player_forces_omega(self):
         cfg = TrainConfig(two_player=True, omega=0.5)
         assert cfg.effective_omega() == 1.0
+
+
+class TestFieldTypes:
+    """Every config field holds its annotated type, and nothing is converted."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TrainConfig(max_steps=True), "max_steps must be int, got True"),
+        (lambda: TrainConfig(seed=1.5), "seed must be int, got 1.5"),
+        (lambda: TrainConfig(no_length=1), "no_length must be bool, got 1"),
+        (lambda: GeneratorConfig(d_h=32.0), "d_h must be int, got 32.0"),
+        (lambda: GeneratorConfig(d_h="32"), "d_h must be int, got '32'"),
+        (lambda: SynthConfig(n_shots=60.0), "n_shots must be int, got 60.0"),
+        (lambda: DiscriminatorConfig(d_fc1=None), "d_fc1 must be int, got None"),
+    ], ids=["bool-max_steps", "float-seed", "int-no_length", "float-d_h", "str-d_h",
+            "float-n_shots", "null-d_fc1"])
+    def test_wrong_type_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_int_in_float_field_stays_int(self):
+        cfg = TrainConfig(clip_c=1, tau=2)
+        assert type(cfg.clip_c) is int and type(cfg.tau) is int
 
 
 class TestPhaseSeparation:
@@ -792,15 +814,72 @@ class TestCheckpointV1:
                 load(path)
 
 
+def with_json_fields(ckpt, path, section: str, **fields):
+    """Save ckpt to path with fields set in one JSON section."""
+    save_checkpoint(ckpt, path)
+    sections = reference_read_sections(path.read_bytes(), "ckpt")
+    edited = {**json.loads(sections[section]), **fields}
+    sections[section] = json.dumps(edited, sort_keys=True).encode("utf-8")
+    write_sections(path, sections)
+    return path
+
+
+class TestCheckpointFieldTypes:
+    """Each value of the meta and cfg/* sections is checked against its
+    record's annotation and range; both loaders raise FormatError."""
+
+    @pytest.mark.parametrize("section, fields, message", [
+        ("meta", {"step": 2.9}, "step must be int"),
+        ("meta", {"step": "7"}, "step must be int"),
+        ("meta", {"step": True}, "step must be int"),
+        ("meta", {"best_val_f1": float("nan")}, "best_val_f1 must be finite"),
+        ("meta", {"best_val_f1": 1.5}, r"best_val_f1 must be in \[0, 1\]"),
+        ("meta", {"gen_opt_step": -1}, "gen_opt_step must be >= 0"),
+        ("meta", {"format": "other"}, "unexpected format tag"),
+        ("cfg/train", {"no_length": 1}, "no_length must be bool"),
+        ("cfg/train", {"max_steps": 2.5}, "max_steps must be int"),
+        ("cfg/gen", {"d_h": 0}, "d_h must be >= 1"),
+        ("cfg/gen", {"dropout_p": True}, "dropout_p must be finite"),
+    ], ids=["meta-float-step", "meta-str-step", "meta-bool-step", "meta-nan-f1",
+            "meta-f1-above-1", "meta-negative-opt-step", "meta-format", "train-int-bool",
+            "train-float-int", "gen-zero-width", "gen-bool-float"])
+    def test_bad_field_is_format_error(self, mini_checkpoint, tmp_path, section, fields,
+                                       message):
+        path = with_json_fields(mini_checkpoint, tmp_path / "bad.qsck", section, **fields)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match=f"'{section}': .*{message}"):
+                load(path)
+
+    def test_any_json_value_loads_or_raises_format_error(self, mini_checkpoint, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path / "drawn.qsck"
+        save_checkpoint(mini_checkpoint, path)
+        base = reference_read_sections(path.read_bytes(), "ckpt")
+        keys = [(section, key) for section in ("meta", "cfg/train", "cfg/gen", "cfg/disc")
+                for key in json.loads(base[section])]
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                             suppress_health_check=list(hypothesis.HealthCheck))
+        @hypothesis.given(key=st.sampled_from(keys), value=json_values(st))
+        def check(key, value):
+            section, name = key
+            sections = dict(base)
+            edited = {**json.loads(base[section]), name: value}
+            sections[section] = json.dumps(edited).encode("utf-8")
+            write_sections(path, sections)
+            for load in (load_checkpoint, load_generator):
+                try:
+                    load(path)
+                except FormatError:
+                    pass
+
+        check()
+
+
 class TestCheckpointSizes:
     def _with_gen_cfg(self, mini_checkpoint, tmp_path, **fields):
-        path = tmp_path / "dims.qsck"
-        save_checkpoint(mini_checkpoint, path)
-        sections = reference_read_sections(path.read_bytes(), "ckpt")
-        cfg = {**json.loads(sections["cfg/gen"]), **fields}
-        sections["cfg/gen"] = json.dumps(cfg, sort_keys=True).encode("utf-8")
-        write_sections(path, sections)
-        return path
+        return with_json_fields(mini_checkpoint, tmp_path / "dims.qsck", "cfg/gen", **fields)
 
     def test_huge_config_dims_rejected_before_allocation(self, mini_checkpoint, tmp_path):
         # d_h = 2**20 makes enc_fwd_wh 2**20 x 2**22 float64 (32 TiB): any
@@ -918,6 +997,17 @@ class TestResume:
         cfg = dataclasses.replace(MINI_TRAIN, max_steps=4)
         with pytest.raises(ConfigError, match="d_text=6 does not match corpus d_text=7"):
             train(wider, cfg, out_dir=tmp_path, resume=result.checkpoint)
+        assert not os.path.exists(tmp_path / "metrics.csv")
+
+    def test_critic_widths_checked_on_resume(self, mini_corpus, tmp_path):
+        # a resume resolves its checkpoint's configs as a fresh run does
+        ckpt = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
+                     gen_cfg=MINI_GEN).checkpoint
+        wide = dataclasses.replace(ckpt.disc_cfg, d_vid_in=ckpt.disc_cfg.d_vid_in + 1)
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=4)
+        with pytest.raises(ConfigError, match="discriminator branch widths"):
+            train(mini_corpus, cfg, out_dir=tmp_path,
+                  resume=dataclasses.replace(ckpt, disc_cfg=wide))
         assert not os.path.exists(tmp_path / "metrics.csv")
 
     def test_tau_conflict_on_resume_rejected(self, mini_corpus, tmp_path):

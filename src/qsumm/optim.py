@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import Tensor
 
 __all__ = ["OptimizerState", "rmsprop_step", "clip_weights"]
 

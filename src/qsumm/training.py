@@ -20,10 +20,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .dataset import Corpus, sample_batch
 from .discriminator import (
     DiscriminatorConfig,
@@ -225,6 +226,12 @@ class MetricsRow:
 
 @dataclass
 class Checkpoint:
+    """The whole training state after `step` generator steps.
+
+    train() runs on one of these: a fresh run on the step-0 state that
+    the seed initializes, a resume on the state it is given.
+    """
+
     step: int
     train_cfg: TrainConfig
     gen_cfg: GeneratorConfig
@@ -242,7 +249,6 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     metrics: list
-    counters: dict = field(default_factory=dict)
     metrics_path: str | None = None
     checkpoint_path: str | None = None
 
@@ -278,6 +284,139 @@ def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
     return gen_cfg, disc_cfg
 
 
+def _initial_state(cfg, gen_cfg, disc_cfg, init_rng=None) -> Checkpoint:
+    """Step 0 of cfg.seed: weights drawn from init_rng, by default the
+    seed's init stream, and zero optimizer state."""
+    hub = RngHub(cfg.seed)
+    init_rng = hub["init"] if init_rng is None else init_rng
+    gparams = init_generator_params(gen_cfg, init_rng)
+    dparams = init_discriminator_params(disc_cfg, init_rng)
+    return Checkpoint(
+        step=0,
+        train_cfg=cfg,
+        gen_cfg=gen_cfg,
+        disc_cfg=disc_cfg,
+        gen_params=gparams,
+        disc_params=dparams,
+        gen_opt=OptimizerState.for_params(gparams.tensors()),
+        disc_opt=OptimizerState.for_params(dparams.tensors()),
+        rng_state=hub.state(),
+    )
+
+
+def _critic_update(state: Checkpoint, corpus, hub: RngHub, step: int) -> float:
+    """n_critic critic updates, each on a fresh batch: RMSProp, then clipping.
+
+    Returns the loss of the last update.
+    """
+    cfg = state.train_cfg
+    disc_tensors = state.disc_params.tensors()
+    for _ in range(cfg.n_critic):
+        batch = sample_batch(corpus, hub["sampling"], cfg.segment_len)
+        # generator runs outside the tape: its outputs are constants here
+        fwd = generator_forward(
+            state.gen_params, batch.frame, batch.shot, batch.query_emb,
+            train=True, rng=hub["dropout"],
+        )
+        r = None if cfg.two_player else random_scores(batch.length, hub["random-summary"])
+        with Tape(watch=disc_tensors.values()) as tape:
+            summs = [
+                summary_repr(fwd.f_eq, batch.gt, "ground-truth"),
+                summary_repr(fwd.f_eq, fwd.s, "generated"),
+            ]
+            if r is not None:
+                summs.append(summary_repr(fwd.f_eq, r, "random"))
+            scores = critic_scores(summs, fwd.f_vq, state.disc_params)
+            d_r = scores[2] if r is not None else None
+            try:
+                c_loss, _ = adversarial_losses(scores[0], scores[1], d_r, cfg.effective_omega())
+            except NumericError as e:
+                raise NumericError(f"training aborted at step {step}: {e}") from None
+        loss = _check_finite(float(c_loss), step, "critic_loss")
+        tape.backward(c_loss)
+        rmsprop_step(disc_tensors, state.disc_opt, cfg.lr_critic, cfg.decay)
+        clip_weights(disc_tensors, cfg.clip_c)
+    return loss
+
+
+def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
+                      critic_loss: float) -> MetricsRow:
+    """One generator update on a fresh batch; returns the step's log row.
+
+    The loss_summ and loss_length columns hold the lambda-weighted terms,
+    so total_gen is exactly the float sum of the three logged components.
+    """
+    cfg = state.train_cfg
+    gen_tensors = state.gen_params.tensors()
+    batch = sample_batch(corpus, hub["sampling"], cfg.segment_len)
+    with Tape(watch=gen_tensors.values()) as tape:
+        fwd = generator_forward(
+            state.gen_params, batch.frame, batch.shot, batch.query_emb,
+            train=True, rng=hub["dropout"],
+        )
+        # only the generated-summary branch feeds the generator update
+        q_summ = summary_repr(fwd.f_eq, fwd.s, "generated")
+        d_q = critic(q_summ, fwd.f_vq, state.disc_params)
+        total = gen_adv = mul(d_q, -cfg.effective_omega())
+        ls_w = ll_w = 0.0
+        if not cfg.no_summ:
+            ls = mul(loss_summ(fwd.s, batch.gt), cfg.lambda_summ)
+            ls_w = _check_finite(float(ls), step, "loss_summ")
+            total = total + ls
+        if not cfg.no_length:
+            ll = mul(loss_length(fwd.k, batch.gamma), cfg.lambda_len)
+            ll_w = _check_finite(float(ll), step, "loss_length")
+            total = total + ll
+    adv_val = _check_finite(float(gen_adv), step, "gen_adv")
+    total_val = _check_finite(float(total), step, "total_gen")
+    tape.backward(total)
+    rmsprop_step(gen_tensors, state.gen_opt, cfg.lr_gen, cfg.decay)
+    return MetricsRow(step, critic_loss, adv_val, ls_w, ll_w, total_val)
+
+
+def _validate(state: Checkpoint, corpus, best_path) -> None:
+    """Score the val split at threshold 0.5 and keep a new best F1, saved
+    to best_path when there is one."""
+    report = evaluation.evaluate(state.gen_params, corpus, "val", threshold=0.5)
+    if report.f1 > state.best_val_f1:
+        state.best_val_f1, state.best_val_step = report.f1, state.step
+        _save(state, best_path)
+
+
+def _save(state: Checkpoint, path) -> None:
+    if path is not None:
+        save_checkpoint(state, path)
+
+
+def _row_step(line: bytes) -> int:
+    """The step of a metrics.csv row; -1 for the header."""
+    head = line.split(b",", 1)[0]
+    return int(head) if head.isdigit() else -1
+
+
+def _open_log(path, step: int):
+    """metrics.csv, opened to append the rows after `step`.
+
+    The file keeps its header and its rows up to `step`; rows above it,
+    left by a run that went further, are dropped.  A step-0 state keeps
+    no rows, so its file starts over.  The last row tells whether any
+    must go, so a resume onto its own log rewrites nothing.
+    """
+    if step == 0 or not os.path.exists(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(METRICS_HEADER + "\n")
+        return open(path, "a", encoding="utf-8")
+    with open(path, "rb") as fh:
+        fh.seek(max(0, os.fstat(fh.fileno()).st_size - 4096))
+        tail = fh.read().splitlines()
+        if tail and _row_step(tail[-1]) > step:
+            fh.seek(0)
+            kept = [line for line in fh if _row_step(line) <= step]
+            with open(path, "wb") as out:
+                out.writelines(kept)
+    return open(path, "a", encoding="utf-8")
+
+
 def train(
     corpus: Corpus,
     cfg: TrainConfig,
@@ -285,184 +424,56 @@ def train(
     disc_cfg: DiscriminatorConfig | None = None,
     out_dir=None,
     resume: Checkpoint | None = None,
-    eval_threshold: float = 0.5,
 ) -> TrainResult:
-    """Run the alternating loop from scratch or from a checkpoint.
+    """Run generator steps state.step+1 .. cfg.max_steps of the alternating loop.
 
-    With out_dir set, appends one CSV row per generator step to
-    out_dir/metrics.csv (creating it with a header when absent, so a
-    resumed run extends the original file byte-for-byte) and writes
-    checkpoint.qsck at the end and every checkpoint_every steps.  With
-    eval_every > 0, runs validation-split evaluation and keeps the best
-    F1 in checkpoint_best.qsck.  Critic-loss logging uses the last of
-    the step's n_critic updates; the loss_summ/loss_length columns hold
-    the lambda-weighted contributions, so total_gen is exactly the float
-    sum of the three logged generator components.
+    The state is `resume`, with its model configs, or else the step-0
+    state of cfg.seed.  A resume advances the Checkpoint it is given in
+    place (parameters, optimizer state, step, rng_state and best-val
+    fields) and returns that same object as result.checkpoint.  Raises
+    ConfigError before any file is touched when cfg.max_steps is below
+    the resumed step.  Each step is _critic_update, _generator_update,
+    then _validate every eval_every steps (val F1 at threshold 0.5).
+
+    With out_dir set, appends one row per step to out_dir/metrics.csv,
+    first dropping any rows above the state's step (all of them for a
+    fresh run), so a split run logs the bytes of an uninterrupted one.
+    Writes checkpoint.qsck every checkpoint_every steps and at the end,
+    and the state of each new best val F1 to checkpoint_best.qsck.
     """
     if not corpus.videos:
         raise ContractError("train: corpus has no videos")
     if resume is not None:
         gen_cfg, disc_cfg = resume.gen_cfg, resume.disc_cfg
     gen_cfg, disc_cfg = _resolve_configs(corpus, cfg, gen_cfg, disc_cfg)
-    if resume is not None:
-        gparams, dparams = resume.gen_params, resume.disc_params
-        gen_opt, disc_opt = resume.gen_opt, resume.disc_opt
-        hub = RngHub.from_state(resume.rng_state)
-        start_step = resume.step
-        best_f1, best_step = resume.best_val_f1, resume.best_val_step
-    else:
-        hub = RngHub(cfg.seed)
-        gparams = init_generator_params(gen_cfg, hub["init"])
-        dparams = init_discriminator_params(disc_cfg, hub["init"])
-        gen_opt = OptimizerState.for_params(gparams.tensors())
-        disc_opt = OptimizerState.for_params(dparams.tensors())
-        start_step = 0
-        best_f1, best_step = 0.0, 0
-
-    gen_tensors = gparams.tensors()
-    disc_tensors = dparams.tensors()
-    omega = cfg.effective_omega()
-    counters = {
-        "critic_updates": 0,
-        "gen_updates": 0,
-        "random_summaries": 0,
-        "summary_branch_evals": 0,
-    }
+    state = resume if resume is not None else _initial_state(cfg, gen_cfg, disc_cfg)
+    if cfg.max_steps < state.step:
+        raise ConfigError(
+            f"train: max_steps {cfg.max_steps} is below the checkpoint's step {state.step}"
+        )
+    state.train_cfg = cfg
+    hub = RngHub.from_state(state.rng_state)
     metrics: list[MetricsRow] = []
-
     metrics_path = ckpt_path = best_path = None
-    log = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        ckpt_path = os.path.join(out_dir, "checkpoint.qsck")
-        best_path = os.path.join(out_dir, "checkpoint_best.qsck")
-        # resumed runs extend the existing log; fresh runs start it over
-        append = resume is not None and os.path.exists(metrics_path)
-        log = open(metrics_path, "a" if append else "w", encoding="utf-8")
-        if not append:
-            log.write(METRICS_HEADER + "\n")
-            log.flush()
-
-    def snapshot(step):
-        return Checkpoint(
-            step=step,
-            train_cfg=cfg,
-            gen_cfg=gen_cfg,
-            disc_cfg=disc_cfg,
-            gen_params=gparams,
-            disc_params=dparams,
-            gen_opt=gen_opt,
-            disc_opt=disc_opt,
-            rng_state=hub.state(),
-            best_val_f1=best_f1,
-            best_val_step=best_step,
-        )
-
-    try:
-        for step in range(start_step + 1, cfg.max_steps + 1):
-            critic_loss_val = 0.0
-            for _ in range(cfg.n_critic):
-                batch = sample_batch(corpus, hub["sampling"], cfg.segment_len)
-                # generator runs outside the tape: its outputs are constants here
-                fwd = generator_forward(
-                    gparams, batch.frame, batch.shot, batch.query_emb,
-                    train=True, rng=hub["dropout"],
-                )
-                if cfg.two_player:
-                    r = None
-                else:
-                    r = random_scores(batch.length, hub["random-summary"])
-                    counters["random_summaries"] += 1
-                with Tape(watch=disc_tensors.values()) as tape:
-                    summs = [
-                        summary_repr(fwd.f_eq, batch.gt, "ground-truth"),
-                        summary_repr(fwd.f_eq, fwd.s, "generated"),
-                    ]
-                    if r is not None:
-                        summs.append(summary_repr(fwd.f_eq, r, "random"))
-                    scores = critic_scores(summs, fwd.f_vq, dparams)
-                    counters["summary_branch_evals"] += len(summs)
-                    d_g, d_q = scores[0], scores[1]
-                    d_r = scores[2] if r is not None else None
-                    try:
-                        c_loss, _ = adversarial_losses(d_g, d_q, d_r, omega)
-                    except NumericError as e:
-                        raise NumericError(f"training aborted at step {step}: {e}") from None
-                critic_loss_val = _check_finite(float(c_loss), step, "critic_loss")
-                tape.backward(c_loss)
-                rmsprop_step(disc_tensors, disc_opt, cfg.lr_critic, cfg.decay)
-                clip_weights(disc_tensors, cfg.clip_c)
-                counters["critic_updates"] += 1
-
-            batch = sample_batch(corpus, hub["sampling"], cfg.segment_len)
-            with Tape(watch=gen_tensors.values()) as tape:
-                fwd = generator_forward(
-                    gparams, batch.frame, batch.shot, batch.query_emb,
-                    train=True, rng=hub["dropout"],
-                )
-                # only the generated-summary branch feeds the generator update
-                q_summ = summary_repr(fwd.f_eq, fwd.s, "generated")
-                d_q = critic(q_summ, fwd.f_vq, dparams)
-                counters["summary_branch_evals"] += 1
-                total = gen_adv = mul(d_q, -omega)
-                ls_w = ll_w = 0.0
-                if not cfg.no_summ:
-                    ls = mul(loss_summ(fwd.s, batch.gt), cfg.lambda_summ)
-                    ls_w = _check_finite(float(ls), step, "loss_summ")
-                    total = total + ls
-                if not cfg.no_length:
-                    ll = mul(loss_length(fwd.k, batch.gamma), cfg.lambda_len)
-                    ll_w = _check_finite(float(ll), step, "loss_length")
-                    total = total + ll
-            adv_val = _check_finite(float(gen_adv), step, "gen_adv")
-            total_val = _check_finite(float(total), step, "total_gen")
-            tape.backward(total)
-            rmsprop_step(gen_tensors, gen_opt, cfg.lr_gen, cfg.decay)
-            counters["gen_updates"] += 1
-
-            row = MetricsRow(
-                step=step,
-                critic_loss=critic_loss_val,
-                gen_adv=adv_val,
-                loss_summ=ls_w,
-                loss_length=ll_w,
-                total_gen=total_val,
-            )
+        metrics_path, ckpt_path, best_path = (os.path.join(out_dir, name) for name in (
+            "metrics.csv", "checkpoint.qsck", "checkpoint_best.qsck"))
+    # without an out_dir the rows go to the null device
+    with _open_log(metrics_path, state.step) if metrics_path else open(os.devnull, "w") as log:
+        for step in range(state.step + 1, cfg.max_steps + 1):
+            critic_loss = _critic_update(state, corpus, hub, step)
+            row = _generator_update(state, corpus, hub, step, critic_loss)
+            state.step, state.rng_state = step, hub.state()
             metrics.append(row)
-            if log is not None:
-                log.write(row.format() + "\n")
-                log.flush()
-
+            log.write(row.format() + "\n")
+            log.flush()
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:
-                from .evaluation import evaluate
-
-                report = evaluate(gparams, corpus, "val", threshold=eval_threshold)
-                if report.f1 > best_f1:
-                    best_f1, best_step = report.f1, step
-                    if best_path is not None:
-                        save_checkpoint(snapshot(step), best_path)
-
-            if (
-                ckpt_path is not None
-                and cfg.checkpoint_every > 0
-                and step % cfg.checkpoint_every == 0
-            ):
-                save_checkpoint(snapshot(step), ckpt_path)
-    finally:
-        if log is not None:
-            log.close()
-
-    final = snapshot(cfg.max_steps)
-    if ckpt_path is not None:
-        save_checkpoint(final, ckpt_path)
-    return TrainResult(
-        checkpoint=final,
-        metrics=metrics,
-        counters=counters,
-        metrics_path=metrics_path,
-        checkpoint_path=ckpt_path,
-    )
+                _validate(state, corpus, best_path)
+            if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
+                _save(state, ckpt_path)
+    _save(state, ckpt_path)
+    return TrainResult(state, metrics, metrics_path, ckpt_path)
 
 
 # checkpoint serialization: magic, version, section count, then
@@ -696,29 +707,17 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
                 )
             dtypes[name] = dtype
 
-        gparams = init_generator_params(gen_cfg, _NoDraws)
-        ckpt = Checkpoint(
-            step=meta.step,
-            train_cfg=train_cfg,
-            gen_cfg=gen_cfg,
-            disc_cfg=disc_cfg,
-            gen_params=gparams,
-            disc_params=None,
-            gen_opt=None,
-            disc_opt=None,
-            rng_state=rng_state,
-            best_val_f1=meta.best_val_f1,
-            best_val_step=meta.best_val_step,
-        )
         if generator_only:
+            gparams = init_generator_params(gen_cfg, _NoDraws)
+            ckpt = Checkpoint(0, train_cfg, gen_cfg, disc_cfg, gparams, disc_params=None,
+                              gen_opt=None, disc_opt=None, rng_state={})
             arrays = _tensor_sections(_arrays(gparams), {}, {}, {})
         else:
-            ckpt.disc_params = init_discriminator_params(disc_cfg, _NoDraws)
-            ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())
-            ckpt.gen_opt.step = meta.gen_opt_step
-            ckpt.disc_opt = OptimizerState.for_params(ckpt.disc_params.tensors())
-            ckpt.disc_opt.step = meta.disc_opt_step
+            ckpt = _initial_state(train_cfg, gen_cfg, disc_cfg, _NoDraws)
+            ckpt.gen_opt.step, ckpt.disc_opt.step = meta.gen_opt_step, meta.disc_opt_step
             arrays = _checkpoint_arrays(ckpt)
+        ckpt.step, ckpt.rng_state = meta.step, rng_state
+        ckpt.best_val_f1, ckpt.best_val_step = meta.best_val_f1, meta.best_val_step
         scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
         for name, count in sizes.items():
             fh.seek(index[name][0] + HEADER_SIZE)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from qsumm.tensor import Tape, Tensor
+from qsumm.tensor import Tape
 
 
 def numeric_grad(f, params, eps=1e-5):

@@ -258,6 +258,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rng" in err and "Traceback" not in err
 
+    def test_max_steps_below_checkpoint_step_is_runtime_error(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MINI, "train": {**MINI["train"], "max_steps": 2}})
+        out = tmp_path / "run"
+        rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                      "--config", cfg, "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_steps 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, where", [
         ("annotations", "shot 0"), ("concept_a", "query 0"),
     ])

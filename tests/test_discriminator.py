@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +7,6 @@ from qsumm.discriminator import (
     SUMMARY_TAGS,
     DiscriminatorConfig,
     DiscriminatorParams,
-    SummaryRepr,
     _head,
     _pool,
     _summary_seq,

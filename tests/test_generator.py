@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import max_rel_err
 from qsumm.errors import ConfigError, ContractError, DimensionError
 from qsumm.gradcheck import grad_check
 from qsumm.generator import (
     GeneratorConfig,
-    GeneratorParams,
     g_e_encode,
     g_g_gate,
     g_p_score,

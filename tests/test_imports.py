@@ -1,0 +1,61 @@
+"""No module in src/ or tests/ imports a name it never uses.
+
+An import counts as used when its bound name appears anywhere in the
+module as a name, or is listed in the module's __all__.  An import
+marked "# noqa: F401", on its statement's first line or on its own
+line, is kept on purpose and skipped.
+"""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _modules():
+    for top in ("src", "tests"):
+        for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    yield os.path.relpath(os.path.join(dirpath, name), ROOT)
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the module never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # the mark may sit on the statement's first line or the name's
+                if any("# noqa: F401" in lines[n - 1] for n in (node.lineno, alias.lineno)):
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, bound))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", list(_modules()))
+def test_no_unused_imports(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+def test_scan_finds_an_unused_import():
+    source = ("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
+              "from math import (  # noqa: F401\n    pi,\n)\nloads('1')\n")
+    assert unused_imports(source) == [(1, "os"), (3, "dumps")]

@@ -304,7 +304,7 @@ class TestLSTMSequence:
 
 def slice_row(seq, t):
     """Row t of a matrix as a 1-d tensor, on the tape."""
-    from qsumm.tensor import reshape, slice_cols, reverse_rows
+    from qsumm.tensor import reshape, slice_cols
 
     T, d = seq.data.shape
     # transpose trick is overkill; reshape to (T*d,) is not sliceable by row,

@@ -28,9 +28,11 @@ from qsumm.errors import (
     QsummError,
     VersionError,
 )
+from qsumm.evaluation import evaluate
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
 from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
 from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
+from qsumm.rng import RngHub
 from qsumm.tensor import Tape, Tensor, mul
 from qsumm.training import (
     _FILE_HEAD,
@@ -64,6 +66,7 @@ MINI_GEN = GeneratorConfig(
 MINI_TRAIN = TrainConfig(
     seed=0, max_steps=3, n_critic=2, segment_len=8, lr_gen=1e-3, lr_critic=1e-3
 )
+MINI_EVAL = dataclasses.replace(MINI_TRAIN, max_steps=6, eval_every=1)
 
 
 @pytest.fixture(scope="module")
@@ -310,19 +313,29 @@ class TestTrainLoop:
         b = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN)
         assert [r.format() for r in a.metrics] == [r.format() for r in b.metrics]
 
-    def test_counters(self, mini_corpus):
-        res = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN)
-        assert res.counters["gen_updates"] == 3
-        assert res.counters["critic_updates"] == 6
-        assert res.counters["random_summaries"] == 6
-        # three summaries per critic update, one per generator update
-        assert res.counters["summary_branch_evals"] == 3 * 6 + 3
+    def test_summaries_per_update(self, mini_corpus, monkeypatch):
+        counts = []
+
+        def recording(summs, *args):
+            counts.append(len(summs))
+            return critic_scores(summs, *args)
+
+        # the critic phase calls critic_scores directly, the generator's critic through it
+        monkeypatch.setattr(training, "critic_scores", recording)
+        monkeypatch.setattr(discriminator, "critic_scores", recording)
+        for two_player, per_critic_update in ((False, 3), (True, 2)):
+            counts.clear()
+            cfg = dataclasses.replace(MINI_TRAIN, two_player=two_player)
+            train(mini_corpus, cfg, gen_cfg=MINI_GEN)
+            assert counts == ([per_critic_update] * cfg.n_critic + [1]) * cfg.max_steps
 
     def test_two_player_never_draws_random(self, mini_corpus):
+        initial = RngHub(MINI_TRAIN.seed).state()["streams"]["random-summary"]
+        three = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN).checkpoint
         cfg = dataclasses.replace(MINI_TRAIN, two_player=True)
-        res = train(mini_corpus, cfg, gen_cfg=MINI_GEN)
-        assert res.counters["random_summaries"] == 0
-        assert res.counters["summary_branch_evals"] == 2 * 6 + 3
+        two = train(mini_corpus, cfg, gen_cfg=MINI_GEN).checkpoint
+        assert two.rng_state["streams"]["random-summary"] == initial
+        assert three.rng_state["streams"]["random-summary"] != initial
 
     def test_critic_weights_clipped(self, mini_corpus):
         res = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN)
@@ -353,7 +366,6 @@ class TestTrainLoop:
 
     def test_nan_abort_names_step(self, mini_corpus):
         from qsumm.generator import init_generator_params
-        from qsumm.rng import RngHub
 
         gparams = init_generator_params(MINI_GEN, RngHub(0)["init"])
         gparams.fuse_w.data[0, 0] = np.nan
@@ -1019,7 +1031,79 @@ class TestResume:
             train(mini_corpus, cfg, out_dir=tmp_path, resume=result.checkpoint)
         assert not os.path.exists(tmp_path / "checkpoint.qsck")
 
+    def test_resume_advances_the_given_checkpoint(self, mini_corpus):
+        cfg = dataclasses.replace(MINI_EVAL, max_steps=4)
+        full = train(mini_corpus, cfg, gen_cfg=MINI_GEN).checkpoint
+        ckpt = train(mini_corpus, dataclasses.replace(cfg, max_steps=2), gen_cfg=MINI_GEN).checkpoint
+        assert train(mini_corpus, cfg, resume=ckpt).checkpoint is ckpt
+        assert ckpt.step == 4 and ckpt.train_cfg == cfg
+        assert ckpt.rng_state == full.rng_state
+        assert (ckpt.best_val_f1, ckpt.best_val_step) == (full.best_val_f1, full.best_val_step)
+
+    def test_max_steps_below_checkpoint_step_rejected(self, mini_corpus, tmp_path):
+        ckpt = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=4),
+                     gen_cfg=MINI_GEN).checkpoint
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="max_steps 2 is below the checkpoint's step 4"):
+            train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2), out_dir=out,
+                  resume=ckpt)
+        assert not out.exists()
+        assert ckpt.step == 4
+
+    def test_resume_drops_log_rows_past_its_step(self, mini_corpus, tmp_path):
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=4)
+        train(mini_corpus, cfg, gen_cfg=MINI_GEN, out_dir=tmp_path / "a")
+        uninterrupted = (tmp_path / "a" / "metrics.csv").read_bytes()
+        half = train(mini_corpus, dataclasses.replace(cfg, max_steps=2), gen_cfg=MINI_GEN)
+        train(mini_corpus, cfg, out_dir=tmp_path / "a", resume=half.checkpoint)
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == uninterrupted
+
+    def test_fresh_run_starts_the_log_over(self, mini_corpus, tmp_path):
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=2)
+        train(mini_corpus, cfg, gen_cfg=MINI_GEN, out_dir=tmp_path / "a")
+        first = (tmp_path / "a" / "metrics.csv").read_bytes()
+        train(mini_corpus, dataclasses.replace(cfg, max_steps=4), gen_cfg=MINI_GEN,
+              out_dir=tmp_path / "a")
+        train(mini_corpus, cfg, gen_cfg=MINI_GEN, out_dir=tmp_path / "a")
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == first
+
     def test_periodic_checkpoints_written(self, mini_corpus, tmp_path):
         cfg = dataclasses.replace(MINI_TRAIN, max_steps=4, checkpoint_every=2)
         train(mini_corpus, cfg, gen_cfg=MINI_GEN, out_dir=tmp_path)
         assert os.path.exists(tmp_path / "checkpoint.qsck")
+
+
+class TestValidation:
+    def test_best_val_is_the_best_replayed_evaluation(self, mini_corpus, tmp_path):
+        result = train(mini_corpus, MINI_EVAL, gen_cfg=MINI_GEN, out_dir=tmp_path)
+        # replay the run one step at a time, scoring val after each eval step
+        best_f1, best_step, best_params, state = 0.0, 0, None, None
+        for step in range(1, MINI_EVAL.max_steps + 1):
+            cfg = dataclasses.replace(MINI_EVAL, max_steps=step, eval_every=0)
+            state = train(mini_corpus, cfg, gen_cfg=MINI_GEN, resume=state).checkpoint
+            if step % MINI_EVAL.eval_every == 0:
+                f1 = evaluate(state.gen_params, mini_corpus, "val", threshold=0.5).f1
+                if f1 > best_f1:
+                    best_params = {k: t.data.copy()
+                                   for k, t in state.gen_params.tensors().items()}
+                    best_f1, best_step = f1, step
+        # the best is neither the first nor the last step, so selection shows
+        assert 1 < best_step < MINI_EVAL.max_steps
+        assert (result.checkpoint.best_val_f1, result.checkpoint.best_val_step) == (
+            best_f1, best_step)
+
+        saved = load_checkpoint(tmp_path / "checkpoint_best.qsck")
+        assert saved.step == saved.best_val_step == best_step
+        assert saved.best_val_f1 == best_f1
+        for k, t in saved.gen_params.tensors().items():
+            assert np.array_equal(t.data, best_params[k])
+
+    def test_split_run_writes_the_same_checkpoints(self, mini_corpus, tmp_path):
+        full, split = tmp_path / "full", tmp_path / "split"
+        train(mini_corpus, MINI_EVAL, gen_cfg=MINI_GEN, out_dir=full)
+        train(mini_corpus, dataclasses.replace(MINI_EVAL, max_steps=2), gen_cfg=MINI_GEN,
+              out_dir=split)
+        ckpt = load_checkpoint(split / "checkpoint.qsck")
+        train(mini_corpus, MINI_EVAL, out_dir=split, resume=ckpt)
+        for name in ("metrics.csv", "checkpoint.qsck", "checkpoint_best.qsck"):
+            assert (split / name).read_bytes() == (full / name).read_bytes(), name

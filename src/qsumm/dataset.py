@@ -523,12 +523,13 @@ def _load_corpus(manifest_path) -> Corpus:
 
 
 def sample_batch(corpus: Corpus, rng, segment_len: int, split: str = "train") -> TrainingBatch:
-    """Uniform video, uniform query, uniform contiguous window of shots."""
+    """Uniform video with a query, uniform query, uniform contiguous window
+    of shots.  Videos without queries are never drawn."""
     if segment_len < 1:
         raise ConfigError(f"sample_batch: segment_len must be >= 1, got {segment_len}")
-    videos = corpus.split_videos(split)
+    videos = [v for v in corpus.split_videos(split) if v.queries]
     if not videos:
-        raise ContractError(f"sample_batch: split {split!r} is empty")
+        raise ContractError(f"sample_batch: split {split!r} has no video with a query")
     video = videos[int(rng.integers(len(videos)))]
     qi = int(rng.integers(len(video.queries)))
     query = video.queries[qi]

@@ -22,7 +22,8 @@ from .layers import (  # noqa: F401
     _recurrence,
     batchnorm_forward,
     bilstm_forward,
-    init_linear,
+    from_named,
+    init_arrays,
     linear_forward,
     lstm_shapes,
     named_tensors,
@@ -109,39 +110,16 @@ class DiscriminatorParams:
 
 
 def init_discriminator_params(cfg: DiscriminatorConfig, rng) -> DiscriminatorParams:
-    """Fresh parameters; rng draws happen in a fixed field order."""
-    summ_fwd = LSTMParams.create(cfg.d_summ_in, cfg.d_h, rng)
-    summ_bwd = LSTMParams.create(cfg.d_summ_in, cfg.d_h, rng)
-    vid_fwd = LSTMParams.create(cfg.d_vid_in, cfg.d_h, rng)
-    vid_bwd = LSTMParams.create(cfg.d_vid_in, cfg.d_h, rng)
-    fc1_w, fc1_b = init_linear(4 * cfg.d_h, cfg.d_fc1, rng)
-    fc2_w, fc2_b = init_linear(cfg.d_fc1, cfg.d_fc2, rng)
-    fc3_w, fc3_b = init_linear(cfg.d_fc2, cfg.d_fc3, rng)
-    out_w, out_b = init_linear(cfg.d_fc3, 1, rng)
-    return DiscriminatorParams(
-        summ_fwd=summ_fwd,
-        summ_bwd=summ_bwd,
-        summ_bn_gamma=Tensor(np.ones(2 * cfg.d_h)),
-        summ_bn_beta=Tensor(np.zeros(2 * cfg.d_h)),
-        vid_fwd=vid_fwd,
-        vid_bwd=vid_bwd,
-        vid_bn_gamma=Tensor(np.ones(2 * cfg.d_h)),
-        vid_bn_beta=Tensor(np.zeros(2 * cfg.d_h)),
-        fc1_w=fc1_w,
-        fc1_b=fc1_b,
-        fc2_w=fc2_w,
-        fc2_b=fc2_b,
-        fc3_w=fc3_w,
-        fc3_b=fc3_b,
-        out_w=out_w,
-        out_b=out_b,
-    )
+    """Fresh parameters, drawn in the key order of discriminator_shapes(cfg)
+    by layers.init_arrays; rng None allocates them undrawn."""
+    return from_named(DiscriminatorParams, init_arrays(discriminator_shapes(cfg), rng))
 
 
 def discriminator_shapes(cfg: DiscriminatorConfig) -> dict:
-    """Shapes of init_discriminator_params(cfg).tensors().
+    """The critic's parameter layout: name -> shape, in field order.
 
-    Same keys in the same order, computed from the config alone.
+    The one declaration of the parameters, as generator_shapes is for
+    the generator.
     """
     h2, h4 = 2 * cfg.d_h, 4 * cfg.d_h
     return {

@@ -18,7 +18,8 @@ from .layers import (
     batchnorm_forward,
     bilstm_forward,
     dropout,
-    init_linear,
+    from_named,
+    init_arrays,
     linear_forward,
     lstm_shapes,
     named_tensors,
@@ -107,39 +108,19 @@ class GeneratorParams:
 
 
 def init_generator_params(cfg: GeneratorConfig, rng) -> GeneratorParams:
-    """Fresh parameters; rng draws happen in a fixed field order."""
-    fuse_w, fuse_b = init_linear(cfg.d_frame + cfg.d_shot, cfg.d_fused, rng)
-    query_w, query_b = init_linear(cfg.d_text, cfg.d_qenc, rng)
-    d_enc_in = cfg.d_fused + cfg.d_qenc
-    enc_fwd = LSTMParams.create(d_enc_in, cfg.d_h, rng)
-    enc_bwd = LSTMParams.create(d_enc_in, cfg.d_h, rng)
-    pred_w1, pred_b1 = init_linear(2 * cfg.d_h, cfg.d_pred, rng)
-    pred_w2, pred_b2 = init_linear(cfg.d_pred, 1, rng)
-    return GeneratorParams(
-        fuse_w=fuse_w,
-        fuse_b=fuse_b,
-        query_w=query_w,
-        query_b=query_b,
-        enc_fwd=enc_fwd,
-        enc_bwd=enc_bwd,
-        enc_bn_gamma=Tensor(np.ones(2 * cfg.d_h)),
-        enc_bn_beta=Tensor(np.zeros(2 * cfg.d_h)),
-        pred_w1=pred_w1,
-        pred_b1=pred_b1,
-        pred_bn_gamma=Tensor(np.ones(cfg.d_pred)),
-        pred_bn_beta=Tensor(np.zeros(cfg.d_pred)),
-        pred_w2=pred_w2,
-        pred_b2=pred_b2,
-        tau=cfg.tau,
-        dropout_p=cfg.dropout_p,
-    )
+    """Fresh parameters, drawn in the key order of generator_shapes(cfg)
+    by layers.init_arrays; rng None allocates them undrawn."""
+    return from_named(GeneratorParams, init_arrays(generator_shapes(cfg), rng),
+                      tau=cfg.tau, dropout_p=cfg.dropout_p)
 
 
 def generator_shapes(cfg: GeneratorConfig) -> dict:
-    """Shapes of init_generator_params(cfg).tensors().
+    """The generator's parameter layout: name -> shape, in field order.
 
-    Same keys in the same order, computed from the config alone so a
-    loader can check a file's sizes before it allocates anything.
+    The one declaration of the parameters: initialization, optimizer
+    slots and checkpoint sections follow its keys and order.  It needs
+    the config alone, so a loader can check a file's sizes before it
+    allocates anything.
     """
     d_in, h2 = cfg.d_fused + cfg.d_qenc, 2 * cfg.d_h
     return {

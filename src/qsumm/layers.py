@@ -1,4 +1,5 @@
-"""Layer primitives: linear, batchnorm, dropout, LSTM cells and sequences.
+"""Layer primitives: linear, batchnorm, dropout, LSTM cells and sequences,
+and the one parameter-init rule, init_arrays, applied to a shape table.
 
 Batchnorm has one mode: it normalizes by the statistics of the batch it
 is given and keeps no running averages.
@@ -48,23 +49,16 @@ __all__ = [
     "dropout",
     "LSTMParams",
     "named_tensors",
+    "from_named",
+    "init_arrays",
     "lstm_shapes",
     "lstm_cell",
     "lstm_sequence",
     "bilstm_forward",
-    "init_linear",
     "BN_EPS",
 ]
 
 BN_EPS = 1e-5
-
-
-def init_linear(d_in: int, d_out: int, rng) -> tuple[Tensor, Tensor]:
-    """Weight uniform(-1/sqrt(d_in), 1/sqrt(d_in)), zero bias."""
-    bound = 1.0 / np.sqrt(d_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)))
-    b = Tensor(np.zeros(d_out))
-    return w, b
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -149,15 +143,7 @@ class LSTMParams:
 
     @classmethod
     def create(cls, d_in: int, d_h: int, rng) -> "LSTMParams":
-        bx = 1.0 / np.sqrt(d_in)
-        bh = 1.0 / np.sqrt(d_h)
-        b = np.zeros(4 * d_h)
-        b[d_h : 2 * d_h] = 1.0  # forget-gate bias
-        return cls(
-            w_x=Tensor(rng.uniform(-bx, bx, size=(d_in, 4 * d_h))),
-            w_h=Tensor(rng.uniform(-bh, bh, size=(d_h, 4 * d_h))),
-            b=Tensor(b),
-        )
+        return cls(*map(Tensor, init_arrays(lstm_shapes("p", d_in, d_h), rng).values()))
 
     @property
     def d_h(self) -> int:
@@ -187,9 +173,47 @@ def named_tensors(params) -> dict:
     return out
 
 
+def from_named(cls, arrays: dict, **other):
+    """The inverse of named_tensors: a cls whose named_tensors wraps arrays.
+
+    Each array is wrapped as it is, without a copy; other gives the
+    fields that named_tensors skips.
+    """
+    for f in fields(cls):
+        if f.name in arrays:
+            other[f.name] = Tensor(arrays[f.name])
+        elif f"{f.name}_wh" in arrays:
+            other[f.name] = LSTMParams(*(Tensor(arrays[f"{f.name}_{k}"]) for k in ("wx", "wh", "b")))
+    return cls(**other)
+
+
 def lstm_shapes(name: str, d_in: int, d_h: int) -> dict:
     """Shapes of LSTMParams.create(d_in, d_h), keyed name_wx, name_wh, name_b."""
     return {f"{name}_wx": (d_in, 4 * d_h), f"{name}_wh": (d_h, 4 * d_h), f"{name}_b": (4 * d_h,)}
+
+
+def init_arrays(shapes: dict, rng) -> dict:
+    """Initial values of the parameters of a shape table, drawn in key order.
+
+    A matrix (d_in, d) is uniform(-1/sqrt(d_in), 1/sqrt(d_in)).  A vector
+    is zero, except a batchnorm scale *_gamma, which is one, and the bias
+    x_b of an LSTM x (keyed beside x_wh), whose forget-gate block is one
+    (Jozefowicz et al., ICML 2015).  With rng None nothing is drawn or
+    filled: the arrays are allocated for a reader to overwrite.
+    """
+    out = {}
+    for name, shape in shapes.items():
+        if rng is None:
+            out[name] = np.empty(shape)
+        elif len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
+            out[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            out[name] = np.ones(shape) if name.endswith("_gamma") else np.zeros(shape)
+            if name.endswith("_b") and f"{name[:-2]}_wh" in shapes:
+                d_h = shape[0] // 4
+                out[name][d_h : 2 * d_h] = 1.0
+    return out
 
 
 def lstm_cell(

@@ -249,7 +249,6 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     metrics: list
-    metrics_path: str | None = None
     checkpoint_path: str | None = None
 
 
@@ -284,13 +283,12 @@ def _resolve_configs(corpus, cfg, gen_cfg, disc_cfg):
     return gen_cfg, disc_cfg
 
 
-def _initial_state(cfg, gen_cfg, disc_cfg, init_rng=None) -> Checkpoint:
-    """Step 0 of cfg.seed: weights drawn from init_rng, by default the
-    seed's init stream, and zero optimizer state."""
+def _initial_state(cfg, gen_cfg, disc_cfg) -> Checkpoint:
+    """Step 0 of cfg.seed: weights drawn from the seed's init stream, and
+    zero optimizer state."""
     hub = RngHub(cfg.seed)
-    init_rng = hub["init"] if init_rng is None else init_rng
-    gparams = init_generator_params(gen_cfg, init_rng)
-    dparams = init_discriminator_params(disc_cfg, init_rng)
+    gparams = init_generator_params(gen_cfg, hub["init"])
+    dparams = init_discriminator_params(disc_cfg, hub["init"])
     return Checkpoint(
         step=0,
         train_cfg=cfg,
@@ -473,7 +471,7 @@ def train(
             if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
                 _save(state, ckpt_path)
     _save(state, ckpt_path)
-    return TrainResult(state, metrics, metrics_path, ckpt_path)
+    return TrainResult(state, metrics, ckpt_path)
 
 
 # checkpoint serialization: magic, version, section count, then
@@ -617,14 +615,6 @@ def _index_sections(fh, size: int, source: str) -> dict:
     return index
 
 
-class _NoDraws:
-    """Stands in for an rng when every drawn array is overwritten at once."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
-
-
 def _read_tensor(fh, name, dtype, count, out, scratch, source) -> None:
     """Read one payload into `out`, or only validate it when out is None.
 
@@ -707,17 +697,18 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
                 )
             dtypes[name] = dtype
 
-        if generator_only:
-            gparams = init_generator_params(gen_cfg, _NoDraws)
-            ckpt = Checkpoint(0, train_cfg, gen_cfg, disc_cfg, gparams, disc_params=None,
-                              gen_opt=None, disc_opt=None, rng_state={})
-            arrays = _tensor_sections(_arrays(gparams), {}, {}, {})
-        else:
-            ckpt = _initial_state(train_cfg, gen_cfg, disc_cfg, _NoDraws)
+        # arrays allocated from the shape tables, undrawn, for the reads to fill
+        gparams = init_generator_params(gen_cfg, None)
+        ckpt = Checkpoint(meta.step, train_cfg, gen_cfg, disc_cfg, gparams, disc_params=None,
+                          gen_opt=None, disc_opt=None, rng_state=rng_state,
+                          best_val_f1=meta.best_val_f1, best_val_step=meta.best_val_step)
+        arrays = _tensor_sections(_arrays(gparams), {}, {}, {})
+        if not generator_only:
+            ckpt.disc_params = init_discriminator_params(disc_cfg, None)
+            ckpt.gen_opt = OptimizerState.for_params(gparams.tensors())
+            ckpt.disc_opt = OptimizerState.for_params(ckpt.disc_params.tensors())
             ckpt.gen_opt.step, ckpt.disc_opt.step = meta.gen_opt_step, meta.disc_opt_step
             arrays = _checkpoint_arrays(ckpt)
-        ckpt.step, ckpt.rng_state = meta.step, rng_state
-        ckpt.best_val_f1, ckpt.best_val_step = meta.best_val_f1, meta.best_val_step
         scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
         for name, count in sizes.items():
             fh.seek(index[name][0] + HEADER_SIZE)

@@ -591,6 +591,18 @@ class TestTrainEvaluateSummarize:
             os.path.join(workspace["run"], "metrics.csv"), "rb"
         ).read()
 
+    def test_train_without_queries_is_runtime_error(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        for video in manifest["videos"]:
+            video["queries"] = []
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        rc = run_cli(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                      "--config", workspace["cfg"]])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_ablation_flags_change_the_run(self, workspace, tmp_path):
         outs = {}
         for name in ("none", "two-player", "no-length", "no-summ"):

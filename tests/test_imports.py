@@ -1,13 +1,18 @@
-"""No module in src/ or tests/ imports a name it never uses.
+"""No module in src/ or tests/ imports a name it never uses, and every
+src/qsumm module's __all__ lists names it defines, each once.
 
 An import counts as used when its bound name appears anywhere in the
 module as a name, or is listed in the module's __all__.  An import
 marked "# noqa: F401", on its statement's first line or on its own
-line, is kept on purpose and skipped.
+line, is kept on purpose and skipped.  Because an __all__ entry counts
+as a use, a stale entry would also hide an unused import; the export
+check catches it.
 """
 
 import ast
+import importlib
 import os
+import types
 
 import pytest
 
@@ -59,3 +64,34 @@ def test_scan_finds_an_unused_import():
     source = ("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
               "from math import (  # noqa: F401\n    pi,\n)\nloads('1')\n")
     assert unused_imports(source) == [(1, "os"), (3, "dumps")]
+
+
+def export_faults(module) -> list:
+    """Names in module.__all__ that the module does not define, then
+    names that __all__ lists more than once."""
+    names = list(getattr(module, "__all__", ()))
+    missing = [n for n in names if not hasattr(module, n)]
+    return missing + sorted({n for n in names if names.count(n) > 1})
+
+
+def _exporting_modules():
+    """src/qsumm modules that declare __all__; __main__ does not, and
+    importing it would run the CLI."""
+    for path in _modules():
+        if path.startswith(os.path.join("src", "qsumm")):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                if _exported(ast.parse(fh.read())):
+                    yield path
+
+
+@pytest.mark.parametrize("path", list(_exporting_modules()))
+def test_all_lists_defined_names_once(path):
+    name = os.path.splitext(os.path.relpath(path, "src"))[0].replace(os.sep, ".")
+    assert export_faults(importlib.import_module(name)) == []
+
+
+def test_export_check_finds_stale_and_repeated_names():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone", "kept"]
+    module.kept = 1
+    assert export_faults(module) == ["gone", "kept"]

@@ -18,7 +18,7 @@ from qsumm.layers import (
     bilstm_forward,
     dropout,
     elementwise_activation,
-    init_linear,
+    init_arrays,
     linear_forward,
     lstm_cell,
     lstm_sequence,
@@ -58,9 +58,9 @@ class TestLinear:
 
     def test_init_bounds(self):
         rng = np.random.default_rng(5)
-        w, b = init_linear(16, 8, rng)
-        assert np.all(np.abs(w.data) <= 1.0 / 4.0)
-        assert_allclose(b.data, np.zeros(8))
+        arrays = init_arrays({"w": (16, 8), "b": (8,)}, rng)
+        assert np.all(np.abs(arrays["w"]) <= 1.0 / 4.0)
+        assert_allclose(arrays["b"], np.zeros(8))
 
 
 class TestActivationDispatch:

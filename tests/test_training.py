@@ -391,6 +391,25 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="step 1"):
             train(mini_corpus, MINI_TRAIN, resume=ckpt)
 
+    def test_video_without_queries_never_sampled(self, mini_corpus, monkeypatch):
+        corpus = dataclasses.replace(
+            mini_corpus,
+            videos=[dataclasses.replace(v, queries=[]) if v.video_id == "v001" else v
+                    for v in mini_corpus.videos],
+            splits={**mini_corpus.splits, "train": ["v000", "v001"]},
+        )
+        sampled = []
+
+        def recording(*args, **kwargs):
+            batch = sample_batch(*args, **kwargs)
+            sampled.append(batch.video_id)
+            return batch
+
+        monkeypatch.setattr(training, "sample_batch", recording)
+        res = train(corpus, MINI_TRAIN, gen_cfg=MINI_GEN)
+        assert res.checkpoint.step == MINI_TRAIN.max_steps
+        assert sampled == ["v000"] * (MINI_TRAIN.n_critic + 1) * MINI_TRAIN.max_steps
+
     def test_dim_mismatch_rejected(self, mini_corpus):
         bad = GeneratorConfig(d_frame=9, d_shot=10, d_text=6, d_fused=8, d_qenc=4, d_h=6, d_pred=6)
         with pytest.raises(ConfigError):

@@ -46,9 +46,10 @@ with tempfile.TemporaryDirectory() as out:
     for row in lines[-3:]:
         print(row)
 
-    # Validation ran every 40 steps; the best scorer was kept separately,
-    # and every checkpoint records its F1 and step.
-    print(f"\nbest validation F1 {result.checkpoint.best_val_f1:.3f} "
+    # Validation ran every 40 steps, scoring val at each threshold of the
+    # grid; the step with the best mean F1 was kept separately, and every
+    # checkpoint records that mean and its step.
+    print(f"\nbest mean validation F1 {result.checkpoint.best_val_f1:.3f} "
           f"at step {result.checkpoint.best_val_step}")
 
     # Checkpoints restore bit-exactly, so a run can stop and continue.

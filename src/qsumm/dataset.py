@@ -442,8 +442,11 @@ def _load_corpus(manifest_path) -> Corpus:
     n_concepts = len(table)
 
     videos = []
+    ids = set()
     for entry in manifest["videos"]:
         vid = entry["id"]
+        _require(vid not in ids, f"video id {vid!r} is listed twice")
+        ids.add(vid)
         frame = load_feature_matrix(os.path.join(base, entry["frame_feat"]))
         shot = load_feature_matrix(os.path.join(base, entry["shot_feat"]))
         T = entry["n_shots"]
@@ -507,11 +510,13 @@ def _load_corpus(manifest_path) -> Corpus:
             )
         )
 
-    ids = {v.video_id for v in videos}
     splits = {k: list(v) for k, v in manifest["splits"].items()}
     for name, members in splits.items():
+        seen = set()
         for m in members:
             _require(m in ids, f"split {name!r} references unknown video {m!r}")
+            _require(m not in seen, f"split {name!r} lists video {m!r} twice")
+            seen.add(m)
 
     return Corpus(
         videos=videos,

@@ -29,7 +29,6 @@ __all__ = [
     "concat_rows",
     "slice_cols",
     "slice_rows",
-    "reverse_rows",
     "tile_rows",
     "sum_all",
     "mean_all",
@@ -336,15 +335,6 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
         return [z]
 
     record(out, (x,), bwd)
-    return out
-
-
-def reverse_rows(x) -> Tensor:
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError(f"reverse_rows: need a matrix, got shape {x.data.shape}")
-    out = Tensor(x.data[::-1].copy())
-    record(out, (x,), lambda g: [g[::-1].copy()])
     return out
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "METRICS_HEADER",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
+    "THRESHOLD_GRID",
     "TrainConfig",
     "Checkpoint",
     "MetricsRow",
@@ -82,6 +83,9 @@ CHECKPOINT_MAGIC = b"QSCK"
 # still load: the loader never asks for those sections, so they are
 # skipped.
 CHECKPOINT_VERSION = 3
+# The decision thresholds validation scores val at; the best checkpoint
+# is the one with the highest mean F1 over them.
+THRESHOLD_GRID = (0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60)
 
 
 @dataclass(frozen=True)
@@ -373,11 +377,12 @@ def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
 
 
 def _validate(state: Checkpoint, corpus, best_path) -> None:
-    """Score the val split at threshold 0.5 and keep a new best F1, saved
-    to best_path when there is one."""
-    report = evaluation.evaluate(state.gen_params, corpus, "val", threshold=0.5)
-    if report.f1 > state.best_val_f1:
-        state.best_val_f1, state.best_val_step = report.f1, state.step
+    """Score the val split at every THRESHOLD_GRID value and keep a new
+    best mean F1, saved to best_path when there is one."""
+    reports = evaluation.evaluate_grid(state.gen_params, corpus, "val", THRESHOLD_GRID)
+    f1 = float(np.mean([r.f1 for r in reports]))
+    if f1 > state.best_val_f1:
+        state.best_val_f1, state.best_val_step = f1, state.step
         _save(state, best_path)
 
 
@@ -430,18 +435,24 @@ def train(
     place (parameters, optimizer state, step, rng_state and best-val
     fields) and returns that same object as result.checkpoint.  Raises
     ConfigError before any file is touched when cfg.max_steps is below
-    the resumed step.  Each step is _critic_update, _generator_update,
-    then _validate every eval_every steps (val F1 at threshold 0.5).
+    the resumed step, or when a gen_cfg or disc_cfg passed with a resume
+    differs from the checkpoint's.  Each step is _critic_update,
+    _generator_update, then _validate every eval_every steps (mean val F1
+    over THRESHOLD_GRID).
 
     With out_dir set, appends one row per step to out_dir/metrics.csv,
     first dropping any rows above the state's step (all of them for a
     fresh run), so a split run logs the bytes of an uninterrupted one.
     Writes checkpoint.qsck every checkpoint_every steps and at the end,
-    and the state of each new best val F1 to checkpoint_best.qsck.
+    and the state of each new best mean val F1 to checkpoint_best.qsck;
+    a resume compares against the best_val_f1 its checkpoint holds.
     """
     if not corpus.videos:
         raise ContractError("train: corpus has no videos")
     if resume is not None:
+        for given, held in ((gen_cfg, resume.gen_cfg), (disc_cfg, resume.disc_cfg)):
+            if given not in (None, held):
+                raise ConfigError(f"train: {given} differs from the checkpoint's {held}")
         gen_cfg, disc_cfg = resume.gen_cfg, resume.disc_cfg
     gen_cfg, disc_cfg = _resolve_configs(corpus, cfg, gen_cfg, disc_cfg)
     state = resume if resume is not None else _initial_state(cfg, gen_cfg, disc_cfg)

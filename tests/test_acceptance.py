@@ -7,14 +7,14 @@ planted corpus, the length-regularizer study, the ablation ordering
 study, and byte-level reproducibility of training runs.
 
 The learning tests pin their own recipe (corpus seed, learning rates,
-critic steps, dropout, validation-based selection); library defaults
+critic steps, dropout, validation interval); library defaults
 stay at the conservative values.  Budgets: the gradient suite must
 finish under 2 minutes, the matcher comparison under 30 seconds, and
 the main training run under 10 minutes.
 """
 
-import copy
 import math
+import os
 import time
 
 import numpy as np
@@ -26,19 +26,17 @@ from qsumm.discriminator import DiscriminatorConfig
 from qsumm.evaluation import evaluate, evaluate_grid, max_weight_matching
 from qsumm.generator import GeneratorConfig, g_g_gate, generator_forward
 from qsumm.gradcheck import SUITE_TOLERANCE, component_suite
-from qsumm.training import TrainConfig, load_checkpoint, train
+from qsumm.training import THRESHOLD_GRID, TrainConfig, load_checkpoint, load_generator, train
 
 # Recipe for the learning tests.  The corpus seed and hyperparameters
 # are pinned so the runs are reproducible; dropout is mild, the learning
 # rate is aggressive because the desk-scale nets are tiny, and a single
-# critic update per generator step is enough at clip 0.01.  Training is
-# legged: after a warmup, the run pauses every LEG steps and the
-# checkpoint with the best validation score (mean F1 across the
-# threshold grid, a smoother selector than any single threshold) wins.
+# critic update per generator step is enough at clip 0.01.  Training
+# scores val every EVAL_EVERY steps, and the library keeps the step with
+# the best mean F1 across its threshold grid in checkpoint_best.qsck.
 CORPUS_SEED = 9
 TRAIN_SEED = 0
-WARMUP_STEPS = 400
-LEG_STEPS = 100
+EVAL_EVERY = 100
 MAX_STEPS = 2000
 RECIPE = dict(
     n_critic=1,
@@ -47,7 +45,6 @@ RECIPE = dict(
     segment_len=60,
 )
 DROPOUT_P = 0.2
-THRESHOLD_GRID = (0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60)
 
 
 def _desk_gen_cfg(corpus) -> GeneratorConfig:
@@ -59,49 +56,30 @@ def _desk_gen_cfg(corpus) -> GeneratorConfig:
     )
 
 
-def _val_grid_score(params, corpus) -> float:
-    """Mean validation F1 across the threshold grid."""
-    scores = [r.f1 for r in evaluate_grid(params, corpus, "val", THRESHOLD_GRID)]
-    return float(np.mean(scores))
-
-
 def _val_tuned_threshold(params, corpus) -> float:
     """Pick the decision threshold on the validation split only."""
     scored = [(r.f1, r.threshold) for r in evaluate_grid(params, corpus, "val", THRESHOLD_GRID)]
     return max(scored)[1]
 
 
-def _train_selected(corpus, **flags):
-    """Legged training with validation-based checkpoint selection.
+def _train_selected(corpus, out_dir):
+    """Train with the library's validation-based checkpoint selection.
 
-    Returns (best generator params, step the selection landed on, wall
-    seconds).  Resuming from the in-memory checkpoint is exact, so the
-    legs together replay the single uninterrupted trajectory.
+    Returns (selected generator params, step the selection landed on,
+    wall seconds).
     """
     gen_cfg = _desk_gen_cfg(corpus)
-    disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
     t0 = time.perf_counter()
     result = train(
         corpus,
-        TrainConfig(seed=TRAIN_SEED, max_steps=WARMUP_STEPS, **RECIPE, **flags),
+        TrainConfig(seed=TRAIN_SEED, max_steps=MAX_STEPS, eval_every=EVAL_EVERY, **RECIPE),
         gen_cfg=gen_cfg,
-        disc_cfg=disc_cfg,
+        disc_cfg=DiscriminatorConfig.for_generator(gen_cfg),
+        out_dir=out_dir,
     )
-    best = (-1.0, 0, None)
-    step = WARMUP_STEPS
-    while step < MAX_STEPS:
-        step += LEG_STEPS
-        result = train(
-            corpus,
-            TrainConfig(seed=TRAIN_SEED, max_steps=step, **RECIPE, **flags),
-            resume=result.checkpoint,
-        )
-        params = result.checkpoint.gen_params
-        score = _val_grid_score(params, corpus)
-        if score > best[0]:
-            best = (score, step, copy.deepcopy(params))
     wall = time.perf_counter() - t0
-    return best[2], best[1], wall
+    params = load_generator(os.path.join(out_dir, "checkpoint_best.qsck"))
+    return params, result.checkpoint.best_val_step, wall
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +88,8 @@ def accept_corpus():
 
 
 @pytest.fixture(scope="module")
-def trained_full(accept_corpus):
-    return _train_selected(accept_corpus)
+def trained_full(accept_corpus, tmp_path_factory):
+    return _train_selected(accept_corpus, str(tmp_path_factory.mktemp("trained_full")))
 
 
 @pytest.fixture(scope="module")

@@ -317,6 +317,26 @@ class TestCorpusRoundTrip:
             load_corpus(manifest)
         assert "99" in str(ei.value)
 
+    def test_duplicate_video_id_names_it(self, tmp_path):
+        # v001 renamed v000, and the split that held v001 now names v000:
+        # the second v000 could never be reached by its id
+        manifest = self._written(tmp_path)
+        doc = json.loads(open(manifest).read())
+        doc["videos"][1]["id"] = "v000"
+        doc["splits"]["val"] = ["v000"]
+        open(manifest, "w").write(json.dumps(doc))
+        with pytest.raises(FormatError, match="video id 'v000' is listed twice"):
+            load_corpus(manifest)
+
+    def test_split_listing_a_video_twice_names_it(self, tmp_path):
+        # a repeated member would count twice in evaluation and sampling
+        manifest = self._written(tmp_path)
+        doc = json.loads(open(manifest).read())
+        doc["splits"]["test"] = ["v002", "v002"]
+        open(manifest, "w").write(json.dumps(doc))
+        with pytest.raises(FormatError, match="split 'test' lists video 'v002' twice"):
+            load_corpus(manifest)
+
     @pytest.mark.parametrize("edit, match", [
         (lambda d: d["videos"][0]["queries"][0].pop("scenario"), None),
         (lambda d: d["videos"][0].pop("frame_feat"), None),

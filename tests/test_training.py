@@ -41,6 +41,7 @@ from qsumm.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     METRICS_HEADER,
+    THRESHOLD_GRID,
     Checkpoint,
     TrainConfig,
     adversarial_losses,
@@ -1050,6 +1051,22 @@ class TestResume:
             train(mini_corpus, cfg, out_dir=tmp_path, resume=result.checkpoint)
         assert not os.path.exists(tmp_path / "checkpoint.qsck")
 
+    def test_model_configs_differing_from_the_checkpoint_rejected(self, mini_corpus, tmp_path):
+        ckpt = train(mini_corpus, dataclasses.replace(MINI_TRAIN, max_steps=2),
+                     gen_cfg=MINI_GEN).checkpoint
+        cfg = dataclasses.replace(MINI_TRAIN, max_steps=4)
+        wider = dataclasses.replace(MINI_GEN, d_h=10, dropout_p=0.1)
+        with pytest.raises(ConfigError, match="d_h=10.*differs from the checkpoint's Gen"):
+            train(mini_corpus, cfg, gen_cfg=wider, out_dir=tmp_path, resume=ckpt)
+        wide = dataclasses.replace(ckpt.disc_cfg, d_h=ckpt.disc_cfg.d_h + 1)
+        with pytest.raises(ConfigError, match="differs from the checkpoint's Disc"):
+            train(mini_corpus, cfg, disc_cfg=wide, out_dir=tmp_path, resume=ckpt)
+        assert not os.path.exists(tmp_path / "metrics.csv")
+        assert ckpt.step == 2
+        # equal configs pass, as a caller that hands them to every leg does
+        train(mini_corpus, cfg, gen_cfg=MINI_GEN, disc_cfg=ckpt.disc_cfg, resume=ckpt)
+        assert ckpt.step == 4
+
     def test_resume_advances_the_given_checkpoint(self, mini_corpus):
         cfg = dataclasses.replace(MINI_EVAL, max_steps=4)
         full = train(mini_corpus, cfg, gen_cfg=MINI_GEN).checkpoint
@@ -1093,21 +1110,29 @@ class TestResume:
 
 
 class TestValidation:
+    # Seed 0's mean val F1 only falls after step 1 (measured through step
+    # 600), so no run length shows selection; seed 2's peaks at step 4 of
+    # 6, after the split below.
+    RUN = dataclasses.replace(MINI_EVAL, seed=2)
+
     def test_best_val_is_the_best_replayed_evaluation(self, mini_corpus, tmp_path):
-        result = train(mini_corpus, MINI_EVAL, gen_cfg=MINI_GEN, out_dir=tmp_path)
-        # replay the run one step at a time, scoring val after each eval step
+        run = self.RUN
+        result = train(mini_corpus, run, gen_cfg=MINI_GEN, out_dir=tmp_path)
+        # replay the run one step at a time, scoring val after each eval
+        # step at every grid threshold, one evaluate call each
         best_f1, best_step, best_params, state = 0.0, 0, None, None
-        for step in range(1, MINI_EVAL.max_steps + 1):
-            cfg = dataclasses.replace(MINI_EVAL, max_steps=step, eval_every=0)
+        for step in range(1, run.max_steps + 1):
+            cfg = dataclasses.replace(run, max_steps=step, eval_every=0)
             state = train(mini_corpus, cfg, gen_cfg=MINI_GEN, resume=state).checkpoint
-            if step % MINI_EVAL.eval_every == 0:
-                f1 = evaluate(state.gen_params, mini_corpus, "val", threshold=0.5).f1
+            if step % run.eval_every == 0:
+                f1 = float(np.mean([evaluate(state.gen_params, mini_corpus, "val",
+                                             threshold=t).f1 for t in THRESHOLD_GRID]))
                 if f1 > best_f1:
                     best_params = {k: t.data.copy()
                                    for k, t in state.gen_params.tensors().items()}
                     best_f1, best_step = f1, step
         # the best is neither the first nor the last step, so selection shows
-        assert 1 < best_step < MINI_EVAL.max_steps
+        assert 1 < best_step < run.max_steps
         assert (result.checkpoint.best_val_f1, result.checkpoint.best_val_step) == (
             best_f1, best_step)
 
@@ -1119,10 +1144,10 @@ class TestValidation:
 
     def test_split_run_writes_the_same_checkpoints(self, mini_corpus, tmp_path):
         full, split = tmp_path / "full", tmp_path / "split"
-        train(mini_corpus, MINI_EVAL, gen_cfg=MINI_GEN, out_dir=full)
-        train(mini_corpus, dataclasses.replace(MINI_EVAL, max_steps=2), gen_cfg=MINI_GEN,
+        train(mini_corpus, self.RUN, gen_cfg=MINI_GEN, out_dir=full)
+        train(mini_corpus, dataclasses.replace(self.RUN, max_steps=2), gen_cfg=MINI_GEN,
               out_dir=split)
         ckpt = load_checkpoint(split / "checkpoint.qsck")
-        train(mini_corpus, MINI_EVAL, out_dir=split, resume=ckpt)
+        train(mini_corpus, self.RUN, out_dir=split, resume=ckpt)
         for name in ("metrics.csv", "checkpoint.qsck", "checkpoint_best.qsck"):
             assert (split / name).read_bytes() == (full / name).read_bytes(), name

@@ -2,10 +2,11 @@
 Ablating the loss terms
 =======================
 
-Trains the four model variants on one small corpus and compares held-out
-F1 and summary-length distance: the full objective, the two-player
-variant without random summaries, no length regularizer, and no
-supervised score loss.
+Trains the four model variants of training.ABLATIONS on one small
+corpus and compares held-out F1 and summary-length distance: the full
+objective, the two-player game (omega = 1, no random summaries), and
+the objective without the length term (lambda_len = 0) or the supervised
+score loss (lambda_summ = 0).
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from qsumm.dataset import SynthConfig, synth_corpus
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.evaluation import evaluate
 from qsumm.generator import GeneratorConfig
-from qsumm.training import TrainConfig, train
+from qsumm.training import ABLATIONS, TrainConfig, train
 
 corpus = synth_corpus(
     SynthConfig(n_videos=5, n_shots=24, n_concepts=8, d_frame=16, d_shot=20, d_text=8),
@@ -25,21 +26,14 @@ gen_cfg = GeneratorConfig(
 )
 disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
 
-variants = {
-    "full": {},
-    "two-player": {"two_player": True},
-    "no-length": {"no_length": True},
-    "no-summ": {"no_summ": True},
-}
-
 print(f"{'variant':12s} {'F1':>6s} {'d':>6s}")
-for name, flags in variants.items():
+for name, weights in ABLATIONS.items():
     scores, dists = [], []
     # A few training seeds smooth out run-to-run noise.
     for seed in range(3):
         cfg = TrainConfig(
             seed=seed, max_steps=400, n_critic=2, segment_len=24,
-            lr_gen=1e-3, lr_critic=1e-3, **flags,
+            lr_gen=1e-3, lr_critic=1e-3, **weights,
         )
         result = train(corpus, cfg, gen_cfg=gen_cfg, disc_cfg=disc_cfg)
         report = evaluate(result.checkpoint.gen_params, corpus, "test")

@@ -23,10 +23,9 @@ from .errors import ConfigError, ContractError, QsummError
 from .generator import GeneratorConfig, check_threshold, generator_forward, select_shots
 from .gradcheck import SUITE_TOLERANCE, component_suite
 from .matrix_io import write_atomic
+from .training import ABLATIONS
 
 __all__ = ["run_cli", "main"]
-
-ABLATIONS = ("none", "no-length", "no-summ", "two-player")
 
 
 class UsageError(Exception):
@@ -54,7 +53,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="directory for metrics and checkpoints")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--ablation", choices=ABLATIONS, default="none")
+    p.add_argument("--ablation", choices=ABLATIONS, default="none",
+                   help="train with the loss weights this ablation sets")
     p.add_argument("--checkpoint", help="resume from this checkpoint")
     p.add_argument("--paper-scale", action="store_true",
                    help="use paper-scale model widths")
@@ -142,17 +142,10 @@ def _cmd_train(args) -> int:
     cfg = _overlay(
         TrainConfig, dataclasses.asdict(TrainConfig()), section, args.config or "<flags>"
     )
-    overrides = {}
+    overrides = dict(ABLATIONS[args.ablation])
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.ablation == "no-length":
-        overrides["no_length"] = True
-    elif args.ablation == "no-summ":
-        overrides["no_summ"] = True
-    elif args.ablation == "two-player":
-        overrides["two_player"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
 
     corpus = load_corpus(_corpus_manifest(args.corpus))
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None

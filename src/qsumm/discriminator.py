@@ -41,10 +41,8 @@ from .tensor import (
 )
 
 __all__ = [
-    "SUMMARY_TAGS",
     "DiscriminatorConfig",
     "DiscriminatorParams",
-    "SummaryRepr",
     "init_discriminator_params",
     "discriminator_shapes",
     "summary_repr",
@@ -52,9 +50,6 @@ __all__ = [
     "critic",
     "critic_scores",
 ]
-
-SUMMARY_TAGS = ("generated", "ground-truth", "random")
-
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
@@ -142,22 +137,13 @@ def discriminator_shapes(cfg: DiscriminatorConfig) -> dict:
     }
 
 
-@dataclass
-class SummaryRepr:
-    """A score-weighted copy of the encoded shot sequence."""
-
-    seq: Tensor
-    tag: str
-
-
-def summary_repr(f_eq, scores, tag: str) -> SummaryRepr:
-    """Row t of the output is f_eq row t scaled by scores[t].
+def summary_repr(f_eq, scores) -> Tensor:
+    """A score-weighted copy of the encoded shot sequence: row t of the
+    output is f_eq row t scaled by scores[t].
 
     The scaling stays on the tape, so gradients flow back into both the
     encoding and the scores (the generated-summary path needs the latter).
     """
-    if tag not in SUMMARY_TAGS:
-        raise ConfigError(f"summary_repr: unknown tag {tag!r}, expected one of {SUMMARY_TAGS}")
     f_eq = as_tensor(f_eq)
     scores = as_tensor(scores)
     if f_eq.data.ndim != 2 or scores.data.ndim != 1 or f_eq.data.shape[0] != scores.data.shape[0]:
@@ -166,7 +152,7 @@ def summary_repr(f_eq, scores, tag: str) -> SummaryRepr:
             f"{scores.data.shape} disagree on shot count"
         )
     T = scores.data.shape[0]
-    return SummaryRepr(seq=mul(f_eq, reshape(scores, (T, 1))), tag=tag)
+    return mul(f_eq, reshape(scores, (T, 1)))
 
 
 def random_scores(T: int, rng) -> np.ndarray:
@@ -188,10 +174,6 @@ def _head(u, v, params) -> Tensor:
     return reshape(linear_forward(h, params.out_w, params.out_b), ())
 
 
-def _summary_seq(summ) -> Tensor:
-    return summ.seq if isinstance(summ, SummaryRepr) else as_tensor(summ)
-
-
 def critic(summ, f_vq, params: DiscriminatorParams) -> Tensor:
     """Scalar critic value for one (summary, video) pair."""
     return critic_scores([summ], f_vq, params)[0]
@@ -210,7 +192,7 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """
     f_vq = as_tensor(f_vq)
     T = f_vq.data.shape[0]
-    seqs = [_summary_seq(summ) for summ in summs]
+    seqs = [as_tensor(summ) for summ in summs]
     for seq in seqs:
         if seq.data.shape[0] != T:
             raise DimensionError(

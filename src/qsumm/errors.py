@@ -62,7 +62,6 @@ def _is_finite_number(value) -> bool:
 _FIELD_TYPES = {
     "int": (is_json_int, "int"),
     "float": (_is_finite_number, "finite float"),
-    "bool": (lambda v: isinstance(v, bool), "bool"),
     "str": (lambda v: isinstance(v, str), "str"),
 }
 

@@ -232,7 +232,7 @@ def component_suite(seed: int = 0) -> dict:
         def f():
             from .discriminator import critic
 
-            summ = summary_repr(f_eq, scores, "generated")
+            summ = summary_repr(f_eq, scores)
             return critic(summ, f_vq, params) * 0.01
 
         targets = dict(params.tensors())
@@ -255,9 +255,9 @@ def component_suite(seed: int = 0) -> dict:
                 train=True, rng=np.random.default_rng(mask_seed),
             )
             summs = [
-                summary_repr(fwd.f_eq, gt, "ground-truth"),
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
-                summary_repr(fwd.f_eq, rand, "random"),
+                summary_repr(fwd.f_eq, gt),
+                summary_repr(fwd.f_eq, fwd.s),
+                summary_repr(fwd.f_eq, rand),
             ]
             d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, dparams)
             return (d_g - d_q * 0.5 - d_r * 0.5) * 0.01

@@ -7,9 +7,10 @@ one generator update.  The critic ascends
 
 over the (ground-truth, generated, random) summary scores, with weight
 clipping after every update.  The generator descends -omega*d_q plus the
-supervised alignment and length terms.  Ablation flags drop individual
-terms; the two-player flag sets omega = 1 and never draws a random
-summary.  Metrics go to a CSV log, model state to a versioned binary
+lambda-weighted supervised alignment and length terms.  Each ablation in
+ABLATIONS is a setting of those weights: omega = 1 is the two-player
+game, which never draws a random summary, and a lambda of 0 drops its
+term.  Metrics go to a CSV log, model state to a versioned binary
 checkpoint that round-trips bit-exactly, RNG streams included.
 """
 
@@ -63,6 +64,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "THRESHOLD_GRID",
+    "ABLATIONS",
     "TrainConfig",
     "Checkpoint",
     "MetricsRow",
@@ -86,6 +88,13 @@ CHECKPOINT_VERSION = 3
 # The decision thresholds validation scores val at; the best checkpoint
 # is the one with the highest mean F1 over them.
 THRESHOLD_GRID = (0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60)
+# The loss ablations, each as the TrainConfig weights it sets.
+ABLATIONS = {
+    "none": {},
+    "two-player": {"omega": 1.0},
+    "no-length": {"lambda_len": 0.0},
+    "no-summ": {"lambda_summ": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -102,9 +111,6 @@ class TrainConfig:
     lambda_summ: float = 1.0
     lambda_len: float = 1.0
     segment_len: int = 60
-    no_length: bool = False
-    no_summ: bool = False
-    two_player: bool = False
     checkpoint_every: int = 0
     eval_every: int = 0
 
@@ -136,9 +142,6 @@ class TrainConfig:
             raise ConfigError(f"train: segment_len must be >= 1, got {self.segment_len}")
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ConfigError("train: checkpoint_every and eval_every must be >= 0")
-
-    def effective_omega(self) -> float:
-        return 1.0 if self.two_player else self.omega
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,8 @@ def adversarial_losses(d_g, d_q, d_r, omega: float):
     The min-max value is L = d_g - omega*d_q - (1-omega)*d_r.  The critic
     maximizes L, so its descent target is -L; of the three terms only d_q
     depends on the generator, so the generator's adversarial loss is
-    -omega*d_q.  d_r may be None exactly when omega = 1 (two-player mode
-    never evaluates the random branch).
+    -omega*d_q.  d_r may be None exactly when omega = 1 (the two-player
+    game, which never scores a random summary).
     """
     if not 0.0 <= omega <= 1.0:
         raise ConfigError(f"adversarial_losses: omega must be in [0, 1], got {omega}")
@@ -320,18 +323,17 @@ def _critic_update(state: Checkpoint, corpus, hub: RngHub, step: int) -> float:
             state.gen_params, batch.frame, batch.shot, batch.query_emb,
             train=True, rng=hub["dropout"],
         )
-        r = None if cfg.two_player else random_scores(batch.length, hub["random-summary"])
+        # omega = 1 gives the random summary no weight, so none is drawn
+        r = None if cfg.omega == 1.0 else random_scores(batch.length, hub["random-summary"])
         with Tape(watch=disc_tensors.values()) as tape:
-            summs = [
-                summary_repr(fwd.f_eq, batch.gt, "ground-truth"),
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
-            ]
+            # ground-truth, generated, then random: d_g, d_q, d_r
+            summs = [summary_repr(fwd.f_eq, batch.gt), summary_repr(fwd.f_eq, fwd.s)]
             if r is not None:
-                summs.append(summary_repr(fwd.f_eq, r, "random"))
+                summs.append(summary_repr(fwd.f_eq, r))
             scores = critic_scores(summs, fwd.f_vq, state.disc_params)
             d_r = scores[2] if r is not None else None
             try:
-                c_loss, _ = adversarial_losses(scores[0], scores[1], d_r, cfg.effective_omega())
+                c_loss, _ = adversarial_losses(scores[0], scores[1], d_r, cfg.omega)
             except NumericError as e:
                 raise NumericError(f"training aborted at step {step}: {e}") from None
         loss = _check_finite(float(c_loss), step, "critic_loss")
@@ -347,6 +349,7 @@ def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
 
     The loss_summ and loss_length columns hold the lambda-weighted terms,
     so total_gen is exactly the float sum of the three logged components.
+    A term whose lambda is 0 is not computed, and its column reads 0.0.
     """
     cfg = state.train_cfg
     gen_tensors = state.gen_params.tensors()
@@ -357,15 +360,14 @@ def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
             train=True, rng=hub["dropout"],
         )
         # only the generated-summary branch feeds the generator update
-        q_summ = summary_repr(fwd.f_eq, fwd.s, "generated")
-        d_q = critic(q_summ, fwd.f_vq, state.disc_params)
-        total = gen_adv = mul(d_q, -cfg.effective_omega())
+        d_q = critic(summary_repr(fwd.f_eq, fwd.s), fwd.f_vq, state.disc_params)
+        total = gen_adv = mul(d_q, -cfg.omega)
         ls_w = ll_w = 0.0
-        if not cfg.no_summ:
+        if cfg.lambda_summ > 0:
             ls = mul(loss_summ(fwd.s, batch.gt), cfg.lambda_summ)
             ls_w = _check_finite(float(ls), step, "loss_summ")
             total = total + ls
-        if not cfg.no_length:
+        if cfg.lambda_len > 0:
             ll = mul(loss_length(fwd.k, batch.gamma), cfg.lambda_len)
             ll_w = _check_finite(float(ll), step, "loss_length")
             total = total + ll
@@ -378,12 +380,14 @@ def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
 
 def _validate(state: Checkpoint, corpus, best_path) -> None:
     """Score the val split at every THRESHOLD_GRID value and keep a new
-    best mean F1, saved to best_path when there is one."""
+    best mean F1, saved to best_path when there is one, with max_steps
+    set to its step: a fresh run's config, wherever the run was split."""
     reports = evaluation.evaluate_grid(state.gen_params, corpus, "val", THRESHOLD_GRID)
     f1 = float(np.mean([r.f1 for r in reports]))
     if f1 > state.best_val_f1:
         state.best_val_f1, state.best_val_step = f1, state.step
-        _save(state, best_path)
+        cfg = dataclasses.replace(state.train_cfg, max_steps=state.step)
+        _save(dataclasses.replace(state, train_cfg=cfg), best_path)
 
 
 def _save(state: Checkpoint, path) -> None:
@@ -434,9 +438,11 @@ def train(
     state of cfg.seed.  A resume advances the Checkpoint it is given in
     place (parameters, optimizer state, step, rng_state and best-val
     fields) and returns that same object as result.checkpoint.  Raises
-    ConfigError before any file is touched when cfg.max_steps is below
-    the resumed step, or when a gen_cfg or disc_cfg passed with a resume
-    differs from the checkpoint's.  Each step is _critic_update,
+    ConfigError or ContractError before any file is touched when
+    cfg.max_steps is below the resumed step, when a gen_cfg or disc_cfg
+    passed with a resume differs from the checkpoint's, or when the
+    corpus lacks what the run reads: a train video with a query, and a
+    nonempty val split when eval_every > 0.  Each step is _critic_update,
     _generator_update, then _validate every eval_every steps (mean val F1
     over THRESHOLD_GRID).
 
@@ -447,8 +453,11 @@ def train(
     and the state of each new best mean val F1 to checkpoint_best.qsck;
     a resume compares against the best_val_f1 its checkpoint holds.
     """
-    if not corpus.videos:
-        raise ContractError("train: corpus has no videos")
+    # the splits the loop will read are checked before any file is written
+    if not any(v.queries for v in corpus.split_videos("train")):
+        raise ContractError("train: split 'train' has no video with a query")
+    if cfg.eval_every > 0 and not corpus.split_videos("val"):
+        raise ContractError("train: split 'val' is empty")
     if resume is not None:
         for given, held in ((gen_cfg, resume.gen_cfg), (disc_cfg, resume.disc_cfg)):
             if given not in (None, held):
@@ -494,6 +503,25 @@ _FILE_HEAD = struct.Struct("<4sII")
 # size of the save buffer, and of the scratch buffer that float32
 # payloads and payloads that are only validated pass through on load
 _SCRATCH_BYTES = 8 << 20
+
+
+# TrainConfig flags that files written before the ablations became loss
+# weights still hold; a true flag stands for its ABLATIONS entry
+_LEGACY_TRAIN_FLAGS = ("no_length", "no_summ", "two_player")
+
+
+def _legacy_train_fields(fields):
+    """cfg/train fields with any old ablation flag replaced by its weights."""
+    if not isinstance(fields, dict):
+        return fields
+    weights = {}
+    for flag in _LEGACY_TRAIN_FLAGS:
+        on = fields.pop(flag, False)
+        if not isinstance(on, bool):
+            raise ConfigError(f"train: {flag} must be bool, got {on!r}")
+        if on:
+            weights.update(ABLATIONS[flag.replace("_", "-")])
+    return {**fields, **weights}
 
 
 def _config_json(cfg) -> bytes:
@@ -654,6 +682,7 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
 
     Every section the configs imply is validated in both modes; any
     other section, such as an older file's running stats, is skipped.
+    An older cfg/train's ablation flags load as the weights they set.
     With generator_only, only the generator's arrays are kept, and
     disc_params, gen_opt and disc_opt are None.
     """
@@ -676,14 +705,14 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
             except (ValueError, RecursionError) as e:
                 raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
 
-        def config(cls, name: str):
+        def config(cls, name: str, upgrade=lambda fields: fields):
             try:
-                return cls(**parse(name))
+                return cls(**upgrade(parse(name)))
             except (ConfigError, TypeError) as e:
                 raise FormatError(f"{source}: section {name!r}: {e}") from None
 
         meta = config(CheckpointMeta, "meta")
-        train_cfg = config(TrainConfig, "cfg/train")
+        train_cfg = config(TrainConfig, "cfg/train", _legacy_train_fields)
         gen_cfg = config(GeneratorConfig, "cfg/gen")
         disc_cfg = config(DiscriminatorConfig, "cfg/disc")
         rng_state = parse("rng")

@@ -26,7 +26,14 @@ from qsumm.discriminator import DiscriminatorConfig
 from qsumm.evaluation import evaluate, evaluate_grid, max_weight_matching
 from qsumm.generator import GeneratorConfig, g_g_gate, generator_forward
 from qsumm.gradcheck import SUITE_TOLERANCE, component_suite
-from qsumm.training import THRESHOLD_GRID, TrainConfig, load_checkpoint, load_generator, train
+from qsumm.training import (
+    ABLATIONS,
+    THRESHOLD_GRID,
+    TrainConfig,
+    load_checkpoint,
+    load_generator,
+    train,
+)
 
 # Recipe for the learning tests.  The corpus seed and hyperparameters
 # are pinned so the runs are reproducible; dropout is mild, the learning
@@ -103,7 +110,7 @@ def trained_no_length(accept_corpus, trained_full):
     result = train(
         accept_corpus,
         TrainConfig(
-            seed=TRAIN_SEED, max_steps=steps, no_length=True, **RECIPE
+            seed=TRAIN_SEED, max_steps=steps, **ABLATIONS["no-length"], **RECIPE
         ),
         gen_cfg=gen_cfg,
         disc_cfg=disc_cfg,
@@ -215,27 +222,21 @@ class TestAblationAcceptance:
         synth = SynthConfig(
             n_videos=5, n_shots=24, n_concepts=8, d_frame=12, d_shot=16, d_text=8
         )
-        variants = {
-            "full": {},
-            "two-player": {"two_player": True},
-            "no-length": {"no_length": True},
-            "no-summ": {"no_summ": True},
-        }
         means = {}
-        for name, flags in variants.items():
+        for name, weights in ABLATIONS.items():
             scores = []
             for seed in range(5):
                 corpus = synth_corpus(synth, seed=100 + seed)
                 cfg = TrainConfig(
                     seed=seed, max_steps=400, n_critic=1, lr_gen=1e-3,
-                    lr_critic=1e-3, segment_len=24, **flags,
+                    lr_critic=1e-3, segment_len=24, **weights,
                 )
                 result = train(corpus, cfg)
                 rep = evaluate(result.checkpoint.gen_params, corpus, "test")
                 scores.append(rep.f1)
             means[name] = float(np.mean(scores))
-        assert means["full"] >= means["two-player"], means
-        assert means["full"] >= means["no-length"], means
+        assert means["none"] >= means["two-player"], means
+        assert means["none"] >= means["no-length"], means
         worst = min(means, key=means.get)
         assert worst == "no-summ", means
 

@@ -21,7 +21,7 @@ from qsumm.dataset import SynthConfig
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, FormatError
 from qsumm.generator import GeneratorConfig
-from qsumm.training import TrainConfig
+from qsumm.training import ABLATIONS, TrainConfig
 
 MINI = {
     "synth": {
@@ -450,10 +450,10 @@ CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
 
 def violates_type(kind, value) -> bool:
     """The type rule, written out apart from the library: an int field
-    takes an int, a bool field a bool, and a float field an int or a
-    float that is finite as a float."""
-    if kind in (int, bool):
-        return type(value) is not kind
+    takes an int, and a float field an int or a float that is finite as
+    a float."""
+    if kind is int:
+        return type(value) is not int
     try:
         return type(value) not in (int, float) or not math.isfinite(value)
     except OverflowError:
@@ -605,7 +605,7 @@ class TestTrainEvaluateSummarize:
 
     def test_ablation_flags_change_the_run(self, workspace, tmp_path):
         outs = {}
-        for name in ("none", "two-player", "no-length", "no-summ"):
+        for name in ABLATIONS:
             out = tmp_path / name
             rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
                           "--config", workspace["cfg"], "--ablation", name])
@@ -616,6 +616,26 @@ class TestTrainEvaluateSummarize:
             assert line.split(",")[3] == "0.0"
         for line in outs["no-length"].splitlines()[1:]:
             assert line.split(",")[4] == "0.0"
+
+    def test_ablation_flag_sets_its_weights_over_the_file(self, workspace, tmp_path, capsys):
+        assert run_cli(["train", "--help"]) == 0
+        assert "{" + ",".join(ABLATIONS) + "}" in capsys.readouterr().out
+        cfg = write_config(tmp_path, {"train": dict(MINI["train"], omega=0.3)})
+        out = tmp_path / "run"
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                        "--config", cfg, "--ablation", "two-player"]) == 0
+        sections = read_sections((out / "checkpoint.qsck").read_bytes(), "ckpt")
+        assert json.loads(sections["cfg/train"])["omega"] == 1.0
+
+    @pytest.mark.parametrize("flag", ["no_length", "no_summ", "two_player"])
+    def test_old_ablation_flags_are_unknown_fields(self, workspace, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, {"train": dict(MINI["train"], **{flag: True})})
+        out = tmp_path / "run"
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                        "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown TrainConfig fields" in err and flag in err
+        assert not out.exists()
 
     def test_resume_from_checkpoint_flag(self, workspace, tmp_path):
         cfg = write_config(tmp_path, {"train": dict(MINI["train"], max_steps=2)})

@@ -4,12 +4,10 @@ from numpy.testing import assert_allclose
 
 from conftest import max_rel_err
 from qsumm.discriminator import (
-    SUMMARY_TAGS,
     DiscriminatorConfig,
     DiscriminatorParams,
     _head,
     _pool,
-    _summary_seq,
     bilstm_forward,
     critic,
     critic_scores,
@@ -18,7 +16,7 @@ from qsumm.discriminator import (
     random_scores,
     summary_repr,
 )
-from qsumm.errors import ConfigError, DimensionError
+from qsumm.errors import DimensionError
 from qsumm.gradcheck import grad_check
 from qsumm.tensor import Tape, Tensor, as_tensor, concat_rows, slice_rows
 
@@ -36,7 +34,7 @@ def reference_critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """
     f_vq = as_tensor(f_vq)
     T = f_vq.data.shape[0]
-    seqs = [_summary_seq(summ) for summ in summs]
+    seqs = [as_tensor(summ) for summ in summs]
     for seq in seqs:
         if seq.data.shape[0] != T:
             raise DimensionError(
@@ -72,37 +70,31 @@ def tiny_inputs(T=5, seed=1):
 class TestSummaryRepr:
     def test_unit_scores_identity(self):
         f_eq, _ = tiny_inputs(4)
-        out = summary_repr(f_eq, np.ones(4), "ground-truth")
-        assert_allclose(out.seq.data, f_eq)
-        assert out.tag == "ground-truth"
+        out = summary_repr(f_eq, np.ones(4))
+        assert_allclose(out.data, f_eq)
 
     def test_zero_scores(self):
         f_eq, _ = tiny_inputs(4)
-        out = summary_repr(f_eq, np.zeros(4), "random")
-        assert_allclose(out.seq.data, np.zeros_like(f_eq))
+        out = summary_repr(f_eq, np.zeros(4))
+        assert_allclose(out.data, np.zeros_like(f_eq))
 
     def test_per_row_scaling(self):
         f_eq = np.array([[1.0, 2.0, 4.0], [3.0, -1.0, 0.5]])
-        out = summary_repr(f_eq, np.array([0.5, 1.0]), "generated")
-        assert_allclose(out.seq.data, [[0.5, 1.0, 2.0], [3.0, -1.0, 0.5]])
+        out = summary_repr(f_eq, np.array([0.5, 1.0]))
+        assert_allclose(out.data, [[0.5, 1.0, 2.0], [3.0, -1.0, 0.5]])
 
     def test_linear_in_scores(self):
         rng = np.random.default_rng(2)
         f_eq, _ = tiny_inputs(6)
         s = rng.uniform(0, 1, 6)
-        base = summary_repr(f_eq, s, "generated").seq.data
-        scaled = summary_repr(f_eq, 0.25 * s, "generated").seq.data
+        base = summary_repr(f_eq, s).data
+        scaled = summary_repr(f_eq, 0.25 * s).data
         assert_allclose(scaled, 0.25 * base, atol=1e-15)
 
     def test_length_mismatch(self):
         f_eq, _ = tiny_inputs(4)
         with pytest.raises(DimensionError):
-            summary_repr(f_eq, np.ones(5), "generated")
-
-    def test_unknown_tag(self):
-        f_eq, _ = tiny_inputs(2)
-        with pytest.raises(ConfigError):
-            summary_repr(f_eq, np.ones(2), "fake")
+            summary_repr(f_eq, np.ones(5))
 
 
 class TestRandomScores:
@@ -126,7 +118,7 @@ class TestCritic:
     def test_scalar_output(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.full(5, 0.6), "generated")
+        summ = summary_repr(f_eq, np.full(5, 0.6))
         out = critic(summ, f_vq, params)
         assert out.data.shape == ()
         assert np.isfinite(out.data)
@@ -134,7 +126,7 @@ class TestCritic:
     def test_deterministic(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.full(5, 0.6), "generated")
+        summ = summary_repr(f_eq, np.full(5, 0.6))
         a = float(critic(summ, f_vq, params))
         b = float(critic(summ, f_vq, params))
         assert a == b
@@ -144,21 +136,21 @@ class TestCritic:
         for t in params.tensors().values():
             t.data[:] = 0.0
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.ones(5), "ground-truth")
+        summ = summary_repr(f_eq, np.ones(5))
         assert float(critic(summ, f_vq, params)) == 0.0
 
     def test_shot_count_mismatch(self):
         params = tiny_params()
         f_eq, _ = tiny_inputs(4)
         _, f_vq = tiny_inputs(5)
-        summ = summary_repr(f_eq, np.ones(4), "generated")
+        summ = summary_repr(f_eq, np.ones(4))
         with pytest.raises(DimensionError):
             critic(summ, f_vq, params)
 
     def test_plain_tensor_accepted_as_summary(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        via_repr = float(critic(summary_repr(f_eq, np.ones(5), "generated"), f_vq, params))
+        via_repr = float(critic(summary_repr(f_eq, np.ones(5)), f_vq, params))
         direct = float(critic(Tensor(f_eq), f_vq, params))
         assert via_repr == direct
 
@@ -168,9 +160,9 @@ class TestSharedVideoBranch:
         f_eq, f_vq = tiny_inputs(6, seed=5)
         rng = np.random.default_rng(6)
         summs = [
-            summary_repr(f_eq, rng.uniform(0, 1, 6), "generated"),
-            summary_repr(f_eq, rng.integers(0, 2, 6).astype(float), "ground-truth"),
-            summary_repr(f_eq, random_scores(6, rng), "random"),
+            summary_repr(f_eq, rng.uniform(0, 1, 6)),
+            summary_repr(f_eq, rng.integers(0, 2, 6).astype(float)),
+            summary_repr(f_eq, random_scores(6, rng)),
         ]
         shared = [
             float(x) for x in critic_scores(summs, f_vq, tiny_params(seed=7))
@@ -182,13 +174,13 @@ class TestSharedVideoBranch:
     def test_gradients_match_separate_calls(self):
         f_eq, f_vq = (Tensor(a) for a in tiny_inputs(6, seed=12))
         rng = np.random.default_rng(13)
-        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in SUMMARY_TAGS]
+        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(3)]
 
         def grads(batched):
             params = tiny_params(seed=14)
             watch = list(params.tensors().values()) + [f_eq, f_vq] + scores
             with Tape(watch=watch) as tape:
-                summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
+                summs = [summary_repr(f_eq, s) for s in scores]
                 if batched:
                     d = critic_scores(summs, f_vq, params)
                 else:
@@ -204,8 +196,8 @@ class TestSharedVideoBranch:
         f_eq, f_vq = tiny_inputs(6)
         short, _ = tiny_inputs(3)
         summs = [
-            summary_repr(f_eq, np.ones(6), "generated"),
-            summary_repr(short, np.ones(3), "random"),
+            summary_repr(f_eq, np.ones(6)),
+            summary_repr(short, np.ones(3)),
         ]
         with pytest.raises(DimensionError):
             critic_scores(summs, f_vq, tiny_params())
@@ -223,9 +215,9 @@ class TestReferenceOracle:
         scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(n_summ)]
         coef = rng.uniform(-1.0, 1.0, n_summ)
         with Tape(watch=list(params.tensors().values()) + [f_vq, f_eq]) as tape:
-            summs = [summary_repr(f_eq, s, tag) for s, tag in zip(scores, SUMMARY_TAGS)]
+            summs = [summary_repr(f_eq, s) for s in scores]
             for summ in summs:
-                tape.watch(summ.seq)
+                tape.watch(summ)
             d = score_fn(summs, f_vq, params)
             loss = Tensor(0.0)
             for c, x in zip(coef, d):
@@ -233,7 +225,7 @@ class TestReferenceOracle:
         tape.backward(loss)
         grads = {k: t.grad for k, t in params.tensors().items()}
         grads.update(f_vq=f_vq.grad, f_eq=f_eq.grad)
-        grads.update({f"summary{i}": summ.seq.grad for i, summ in enumerate(summs)})
+        grads.update({f"summary{i}": summ.grad for i, summ in enumerate(summs)})
         return [float(x) for x in d], grads
 
     @pytest.mark.parametrize("n_summ", [0, 1, 2, 3])
@@ -256,7 +248,7 @@ class TestCriticGradients:
         scores = Tensor(rng.uniform(0.2, 0.8, 5))
 
         def f():
-            summ = summary_repr(f_eq, scores, "generated")
+            summ = summary_repr(f_eq, scores)
             return critic(summ, f_vq, params) * 0.01
 
         targets = dict(params.tensors())

@@ -38,6 +38,7 @@ from qsumm.training import (
     _FILE_HEAD,
     _PAYLOAD_HEAD,
     _SECTION_HEAD,
+    ABLATIONS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     METRICS_HEADER,
@@ -188,10 +189,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(max_steps=0)
 
-    def test_two_player_forces_omega(self):
-        cfg = TrainConfig(two_player=True, omega=0.5)
-        assert cfg.effective_omega() == 1.0
-
 
 class TestFieldTypes:
     """Every config field holds its annotated type, and nothing is converted."""
@@ -199,12 +196,11 @@ class TestFieldTypes:
     @pytest.mark.parametrize("make, message", [
         (lambda: TrainConfig(max_steps=True), "max_steps must be int, got True"),
         (lambda: TrainConfig(seed=1.5), "seed must be int, got 1.5"),
-        (lambda: TrainConfig(no_length=1), "no_length must be bool, got 1"),
         (lambda: GeneratorConfig(d_h=32.0), "d_h must be int, got 32.0"),
         (lambda: GeneratorConfig(d_h="32"), "d_h must be int, got '32'"),
         (lambda: SynthConfig(n_shots=60.0), "n_shots must be int, got 60.0"),
         (lambda: DiscriminatorConfig(d_fc1=None), "d_fc1 must be int, got None"),
-    ], ids=["bool-max_steps", "float-seed", "int-no_length", "float-d_h", "str-d_h",
+    ], ids=["bool-max_steps", "float-seed", "float-d_h", "str-d_h",
             "float-n_shots", "null-d_fc1"])
     def test_wrong_type_rejected(self, make, message):
         with pytest.raises(ConfigError, match=message):
@@ -242,9 +238,9 @@ class TestPhaseSeparation:
         )
         with Tape(watch=disc_tensors.values()) as tape:
             summs = [
-                summary_repr(fwd.f_eq, batch.gt, "ground-truth"),
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
-                summary_repr(fwd.f_eq, np.ones(batch.length), "random"),
+                summary_repr(fwd.f_eq, batch.gt),
+                summary_repr(fwd.f_eq, fwd.s),
+                summary_repr(fwd.f_eq, np.ones(batch.length)),
             ]
             d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, self.dparams)
             c_loss, _ = adversarial_losses(d_g, d_q, d_r, 0.5)
@@ -259,7 +255,7 @@ class TestPhaseSeparation:
                 train=True, rng=np.random.default_rng(7),
             )
             d_q = critic(
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
+                summary_repr(fwd.f_eq, fwd.s),
                 fwd.f_vq, self.dparams,
             )
             total = mul(d_q, -0.5) + loss_summ(fwd.s, batch.gt) + loss_length(fwd.k, batch.gamma)
@@ -283,7 +279,7 @@ class TestPhaseSeparation:
         )
         with Tape(watch=disc_tensors.values()) as tape:
             d_q = critic(
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
+                summary_repr(fwd.f_eq, fwd.s),
                 fwd.f_vq, self.dparams,
             )
         tape.backward(d_q)
@@ -299,7 +295,7 @@ class TestPhaseSeparation:
                 train=True, rng=np.random.default_rng(10),
             )
             d_q = critic(
-                summary_repr(fwd.f_eq, fwd.s, "generated"),
+                summary_repr(fwd.f_eq, fwd.s),
                 fwd.f_vq, self.dparams,
             )
         tape.backward(d_q)
@@ -324,16 +320,16 @@ class TestTrainLoop:
         # the critic phase calls critic_scores directly, the generator's critic through it
         monkeypatch.setattr(training, "critic_scores", recording)
         monkeypatch.setattr(discriminator, "critic_scores", recording)
-        for two_player, per_critic_update in ((False, 3), (True, 2)):
+        for omega, per_critic_update in ((0.5, 3), (0.99, 3), (1.0, 2)):
             counts.clear()
-            cfg = dataclasses.replace(MINI_TRAIN, two_player=two_player)
+            cfg = dataclasses.replace(MINI_TRAIN, omega=omega)
             train(mini_corpus, cfg, gen_cfg=MINI_GEN)
             assert counts == ([per_critic_update] * cfg.n_critic + [1]) * cfg.max_steps
 
     def test_two_player_never_draws_random(self, mini_corpus):
         initial = RngHub(MINI_TRAIN.seed).state()["streams"]["random-summary"]
         three = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN).checkpoint
-        cfg = dataclasses.replace(MINI_TRAIN, two_player=True)
+        cfg = dataclasses.replace(MINI_TRAIN, omega=1.0)
         two = train(mini_corpus, cfg, gen_cfg=MINI_GEN).checkpoint
         assert two.rng_state["streams"]["random-summary"] == initial
         assert three.rng_state["streams"]["random-summary"] != initial
@@ -354,16 +350,27 @@ class TestTrainLoop:
             adv, ls, ll, total = map(float, cols[2:6])
             assert (adv + ls) + ll == total
 
-    def test_ablations_zero_their_columns(self, mini_corpus):
+    def test_ablations_zero_their_columns(self, mini_corpus, monkeypatch):
+        # a term whose lambda is 0 is skipped, not computed and scaled by 0
+        calls = []
+
+        def counting(name):
+            fn = getattr(training, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("loss_summ", "loss_length"):
+            monkeypatch.setattr(training, name, counting(name))
         no_len = train(
-            mini_corpus, dataclasses.replace(MINI_TRAIN, no_length=True), gen_cfg=MINI_GEN
+            mini_corpus, dataclasses.replace(MINI_TRAIN, lambda_len=0.0), gen_cfg=MINI_GEN
         )
         assert all(r.loss_length == 0.0 for r in no_len.metrics)
         assert any(r.loss_summ != 0.0 for r in no_len.metrics)
         no_summ = train(
-            mini_corpus, dataclasses.replace(MINI_TRAIN, no_summ=True), gen_cfg=MINI_GEN
+            mini_corpus, dataclasses.replace(MINI_TRAIN, lambda_summ=0.0), gen_cfg=MINI_GEN
         )
         assert all(r.loss_summ == 0.0 for r in no_summ.metrics)
+        steps = MINI_TRAIN.max_steps
+        assert calls == ["loss_summ"] * steps + ["loss_length"] * steps
 
     def test_nan_abort_names_step(self, mini_corpus):
         from qsumm.generator import init_generator_params
@@ -868,13 +875,12 @@ class TestCheckpointFieldTypes:
         ("meta", {"best_val_f1": 1.5}, r"best_val_f1 must be in \[0, 1\]"),
         ("meta", {"gen_opt_step": -1}, "gen_opt_step must be >= 0"),
         ("meta", {"format": "other"}, "unexpected format tag"),
-        ("cfg/train", {"no_length": 1}, "no_length must be bool"),
         ("cfg/train", {"max_steps": 2.5}, "max_steps must be int"),
         ("cfg/gen", {"d_h": 0}, "d_h must be >= 1"),
         ("cfg/gen", {"dropout_p": True}, "dropout_p must be finite"),
     ], ids=["meta-float-step", "meta-str-step", "meta-bool-step", "meta-nan-f1",
-            "meta-f1-above-1", "meta-negative-opt-step", "meta-format", "train-int-bool",
-            "train-float-int", "gen-zero-width", "gen-bool-float"])
+            "meta-f1-above-1", "meta-negative-opt-step", "meta-format", "train-float-int",
+            "gen-zero-width", "gen-bool-float"])
     def test_bad_field_is_format_error(self, mini_checkpoint, tmp_path, section, fields,
                                        message):
         path = with_json_fields(mini_checkpoint, tmp_path / "bad.qsck", section, **fields)
@@ -907,6 +913,33 @@ class TestCheckpointFieldTypes:
                     pass
 
         check()
+
+
+class TestLegacyAblationFlags:
+    """A version 3 cfg/train written while the ablations were the flags
+    no_length, no_summ and two_player loads with each true flag as its
+    ABLATIONS weights."""
+
+    FLAGS = {"no_length": "no-length", "no_summ": "no-summ", "two_player": "two-player"}
+
+    @pytest.mark.parametrize("on", [None, *FLAGS], ids=["all-false", *FLAGS])
+    def test_flags_load_as_weights(self, mini_checkpoint, tmp_path, on):
+        flags = {flag: flag == on for flag in self.FLAGS}
+        path = with_json_fields(mini_checkpoint, tmp_path / "old.qsck", "cfg/train", **flags)
+        weights = ABLATIONS[self.FLAGS[on]] if on else {}
+        want = dataclasses.replace(
+            mini_checkpoint,
+            train_cfg=dataclasses.replace(mini_checkpoint.train_cfg, **weights))
+        assert bits(load_checkpoint(path)) == bits(want)
+        assert bits(load_generator(path)) == bits(mini_checkpoint.gen_params)
+
+    @pytest.mark.parametrize("value", [1, None, "true"], ids=["int", "null", "str"])
+    def test_non_bool_flag_is_format_error(self, mini_checkpoint, tmp_path, value):
+        path = with_json_fields(mini_checkpoint, tmp_path / "bad.qsck", "cfg/train",
+                                no_length=value)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match="'cfg/train': .*no_length must be bool"):
+                load(path)
 
 
 class TestCheckpointSizes:
@@ -1112,7 +1145,8 @@ class TestResume:
 class TestValidation:
     # Seed 0's mean val F1 only falls after step 1 (measured through step
     # 600), so no run length shows selection; seed 2's peaks at step 4 of
-    # 6, after the split below.
+    # 6.  The split run takes both: seed 0's best falls before its split
+    # at step 2, seed 2's after it.
     RUN = dataclasses.replace(MINI_EVAL, seed=2)
 
     def test_best_val_is_the_best_replayed_evaluation(self, mini_corpus, tmp_path):
@@ -1142,12 +1176,29 @@ class TestValidation:
         for k, t in saved.gen_params.tensors().items():
             assert np.array_equal(t.data, best_params[k])
 
-    def test_split_run_writes_the_same_checkpoints(self, mini_corpus, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_split_run_writes_the_same_checkpoints(self, mini_corpus, tmp_path, seed):
+        run = dataclasses.replace(self.RUN, seed=seed)
         full, split = tmp_path / "full", tmp_path / "split"
-        train(mini_corpus, self.RUN, gen_cfg=MINI_GEN, out_dir=full)
-        train(mini_corpus, dataclasses.replace(self.RUN, max_steps=2), gen_cfg=MINI_GEN,
+        train(mini_corpus, run, gen_cfg=MINI_GEN, out_dir=full)
+        train(mini_corpus, dataclasses.replace(run, max_steps=2), gen_cfg=MINI_GEN,
               out_dir=split)
         ckpt = load_checkpoint(split / "checkpoint.qsck")
-        train(mini_corpus, self.RUN, out_dir=split, resume=ckpt)
+        train(mini_corpus, run, out_dir=split, resume=ckpt)
         for name in ("metrics.csv", "checkpoint.qsck", "checkpoint_best.qsck"):
             assert (split / name).read_bytes() == (full / name).read_bytes(), name
+        best = load_checkpoint(full / "checkpoint_best.qsck")
+        assert best.train_cfg == dataclasses.replace(run, max_steps=best.step)
+
+    @pytest.mark.parametrize("splits, error", [
+        ({"train": ["v000"], "test": ["v002"]}, ConfigError),
+        ({"train": ["v000"], "val": [], "test": ["v002"]}, ContractError),
+        ({"val": ["v001"], "test": ["v002"]}, ConfigError),
+        ({"train": [], "val": ["v001"], "test": ["v002"]}, ContractError),
+    ], ids=["no-val", "empty-val", "no-train", "empty-train"])
+    def test_missing_split_writes_nothing(self, mini_corpus, tmp_path, splits, error):
+        corpus = dataclasses.replace(mini_corpus, splits=splits)
+        cfg = dataclasses.replace(MINI_TRAIN, eval_every=3)
+        with pytest.raises(error):
+            train(corpus, cfg, gen_cfg=MINI_GEN, out_dir=tmp_path / "run")
+        assert not os.path.exists(tmp_path / "run")

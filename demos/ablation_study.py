@@ -27,6 +27,7 @@ gen_cfg = GeneratorConfig(
 disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
 
 print(f"{'variant':12s} {'F1':>6s} {'d':>6s}")
+table = {}
 for name, weights in ABLATIONS.items():
     scores, dists = [], []
     # A few training seeds smooth out run-to-run noise.
@@ -39,8 +40,9 @@ for name, weights in ABLATIONS.items():
         report = evaluate(result.checkpoint.gen_params, corpus, "test")
         scores.append(report.f1)
         dists.append(report.d)
-    print(f"{name:12s} {np.mean(scores):6.3f} {np.mean(dists):6.2f}")
+    table[name] = (np.mean(scores), np.mean(dists))
+    print(f"{name:12s} {table[name][0]:6.3f} {table[name][1]:6.2f}")
 
-print("\nthe supervised score loss carries most of the signal; dropping it")
-print("is the most damaging ablation, and dropping the length regularizer")
-print("lets summary sizes drift from the target fraction")
+best_f1 = max(table, key=lambda name: table[name][0])
+best_d = min(table, key=lambda name: table[name][1])
+print(f"\nhighest F1: {best_f1}; smallest d: {best_d}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, check_fields
+from .errors import DimensionError, check_fields
 from .generator import GeneratorConfig
 # bilstm_forward stays importable here: perfbench/tracing.py wraps this name
 from .layers import (  # noqa: F401
@@ -27,7 +27,6 @@ from .layers import (  # noqa: F401
     linear_forward,
     lstm_shapes,
     named_tensors,
-    relu,
 )
 from .tensor import (
     Tensor,
@@ -36,6 +35,7 @@ from .tensor import (
     concat_rows,
     mean_rows,
     mul,
+    relu,
     reshape,
     slice_rows,
 )
@@ -61,9 +61,7 @@ class DiscriminatorConfig:
     d_fc3: int = 16
 
     def __post_init__(self):
-        for name, kind in check_fields(self, "discriminator").items():
-            if kind == "int" and getattr(self, name) < 1:
-                raise ConfigError(f"discriminator: {name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, "discriminator", min_int=1)
 
     @classmethod
     def for_generator(cls, gen_cfg: GeneratorConfig, **overrides) -> "DiscriminatorConfig":

@@ -66,17 +66,18 @@ _FIELD_TYPES = {
 }
 
 
-def check_fields(record, section: str) -> dict:
+def check_fields(record, section: str, min_int=None) -> None:
     """Raise ConfigError unless every field of the dataclass `record`
     holds its annotated type: an int is no bool, a float field takes an
     int or a float that is finite as a float, and nothing is converted.
-    Range checks such as x <= 0 are false for NaN, so each record runs
-    this before its own.  Returns field name -> annotated type name."""
-    kinds = {}
+    With min_int, every int field must also be >= min_int.  Range checks
+    such as x <= 0 are false for NaN, so each record runs this before
+    its own."""
     for f in dataclasses.fields(record):
-        kind = kinds[f.name] = getattr(f.type, "__name__", f.type)
+        kind = getattr(f.type, "__name__", f.type)
         test, expected = _FIELD_TYPES[kind]
         value = getattr(record, f.name)
         if not test(value):
             raise ConfigError(f"{section}: {f.name} must be {expected}, got {value!r}")
-    return kinds
+        if min_int is not None and kind == "int" and value < min_int:
+            raise ConfigError(f"{section}: {f.name} must be >= {min_int}, got {value}")

@@ -23,13 +23,13 @@ from .layers import (
     linear_forward,
     lstm_shapes,
     named_tensors,
-    relu,
 )
 from .tensor import (
     Tensor,
     as_tensor,
     concat_cols,
     concat_rows,
+    relu,
     reshape,
     sigmoid,
     slice_rows,
@@ -65,9 +65,7 @@ class GeneratorConfig:
     dropout_p: float = 0.5
 
     def __post_init__(self):
-        for name, kind in check_fields(self, "generator").items():
-            if kind == "int" and getattr(self, name) < 1:
-                raise ConfigError(f"generator: {name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, "generator", min_int=1)
         if self.tau <= 0:
             raise ConfigError(f"generator: tau must be positive, got {self.tau}")
         if not 0.0 <= self.dropout_p < 1.0:

@@ -35,7 +35,6 @@ from .tensor import (
     matmul,
     mul,
     record,
-    relu,
     reshape,
     sigmoid,
     slice_cols,
@@ -44,7 +43,6 @@ from .tensor import (
 
 __all__ = [
     "linear_forward",
-    "elementwise_activation",
     "batchnorm_forward",
     "dropout",
     "LSTMParams",
@@ -64,19 +62,6 @@ BN_EPS = 1e-5
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """y = xW + b for a batch of row vectors."""
     return add(matmul(x, w), b)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise_activation(x: Tensor, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown activation {kind!r}, expected one of {sorted(_ACTIVATIONS)}"
-        ) from None
-    return fn(x)
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -30,7 +30,6 @@ __all__ = [
     "slice_cols",
     "slice_rows",
     "tile_rows",
-    "sum_all",
     "mean_all",
     "mean_rows",
     "absolute",
@@ -56,18 +55,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __float__(self) -> float:
         return self.data.item()
 
@@ -76,9 +63,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -89,14 +73,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -347,13 +325,6 @@ def tile_rows(x, n: int) -> Tensor:
         raise DimensionError(f"tile_rows: need n >= 1, got {n}")
     out = Tensor(np.repeat(x.data, n, axis=0))
     record(out, (x,), lambda g: [g.sum(axis=0, keepdims=True)])
-    return out
-
-
-def sum_all(x) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(x.data.sum())
-    record(out, (x,), lambda g: [np.full(x.data.shape, float(g))])
     return out
 
 

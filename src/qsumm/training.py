@@ -78,7 +78,6 @@ __all__ = [
     "load_generator",
 ]
 
-METRICS_HEADER = "step,critic_loss,gen_adv,loss_summ,loss_length,total_gen"
 CHECKPOINT_MAGIC = b"QSCK"
 # Versions 1 and 2 also held batchnorm running stats that nothing read:
 # v1 the generator's and the critic's, v2 the critic's only.  Older files
@@ -156,9 +155,7 @@ class CheckpointMeta:
     format: str = "qsumm-checkpoint"
 
     def __post_init__(self):
-        for name, kind in check_fields(self, "meta").items():
-            if kind == "int" and getattr(self, name) < 0:
-                raise ConfigError(f"meta: {name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self, "meta", min_int=0)
         if not 0.0 <= self.best_val_f1 <= 1.0:
             raise ConfigError(f"meta: best_val_f1 must be in [0, 1], got {self.best_val_f1}")
         if self.format != "qsumm-checkpoint":
@@ -225,10 +222,10 @@ class MetricsRow:
     total_gen: float
 
     def format(self) -> str:
-        return (
-            f"{self.step},{self.critic_loss!r},{self.gen_adv!r},"
-            f"{self.loss_summ!r},{self.loss_length!r},{self.total_gen!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in dataclasses.fields(self))
+
+
+METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(MetricsRow))
 
 
 @dataclass
@@ -500,8 +497,8 @@ def train(
 _SECTION_HEAD = struct.Struct("<I")
 _PAYLOAD_HEAD = struct.Struct("<Q")
 _FILE_HEAD = struct.Struct("<4sII")
-# size of the save buffer, and of the scratch buffer that float32
-# payloads and payloads that are only validated pass through on load
+# size of the save buffer, and of the scratch buffer that payloads
+# which are only validated pass through on load
 _SCRATCH_BYTES = 8 << 20
 
 
@@ -583,18 +580,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the full training state, atomically, one section at a time."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb", buffering=_SCRATCH_BYTES) as fh:
-        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0))
-        n = 0
-        for name, parts in _sections_of(ckpt):
+        # the parts are the arrays themselves, so listing them copies nothing
+        sections = list(_sections_of(ckpt))
+        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
+        for name, parts in sections:
             encoded = name.encode("utf-8")
             size = sum(memoryview(p).nbytes for p in parts)
             fh.write(_SECTION_HEAD.pack(len(encoded)) + encoded + _PAYLOAD_HEAD.pack(size))
             for p in parts:
                 fh.write(p)
-            n += 1
-        # the section count is known only now; patch it into the header
-        fh.seek(0)
-        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n))
     os.replace(tmp, path)
 
 
@@ -654,25 +648,21 @@ def _index_sections(fh, size: int, source: str) -> dict:
     return index
 
 
-def _read_tensor(fh, name, dtype, count, out, scratch, source) -> None:
-    """Read one payload into `out`, or only validate it when out is None.
-
-    A float64 payload goes straight into `out`; any other payload passes
-    through `scratch` in chunks.  Non-finite values raise FormatError.
+def _read_tensor(fh, name, count, out, scratch, source) -> None:
+    """Read one float64 payload of `count` values straight into `out`, or,
+    when out is None, only validate it through `scratch` in chunks.
+    Non-finite values raise FormatError.
     """
-    if out is not None and dtype == out.dtype:
+    if out is not None:
         _readinto(fh, out, source)
         finite = bool(np.isfinite(out).all())
     else:
-        flat = None if out is None else out.reshape(-1)
-        step = scratch.size // dtype.itemsize
+        step = scratch.size // 8  # float64 values per chunk
         finite = True
         for start in range(0, count, step):
-            chunk = scratch[: min(step, count - start) * dtype.itemsize].view(dtype)
+            chunk = scratch[: min(step, count - start) * 8].view(np.float64)
             _readinto(fh, chunk, source)
             finite = finite and bool(np.isfinite(chunk).all())
-            if flat is not None:
-                flat[start : start + chunk.size] = chunk
     if not finite:
         raise FormatError(f"{source}: section {name!r} holds non-finite values")
 
@@ -721,21 +711,23 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
         except FormatError as e:
             raise FormatError(f"{source}: {e}") from None
 
-        # every tensor section's size is checked against the configs before
-        # any array is allocated, so a config with huge dims cannot allocate
+        # every tensor section is checked before any array is allocated: its
+        # size against the configs, so a config with huge dims cannot
+        # allocate, and its dtype, since the reads copy payload bytes as is
         sizes = _config_sizes(gen_cfg, disc_cfg)
-        dtypes = {}
         for name, count in sizes.items():
             off, n = need(name)
             fh.seek(off)
             head = fh.read(min(n, HEADER_SIZE))
             dtype, rows, cols = parse_matrix_header(
                 head, n - HEADER_SIZE, source=f"{source}:{name}")
+            if dtype != np.float64:
+                raise FormatError(f"{source}: section {name!r} holds {dtype.str} values, "
+                                  f"expected float64 ({np.dtype(np.float64).str})")
             if rows * cols != count:
                 raise FormatError(
                     f"{source}: section {name!r} holds {rows * cols} values, expected {count}"
                 )
-            dtypes[name] = dtype
 
         # arrays allocated from the shape tables, undrawn, for the reads to fill
         gparams = init_generator_params(gen_cfg, None)
@@ -752,7 +744,7 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
         scratch = np.empty(_SCRATCH_BYTES, dtype=np.uint8)
         for name, count in sizes.items():
             fh.seek(index[name][0] + HEADER_SIZE)
-            _read_tensor(fh, name, dtypes[name], count, arrays.get(name), scratch, source)
+            _read_tensor(fh, name, count, arrays.get(name), scratch, source)
     return ckpt
 
 
@@ -760,8 +752,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Reconstruct a Checkpoint; resuming from it continues bit-exactly.
 
     Raises FormatError for malformed sections, including any tensor that
-    holds a NaN or an infinity, and for tensor sections whose sizes
-    disagree with the configs (checked before anything is allocated).
+    holds a NaN or an infinity, and for tensor sections that are not
+    float64 or whose sizes disagree with the configs (both checked
+    before anything is allocated).
     """
     return _read_checkpoint(path, generator_only=False)
 

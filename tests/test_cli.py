@@ -21,6 +21,7 @@ from qsumm.dataset import SynthConfig
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, FormatError
 from qsumm.generator import GeneratorConfig
+from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
 from qsumm.training import ABLATIONS, TrainConfig
 
 MINI = {
@@ -187,6 +188,17 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "gparam/enc_fwd_wx" in err
+
+    @pytest.mark.parametrize("section", ["gparam/fuse_w", "dparam/out_w", "gopt/acc/fuse_w"])
+    def test_float32_tensor_section_is_runtime_error(self, workspace, tmp_path, capsys, section):
+        sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
+        sections[section] = matrix_bytes(matrix_from_bytes(sections[section]), version=1)
+        path = tmp_path / "f32.qsck"
+        write_sections(path, sections)
+        rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and section in err and "Traceback" not in err
 
     @pytest.mark.parametrize("drop", ["dims", "d_shot"])
     def test_manifest_without_dims_is_runtime_error(self, workspace, tmp_path, capsys, drop):

@@ -3,7 +3,7 @@ import pytest
 
 from qsumm.errors import ConfigError, NumericError
 from qsumm.gradcheck import grad_check
-from qsumm.tensor import Tensor, matmul, mean_all, sum_all
+from qsumm.tensor import Tensor, matmul, mean_all
 
 
 class TestGradCheck:
@@ -14,7 +14,7 @@ class TestGradCheck:
         w = Tensor(rng.standard_normal((4, 1)))
 
         def f():
-            return sum_all(matmul(matmul(w.reshape((1, 4)), Tensor(a)), w))
+            return mean_all(matmul(matmul(w.reshape((1, 4)), Tensor(a)), w))
 
         assert grad_check(f, {"w": w}) < 1e-7
 
@@ -30,7 +30,7 @@ class TestGradCheck:
         w = Tensor([1.0])
 
         def f():
-            return sum_all(w)
+            return mean_all(w)
 
         with pytest.raises(ConfigError):
             grad_check(f, {"w": w}, eps=1e-8)
@@ -70,6 +70,6 @@ class TestGradCheck:
             return out
 
         def f():
-            return sum_all(broken_square(w))
+            return mean_all(broken_square(w))
 
         assert grad_check(f, {"w": w}) > 0.1

@@ -17,13 +17,12 @@ from qsumm.layers import (
     batchnorm_forward,
     bilstm_forward,
     dropout,
-    elementwise_activation,
     init_arrays,
     linear_forward,
     lstm_cell,
     lstm_sequence,
 )
-from qsumm.tensor import Tape, Tensor, mean_all, sum_all
+from qsumm.tensor import Tape, Tensor, mean_all
 
 
 class TestLinear:
@@ -61,18 +60,6 @@ class TestLinear:
         arrays = init_arrays({"w": (16, 8), "b": (8,)}, rng)
         assert np.all(np.abs(arrays["w"]) <= 1.0 / 4.0)
         assert_allclose(arrays["b"], np.zeros(8))
-
-
-class TestActivationDispatch:
-    def test_kinds(self):
-        x = Tensor([-1.0, 0.0, 2.0])
-        assert_allclose(elementwise_activation(x, "relu").data, [0.0, 0.0, 2.0])
-        assert float(elementwise_activation(Tensor(0.0), "sigmoid")) == 0.5
-        assert_allclose(elementwise_activation(x, "tanh").data, np.tanh(x.data))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            elementwise_activation(Tensor([1.0]), "gelu")
 
 
 class TestBatchnorm:
@@ -244,7 +231,7 @@ class TestLSTMCell:
 
         def f():
             h, c = lstm_cell(x, h0, c0, p)
-            return sum_all(h * h) + sum_all(c)
+            return mean_all(h * h) + mean_all(c)
 
         check_grads(f, params)
 
@@ -288,8 +275,8 @@ class TestLSTMSequence:
             rows = []
             for t in range(4):
                 h, c = lstm_cell(slice_row(seq, t), h, c, p)
-                rows.append(sum_all(h))
-            loss = (rows[0] + rows[1] + rows[2] + rows[3]) * (1.0 / 8.0)
+                rows.append(mean_all(h))
+            loss = (rows[0] + rows[1] + rows[2] + rows[3]) * (1.0 / 4.0)
         tape.backward(loss)
         unrolled = [p.w_x.grad, p.w_h.grad, p.b.grad, seq.grad]
 
@@ -418,15 +405,16 @@ class TestBatchedBiLSTM:
 
         stacked = Tensor(np.vstack(seqs))
         with Tape(watch=weights + [stacked]) as tape:
-            loss = sum_all(bilstm_forward(stacked, pf, pb, n_seq=3) * r)
+            loss = mean_all(bilstm_forward(stacked, pf, pb, n_seq=3) * r)
         tape.backward(loss)
         batched = [w.grad.copy() for w in weights] + [stacked.grad.copy()]
 
         parts = [Tensor(s) for s in seqs]
         with Tape(watch=weights + parts) as tape:
-            loss = sum_all(bilstm_forward(parts[0], pf, pb) * r[:5])
+            loss = mean_all(bilstm_forward(parts[0], pf, pb) * r[:5])
             for i in (1, 2):
-                loss = loss + sum_all(bilstm_forward(parts[i], pf, pb) * r[5 * i : 5 * i + 5])
+                loss = loss + mean_all(bilstm_forward(parts[i], pf, pb) * r[5 * i : 5 * i + 5])
+            loss = loss * (1.0 / 3.0)  # the mean over all three parts
         tape.backward(loss)
         separate = [w.grad for w in weights] + [np.vstack([p.grad for p in parts])]
 
@@ -467,15 +455,17 @@ class TestRecurrenceGroups:
                  for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
         r = np.random.default_rng(34).standard_normal((15, 6))
 
+        # each mean times its count: every output's gradient is exactly
+        # its r entry, as for a sum, so the two tapes can agree bit for bit
         with Tape(watch=watch) as tape:
-            loss = sum_all(_recurrence(groups, "test") * r)
+            loss = mean_all(_recurrence(groups, "test") * r) * r.size
         tape.backward(loss)
         fused = [t.grad.copy() for t in watch]
 
         with Tape(watch=watch) as tape:
             (a, n_a, [(pfa, _), (pba, _)]), (b, n_b, [(pfb, _), (pbb, _)]) = groups
-            loss = sum_all(bilstm_forward(a, pfa, pba, n_seq=n_a) * r[:5])
-            loss = loss + sum_all(bilstm_forward(b, pfb, pbb, n_seq=n_b) * r[5:])
+            loss = mean_all(bilstm_forward(a, pfa, pba, n_seq=n_a) * r[:5]) * r[:5].size
+            loss = loss + mean_all(bilstm_forward(b, pfb, pbb, n_seq=n_b) * r[5:]) * r[5:].size
         tape.backward(loss)
         for x, t in zip(fused, watch):
             assert np.array_equal(x, t.grad)
@@ -502,12 +492,12 @@ def recurrence_case(kind):
 
 
 def run_recurrence(groups, r_seed=37):
-    """Output and every input's gradient of sum(_recurrence(groups) * r)."""
+    """Output and every input's gradient of mean(_recurrence(groups) * r)."""
     watch = [t for seq, _, dirs in groups
              for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
     with Tape(watch=watch) as tape:
         out = _recurrence(groups, "test")
-        loss = sum_all(out * np.random.default_rng(r_seed).standard_normal(out.data.shape))
+        loss = mean_all(out * np.random.default_rng(r_seed).standard_normal(out.data.shape))
     tape.backward(loss)
     return [out.data] + [t.grad.copy() for t in watch]
 
@@ -572,11 +562,11 @@ class TestRecurrenceLoops:
                 c = Tensor(np.zeros(2))
                 for t in order:
                     h, c = lstm_cell(slice_row(seq, t), h, c, p)
-                    rows.append(sum_all(h))
+                    rows.append(mean_all(h))
             loss = rows[0]
             for row in rows[1:]:
                 loss = loss + row
-            loss = loss * (1.0 / 16.0)
+            loss = loss * (1.0 / 8.0)
         tape.backward(loss)
         for a, t in zip(fused, watch):
             assert max_rel_err(a, t.grad) < 1e-10

@@ -772,20 +772,33 @@ class TestCheckpointAgainstReference:
         assert bits(load_generator(path)) == bits(load_checkpoint(path).gen_params)
 
     @pytest.mark.parametrize("scratch_bytes", [64, training._SCRATCH_BYTES])
-    def test_float32_sections_read_through_scratch(
+    def test_generator_load_through_scratch(
             self, mini_checkpoint, tmp_path, monkeypatch, scratch_bytes):
-        # 64 bytes of scratch split most tensors into several chunks
+        # 64 bytes of scratch split most critic and optimizer tensors into
+        # several chunks
         monkeypatch.setattr(training, "_SCRATCH_BYTES", scratch_bytes)
         path = tmp_path / "a.qsck"
         save_checkpoint(mini_checkpoint, path)
+        assert bits(load_generator(path)) == bits(load_checkpoint(path).gen_params)
+
+    @pytest.mark.parametrize("name", ["gparam/fuse_w", "dparam/out_w", "gopt/acc/fuse_w"])
+    def test_float32_section_rejected(
+            self, mini_checkpoint, tmp_path, monkeypatch, name):
+        # every writer stores float64, and a float32 copy of the state
+        # could not resume bit-exactly
+        path = tmp_path / "a.qsck"
+        save_checkpoint(mini_checkpoint, path)
         sections = reference_read_sections(path.read_bytes(), "ckpt")
-        for name, payload in sections.items():
-            if name not in ("meta", "rng") and not name.startswith("cfg/"):
-                sections[name] = matrix_bytes(matrix_from_bytes(payload), version=1)
+        sections[name] = matrix_bytes(matrix_from_bytes(sections[name]), version=1)
         write_sections(path, sections)
-        loaded = load_checkpoint(path)
-        assert bits(loaded) == bits(reference_load_checkpoint(path))
-        assert bits(load_generator(path)) == bits(loaded.gen_params)
+
+        def allocate(*args):
+            raise AssertionError("arrays allocated before every section was checked")
+
+        monkeypatch.setattr(training, "init_generator_params", allocate)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match=f"section '{name}' holds <f4 values"):
+                load(path)
 
     @pytest.mark.parametrize("name", ["dparam/out_w", "dopt/acc/fc1_w", "gopt/acc/fuse_w"])
     def test_non_finite_training_state_rejected_by_both_loaders(

@@ -42,8 +42,9 @@ fwd = generator_forward(
     params, video.frame_feats, video.shot_feats,
     embed_query(query, corpus.concepts), train=False,
 )
-s = fwd.s.data
-k = fwd.k.data
+# Scores and gates are (1, T): one sequence for the one query.
+s = fwd.s.data[0]
+k = fwd.k.data[0]
 mask = select_shots(s, threshold=0.5)
 
 # The gate sharpens scores toward a binary keep/drop decision.

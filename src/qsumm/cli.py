@@ -139,16 +139,16 @@ def _cmd_train(args) -> int:
     section = {}
     if args.config:
         section = _load_config_file(args.config).get("train", {})
-    cfg = _overlay(
-        TrainConfig, dataclasses.asdict(TrainConfig()), section, args.config or "<flags>"
-    )
+    # a resumed run keeps its own config, and the file and flags change it
+    resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    base = resume.train_cfg if resume is not None else TrainConfig()
+    cfg = _overlay(TrainConfig, dataclasses.asdict(base), section, args.config or "<flags>")
     overrides = dict(ABLATIONS[args.ablation])
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = dataclasses.replace(cfg, **overrides)
 
     corpus = load_corpus(_corpus_manifest(args.corpus))
-    resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
     # train() takes dims and tau from the corpus, and a resume its configs
     gen_cfg = disc_cfg = None
     if args.paper_scale:
@@ -210,12 +210,11 @@ def _cmd_summarize(args) -> int:
         gparams, video.frame_feats, video.shot_feats,
         embed_query(query, corpus.concepts), train=False,
     )
-    selected = select_shots(fwd.s, args.threshold)
+    s, k = fwd.s.data[0], fwd.k.data[0]
+    selected = select_shots(s, args.threshold)
     lines = ["shot,score,gate,selected"]
     for t in range(video.n_shots):
-        lines.append(
-            f"{t},{float(fwd.s.data[t])!r},{float(fwd.k.data[t])!r},{int(selected[t])}"
-        )
+        lines.append(f"{t},{float(s[t])!r},{float(k[t])!r},{int(selected[t])}")
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text)

@@ -445,6 +445,8 @@ def _load_corpus(manifest_path) -> Corpus:
     ids = set()
     for entry in manifest["videos"]:
         vid = entry["id"]
+        _require(isinstance(vid, str) and vid != "",
+                 f"video id {vid!r} must be a nonempty string")
         _require(vid not in ids, f"video id {vid!r} is listed twice")
         ids.add(vid)
         frame = load_feature_matrix(os.path.join(base, entry["frame_feat"]))

@@ -136,21 +136,20 @@ def discriminator_shapes(cfg: DiscriminatorConfig) -> dict:
 
 
 def summary_repr(f_eq, scores) -> Tensor:
-    """A score-weighted copy of the encoded shot sequence: row t of the
-    output is f_eq row t scaled by scores[t].
+    """A score-weighted copy of an (n, T, d) stack of encoded shot
+    sequences: row t of sequence i is scaled by scores[i, t], (n, T).
 
     The scaling stays on the tape, so gradients flow back into both the
     encoding and the scores (the generated-summary path needs the latter).
     """
     f_eq = as_tensor(f_eq)
     scores = as_tensor(scores)
-    if f_eq.data.ndim != 2 or scores.data.ndim != 1 or f_eq.data.shape[0] != scores.data.shape[0]:
+    if f_eq.data.ndim != 3 or scores.data.shape != f_eq.data.shape[:2]:
         raise DimensionError(
             f"summary_repr: encoding {f_eq.data.shape} and scores "
             f"{scores.data.shape} disagree on shot count"
         )
-    T = scores.data.shape[0]
-    return mul(f_eq, reshape(scores, (T, 1)))
+    return mul(f_eq, reshape(scores, scores.data.shape + (1,)))
 
 
 def random_scores(T: int, rng) -> np.ndarray:
@@ -159,9 +158,8 @@ def random_scores(T: int, rng) -> np.ndarray:
 
 
 def _pool(h, gamma, beta):
-    h = relu(batchnorm_forward(h, gamma, beta))
-    pooled = mean_rows(h)
-    return reshape(pooled, (1, pooled.data.size))
+    """An (n, T, 2d_h) stack normalized per sequence and mean-pooled to (n, 2d_h)."""
+    return mean_rows(relu(batchnorm_forward(h, gamma, beta)))
 
 
 def _head(u, v, params) -> Tensor:
@@ -173,37 +171,41 @@ def _head(u, v, params) -> Tensor:
 
 
 def critic(summ, f_vq, params: DiscriminatorParams) -> Tensor:
-    """Scalar critic value for one (summary, video) pair."""
+    """Scalar critic value for one (summary, video) pair of (1, T, d) stacks."""
     return critic_scores([summ], f_vq, params)[0]
 
 
 def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """Score several summaries of one video, one scalar per summary.
 
-    The video branch runs once and is shared, which is value-identical
-    to repeating it per summary.  The video and the summaries, stacked
-    by rows, go through one recurrence call: both directions of the
-    video and of every summary advance in a single time loop, with
-    values equal to encoding each alone.  The encodings are then split
-    back, and each summary passes the summary batchnorm on its own,
-    because each is normalized over its own T shots.
+    f_vq is the video's (1, T, d_vid_in) stack and each summary a
+    (1, T, d_summ_in) stack.  The video branch runs once and is shared,
+    which is value-identical to repeating it per summary.  The video and
+    the stacked summaries go through one recurrence call: both
+    directions of the video and of every summary advance in a single
+    time loop, with values equal to encoding each alone.  The video and
+    the summaries are then normalized and pooled as two stacks, each
+    sequence over its own T shots.  The heads stay one per summary: as a
+    stack, _unbroadcast would sum their bias gradients over the summaries
+    first to last, where the tape sums separate heads last to first, and
+    training would no longer equal per-summary heads bit for bit.
     """
     f_vq = as_tensor(f_vq)
-    T = f_vq.data.shape[0]
+    if f_vq.data.ndim != 3 or f_vq.data.shape[0] != 1:
+        raise DimensionError(f"critic: need a (1, T, d) video, got {f_vq.data.shape}")
+    T = f_vq.data.shape[1]
     seqs = [as_tensor(summ) for summ in summs]
     for seq in seqs:
-        if seq.data.shape[0] != T:
+        if seq.data.ndim != 3 or seq.data.shape[:2] != (1, T):
             raise DimensionError(
-                f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
+                f"critic: summary has shape {seq.data.shape} but video has {T} shots"
             )
-    groups = [(f_vq, 1, [(params.vid_fwd, False), (params.vid_bwd, True)])]
+    groups = [(f_vq, [(params.vid_fwd, False), (params.vid_bwd, True)])]
     if seqs:
-        groups.append((concat_rows(seqs), len(seqs),
-                       [(params.summ_fwd, False), (params.summ_bwd, True)]))
+        groups.append((concat_rows(seqs), [(params.summ_fwd, False), (params.summ_bwd, True)]))
     h = _recurrence(groups, "critic")
-    v = _pool(slice_rows(h, 0, T), params.vid_bn_gamma, params.vid_bn_beta)
-    out = []
-    for i in range(1, len(seqs) + 1):
-        u = _pool(slice_rows(h, i * T, (i + 1) * T), params.summ_bn_gamma, params.summ_bn_beta)
-        out.append(_head(u, v, params))
-    return out
+    v = _pool(slice_rows(h, 0, 1), params.vid_bn_gamma, params.vid_bn_beta)
+    if not seqs:
+        return []
+    u = _pool(slice_rows(h, 1, len(h.data)), params.summ_bn_gamma, params.summ_bn_beta)
+    return [_head(slice_rows(u, i, i + 1), v, params) for i in range(len(seqs))]

@@ -12,6 +12,8 @@ mean per-query deviation of summary length from the target fraction.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -264,7 +266,7 @@ def _query_scores(gparams: GeneratorParams, video, concepts) -> list:
         fwd = generator_forward(
             gparams, video.frame_feats, video.shot_feats, chunk, train=False
         )
-        scores += np.split(fwd.s.data, len(chunk))
+        scores += list(fwd.s.data)
     return scores
 
 
@@ -385,21 +387,23 @@ def evaluate(
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    """Per-query rows, then per-video means, then the corpus mean."""
-    lines = ["video_id,query_id,scenario,precision,recall,f1"]
+    """Per-query rows, then per-video means, then the corpus mean.
+
+    Fields are quoted as CSV needs, so a video id holding a comma or a
+    quote stays one field.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["video_id", "query_id", "scenario", "precision", "recall", "f1"])
     for r in report.rows:
-        lines.append(
-            f"{r.video_id},{r.query_index},{r.scenario},"
-            f"{r.precision!r},{r.recall!r},{r.f1!r}"
-        )
+        writer.writerow([r.video_id, r.query_index, r.scenario,
+                         repr(r.precision), repr(r.recall), repr(r.f1)])
     for vid, v in report.per_video.items():
-        lines.append(
-            f"{vid},,video-mean,{v['precision']!r},{v['recall']!r},{v['f1']!r}"
-        )
-    lines.append(
-        f",,corpus-mean,{report.precision!r},{report.recall!r},{report.f1!r}"
-    )
-    write_atomic(path, "\n".join(lines) + "\n")
+        writer.writerow([vid, "", "video-mean", repr(v["precision"]), repr(v["recall"]),
+                         repr(v["f1"])])
+    writer.writerow(["", "", "corpus-mean", repr(report.precision), repr(report.recall),
+                     repr(report.f1)])
+    write_atomic(path, buf.getvalue())
 
 
 def write_report_json(report: EvalReport, path) -> None:

@@ -3,7 +3,8 @@
 Four stages: fuse visual features with an encoded query, run a Bi-LSTM
 over the fused sequence, predict a per-shot confidence score in (0, 1),
 and squash the scores through a low-temperature gate that pushes them
-toward a near-binary summary mask.
+toward a near-binary summary mask.  One video's sequences under several
+queries run as an (n, T, d) stack through every stage.
 """
 
 from __future__ import annotations
@@ -24,17 +25,7 @@ from .layers import (
     lstm_shapes,
     named_tensors,
 )
-from .tensor import (
-    Tensor,
-    as_tensor,
-    concat_cols,
-    concat_rows,
-    relu,
-    reshape,
-    sigmoid,
-    slice_rows,
-    tile_rows,
-)
+from .tensor import Tensor, as_tensor, concat_cols, relu, reshape, sigmoid
 
 __all__ = [
     "GeneratorConfig",
@@ -140,14 +131,14 @@ def generator_shapes(cfg: GeneratorConfig) -> dict:
 
 
 def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Tensor:
-    """Query-conditioned per-shot representation.
+    """Query-conditioned per-shot representations, one sequence per query.
 
     concat(frame, shot) -> FC -> ReLU gives the visual half; the query
-    embedding goes through its own FC -> ReLU and is broadcast to every
-    shot row.  Output rows are concat(visual, query), (T, d_fused+d_qenc).
-    A (Q, d_text) stack of query embeddings gives Q such blocks stacked
-    by rows, query by query: the visual FC runs once and each query's FC
-    is its own one-row product, as for a single query.
+    embedding goes through its own FC -> ReLU and joins every shot row.
+    A (d_text,) query gives a (1, T, d_fused+d_qenc) stack, and a
+    (Q, d_text) stack of queries gives (Q, T, d_fused+d_qenc).  The
+    visual FC runs once; the query FC runs over (Q, 1, d_text), each
+    query's own one-row product, as for a single query.
     """
     frame = as_tensor(frame_feats)
     shot = as_tensor(shot_feats)
@@ -156,7 +147,6 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
             f"g_r_fuse: frame {frame.data.shape} and shot {shot.data.shape} "
             f"features disagree on shot count"
         )
-    T = frame.data.shape[0]
     visual = relu(linear_forward(concat_cols(frame, shot), params.fuse_w, params.fuse_b))
     q = as_tensor(query_emb)
     d_text = params.query_w.data.shape[0]
@@ -165,55 +155,29 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
             f"g_r_fuse: need a ({d_text},) query or a nonempty (Q, {d_text}) stack of queries, "
             f"got query shape {q.data.shape}"
         )
-    if q.data.ndim == 2:
-        rows = [slice_rows(q, i, i + 1) for i in range(q.data.shape[0])]
-    else:
-        rows = [reshape(q, (1, q.data.size))]
-    blocks = [
-        concat_cols(visual, tile_rows(relu(linear_forward(r, params.query_w, params.query_b)), T))
-        for r in rows
-    ]
-    return blocks[0] if len(blocks) == 1 else concat_rows(blocks)
+    q = reshape(q, (q.data.size // d_text, 1, d_text))
+    return concat_cols(visual, relu(linear_forward(q, params.query_w, params.query_b)))
 
 
-def _per_seq(x: Tensor, n_seq: int, fn) -> Tensor:
-    """fn applied to each of the n_seq equal row blocks of x, restacked
-    in order; plain fn(x) for one sequence."""
-    if n_seq == 1:
-        return fn(x)
-    T = x.data.shape[0] // n_seq
-    return concat_rows([fn(slice_rows(x, i * T, (i + 1) * T)) for i in range(n_seq)])
+def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:
+    """Bi-LSTM over shots, sequence normalization, ReLU, for an (n, T, d)
+    stack of sequences.
 
-
-def g_e_encode(f_vq: Tensor, params: GeneratorParams, n_seq: int = 1) -> Tensor:
-    """Bi-LSTM over shots, sequence normalization, ReLU.
-
-    The encoder normalizes per sequence, so training and inference run
-    it the same way.  f_vq may stack n_seq equal-length sequences by
-    rows; they share one recurrence and are normalized one by one.
+    The encoder normalizes each sequence over its own shots, so training
+    and inference run it the same way.
     """
-    h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd, n_seq)
-    h = _per_seq(h, n_seq,
-                 lambda x: batchnorm_forward(x, params.enc_bn_gamma, params.enc_bn_beta))
-    return relu(h)
+    h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd)
+    return relu(batchnorm_forward(h, params.enc_bn_gamma, params.enc_bn_beta))
 
 
-def g_p_score(
-    f_eq: Tensor, params: GeneratorParams, train: bool, rng=None, n_seq: int = 1
-) -> Tensor:
-    """Per-shot confidence scores in (0, 1), shape (n_seq*T,).
-
-    Each of the n_seq stacked sequences is scored on its own.
-    """
-
-    def logits(x):
-        h = linear_forward(x, params.pred_w1, params.pred_b1)
-        h = relu(batchnorm_forward(h, params.pred_bn_gamma, params.pred_bn_beta))
-        h = dropout(h, params.dropout_p, train, rng)
-        return linear_forward(h, params.pred_w2, params.pred_b2)
-
-    z = _per_seq(f_eq, n_seq, logits)
-    return sigmoid(reshape(z, (z.data.shape[0],)))
+def g_p_score(f_eq: Tensor, params: GeneratorParams, train: bool, rng=None) -> Tensor:
+    """Per-shot confidence scores in (0, 1) of an (n, T, d) stack, shape
+    (n, T); each sequence is normalized over its own shots."""
+    h = linear_forward(f_eq, params.pred_w1, params.pred_b1)
+    h = relu(batchnorm_forward(h, params.pred_bn_gamma, params.pred_bn_beta))
+    h = dropout(h, params.dropout_p, train, rng)
+    z = linear_forward(h, params.pred_w2, params.pred_b2)
+    return sigmoid(reshape(z, z.data.shape[:-1]))
 
 
 def g_g_gate(s, tau: float) -> Tensor:
@@ -229,11 +193,9 @@ def g_g_gate(s, tau: float) -> Tensor:
 
 @dataclass
 class GenForward:
-    """Everything downstream consumers need from one generator pass.
-
-    For a stack of Q queries every field stacks Q sequences of T rows,
-    query by query.
-    """
+    """Everything downstream consumers need from one generator pass, one
+    sequence per query: f_vq and f_eq are (Q, T, d) stacks, s and k are
+    (Q, T), with Q = 1 for a single query."""
 
     f_vq: Tensor
     f_eq: Tensor
@@ -245,15 +207,14 @@ def generator_forward(
     params: GeneratorParams, frame_feats, shot_feats, query_emb, train: bool, rng=None
 ) -> GenForward:
     """One video under one (d_text,) query embedding or, in eval mode, a
-    (Q, d_text) stack of them.  Each query's rows equal those of a
+    (Q, d_text) stack of them.  Each query's sequence equals that of a
     one-query call bit for bit."""
     shape = np.shape(query_emb)
-    n_seq = shape[0] if len(shape) == 2 else 1
-    if train and n_seq > 1:
-        raise ContractError(f"generator_forward: train mode takes one query, got {n_seq}")
+    if train and len(shape) == 2 and shape[0] > 1:
+        raise ContractError(f"generator_forward: train mode takes one query, got {shape[0]}")
     f_vq = g_r_fuse(frame_feats, shot_feats, query_emb, params)
-    f_eq = g_e_encode(f_vq, params, n_seq)
-    s = g_p_score(f_eq, params, train, rng, n_seq)
+    f_eq = g_e_encode(f_vq, params)
+    s = g_p_score(f_eq, params, train, rng)
     k = g_g_gate(s, params.tau)
     return GenForward(f_vq=f_vq, f_eq=f_eq, s=s, k=k)
 

@@ -167,13 +167,13 @@ def component_suite(seed: int = 0) -> dict:
         f = lambda: mean_all(lstm_sequence(seq, params) * r)
         return f, {"wx": params.w_x, "wh": params.w_h, "b": params.b, "seq": seq}
 
-    def bilstm_case(n_seq):
+    def bilstm_case(n):
         def build(rng):
             fwd = LSTMParams.create(3, 4, rng)
             bwd = LSTMParams.create(3, 4, rng)
-            seq = Tensor(rng.standard_normal((4 * n_seq, 3)))
-            r = _coeffs(rng, (4 * n_seq, 8))
-            f = lambda: mean_all(bilstm_forward(seq, fwd, bwd, n_seq=n_seq) * r)
+            seq = Tensor(rng.standard_normal((n, 4, 3)))
+            r = _coeffs(rng, (n, 4, 8))
+            f = lambda: mean_all(bilstm_forward(seq, fwd, bwd) * r)
             targets = {"fwd_wx": fwd.w_x, "fwd_wh": fwd.w_h, "fwd_b": fwd.b,
                        "bwd_wx": bwd.w_x, "bwd_wh": bwd.w_h, "bwd_b": bwd.b, "seq": seq}
             return f, targets
@@ -184,15 +184,15 @@ def component_suite(seed: int = 0) -> dict:
         # two groups of different input width and sequence count, as in
         # the critic's video and summary branches
         groups, targets = [], {}
-        for g, (d_in, n_seq) in enumerate(((3, 1), (5, 2))):
+        for g, (d_in, n) in enumerate(((3, 1), (5, 2))):
             fwd = LSTMParams.create(d_in, 4, rng)
             bwd = LSTMParams.create(d_in, 4, rng)
-            seq = Tensor(rng.standard_normal((4 * n_seq, d_in)))
-            groups.append((seq, n_seq, [(fwd, False), (bwd, True)]))
+            seq = Tensor(rng.standard_normal((n, 4, d_in)))
+            groups.append((seq, [(fwd, False), (bwd, True)]))
             targets.update({f"g{g}_fwd_wx": fwd.w_x, f"g{g}_fwd_wh": fwd.w_h, f"g{g}_fwd_b": fwd.b,
                             f"g{g}_bwd_wx": bwd.w_x, f"g{g}_bwd_wh": bwd.w_h, f"g{g}_bwd_b": bwd.b,
                             f"g{g}_seq": seq})
-        r = _coeffs(rng, (12, 8))
+        r = _coeffs(rng, (3, 4, 8))
         return lambda: mean_all(_recurrence(groups, "recurrence") * r), targets
 
     gen_cfg = GeneratorConfig(
@@ -224,9 +224,9 @@ def component_suite(seed: int = 0) -> dict:
 
     def critic_case(rng):
         params = init_discriminator_params(disc_cfg, rng)
-        f_eq = Tensor(rng.standard_normal((5, disc_cfg.d_summ_in)))
-        f_vq = Tensor(rng.standard_normal((5, disc_cfg.d_vid_in)))
-        scores = Tensor(rng.uniform(0.2, 0.8, 5))
+        f_eq = Tensor(rng.standard_normal((1, 5, disc_cfg.d_summ_in)))
+        f_vq = Tensor(rng.standard_normal((1, 5, disc_cfg.d_vid_in)))
+        scores = Tensor(rng.uniform(0.2, 0.8, (1, 5)))
 
         def f():
             from .discriminator import critic
@@ -254,9 +254,9 @@ def component_suite(seed: int = 0) -> dict:
                 train=True, rng=np.random.default_rng(mask_seed),
             )
             summs = [
-                summary_repr(fwd.f_eq, gt),
+                summary_repr(fwd.f_eq, gt[None]),
                 summary_repr(fwd.f_eq, fwd.s),
-                summary_repr(fwd.f_eq, rand),
+                summary_repr(fwd.f_eq, rand[None]),
             ]
             d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, dparams)
             return (d_g - d_q * 0.5 - d_r * 0.5) * 0.01

@@ -7,15 +7,15 @@ is given and keeps no running averages.
 The LSTM comes in two forms.  lstm_cell composes taped primitives and is
 the reference single-step implementation.  Everything else runs through
 one batched recurrence kernel: it advances several directions over
-several equal-length sequences that are stacked by rows, in one or more
-groups of their own input width and weights, and records the whole
+(n, T, d_in) stacks of equal-length sequences, in one or more groups
+of their own input width and weights, and records the whole
 recurrence as a single tape node with backpropagation-through-time
 inside it.  Directions share a time loop while their stacked recurrent
 weights fit a measured cache-sized cap, as at desk scale; otherwise they
 run in consecutive loops that each fit, so that at paper scale each
 direction's 32 MiB w_h stays in cache over all its steps.  lstm_sequence
 is its one-direction, one-sequence case; bilstm_forward runs both
-directions of one or more stacked sequences; the critic runs its video
+directions of a stack; the critic runs its video
 and summary branches as two groups of one call.  Equivalence tests tie
 the kernel to lstm_cell and the batched calls to separate ones.
 """
@@ -30,6 +30,7 @@ from .errors import ConfigError, ContractError, DimensionError
 from .tensor import (
     Tensor,
     _sigmoid,
+    _sum_last_to_first,
     add,
     as_tensor,
     matmul,
@@ -60,24 +61,26 @@ BN_EPS = 1e-5
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = xW + b for a batch of row vectors."""
+    """y = xW + b for a batch of row vectors or an (n, T, d) stack."""
     return add(matmul(x, w), b)
 
 
 def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Column-wise batch normalization over the row axis.
+    """Column-wise batch normalization over axis -2: the rows of a (T, d)
+    sequence, or each sequence's own rows in an (n, T, d) stack.
 
     Normalizes by the batch mean and biased variance, with the epsilon
-    floor handling constant columns and n == 1.  Every caller normalizes
+    floor handling constant columns and T == 1.  Every caller normalizes
     a sequence over its own time axis, so an output depends only on that
     sequence and the parameters.  Running averages of the batch
     statistics would not transfer to an unseen video whose shots center
     elsewhere, so none are kept, and training and inference normalize
-    the same way.
+    the same way.  A stack's scale and shift gradients are summed over
+    its sequences last to first, as the tape sums separate calls.
     """
-    if x.data.ndim != 2:
-        raise DimensionError(f"batchnorm: need a matrix, got shape {x.data.shape}")
-    n, d = x.data.shape
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"batchnorm: need a matrix or a stack, got shape {x.data.shape}")
+    n, d = x.data.shape[-2:]
     if n == 0:
         raise ContractError("batchnorm: empty batch")
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
@@ -85,18 +88,21 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"batchnorm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match {d} columns"
         )
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    mu = x.data.mean(axis=-2, keepdims=True)
+    var = x.data.var(axis=-2, keepdims=True)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv
     out = Tensor(gamma.data * xhat + beta.data)
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
+        dgamma = (g * xhat).sum(axis=-2)
+        dbeta = g.sum(axis=-2)
+        if x.data.ndim == 3:
+            dgamma, dbeta = _sum_last_to_first(dgamma), _sum_last_to_first(dbeta)
         dxhat = g * gamma.data
         dx = (inv / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
         )
         return [dx, dgamma, dbeta]
 
@@ -228,19 +234,6 @@ def lstm_cell(
     return reshape(h_t, (d_h,)), reshape(c_t, (d_h,))
 
 
-def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
-    """parts[-1] + ... + parts[0], summed in that order.
-
-    A tape accumulates the gradients of separate calls from the last call
-    to the first; summing per-sequence weight gradients the same way makes
-    a batched call's gradients equal those of separate calls bit for bit.
-    """
-    total = parts[-1]
-    for part in parts[-2::-1]:
-        total = total + part
-    return total
-
-
 # Cap on the recurrent weights (w_h, d_h x 4d_h float64 per slot) that
 # one time loop reads at every step: weights that stay in cache between
 # steps make a step cheaper, and each extra loop adds its own numpy calls
@@ -268,17 +261,17 @@ def _stacked_w_h(params) -> np.ndarray:
 
 
 def _recurrence(groups, name: str) -> Tensor:
-    """LSTM directions over groups of stacked sequences, as one tape node.
+    """LSTM directions over groups of sequence stacks, as one tape node.
 
-    groups lists (seq, n_seq, directions) triples.  seq stacks n_seq
-    equal-length sequences by rows, (n_seq*T, d_in), and directions lists
-    (LSTMParams, reverse) pairs.  Groups may differ in d_in, n_seq and
-    parameters but share T, d_h and the number D of directions.  A
-    reversed direction reads each sequence from its last row to its
-    first, and every direction starts from zero states.  The output
-    stacks one (n_seq*T, D*d_h) block per group by rows, in list order;
-    row b*T + t of a block holds the hidden states of the group's D
-    directions at time t of sequence b, side by side in list order.
+    groups lists (seq, directions) pairs.  seq stacks n equal-length
+    sequences, (n, T, d_in), and directions lists (LSTMParams, reverse)
+    pairs.  Groups may differ in d_in, n and parameters but share T, d_h
+    and the number D of directions.  A reversed direction reads each
+    sequence from its last row to its first, and every direction starts
+    from zero states.  The output stacks the groups' sequences in list
+    order, (sum of n, T, D*d_h); row t of a sequence holds the hidden
+    states of its group's D directions at time t, side by side in list
+    order.
 
     Every (group, direction) is a slot.  Each slot's input projection is
     one 3-d matmul, hoisted out of the time loop.  The slots then run in
@@ -288,7 +281,7 @@ def _recurrence(groups, name: str) -> Tensor:
     matmul, the same 1 x d_h by d_h x 4d_h product per pair as running
     it alone, so the values equal running each pair alone, however the
     slots are split into loops.  The sequence axis is padded to the
-    largest n_seq; a padded pair starts from zero pre-activations and
+    largest n; a padded pair starts from zero pre-activations and
     zero gradients, stays finite and is never read.  Gate activations
     overwrite the pre-activation buffer, and the loop writes into
     preallocated buffers only.  Hidden states go to a T+1-row buffer
@@ -296,20 +289,18 @@ def _recurrence(groups, name: str) -> Tensor:
     states as a view of it.  The backward runs BPTT over the cached gates
     in the same loops, with preallocated buffers too.
     """
-    H = groups[0][2][0][0].d_h
-    D = len(groups[0][2])
+    H = groups[0][1][0][0].d_h
+    D = len(groups[0][1])
     T = None
-    for seq, n_seq, directions in groups:
-        if seq.data.ndim != 2:
-            raise DimensionError(f"{name}: need (T, d_in), got {seq.data.shape}")
-        rows, d_in = seq.data.shape
-        if rows == 0:
+    for seq, directions in groups:
+        if seq.data.ndim != 3:
+            raise DimensionError(f"{name}: need an (n, T, d_in) stack, got {seq.data.shape}")
+        n, rows, d_in = seq.data.shape
+        if n == 0 or rows == 0:
             raise ContractError(f"{name}: empty sequence")
-        if n_seq < 1 or rows % n_seq:
-            raise DimensionError(f"{name}: {rows} rows do not split into {n_seq} equal sequences")
-        T = rows // n_seq if T is None else T
-        if rows != n_seq * T:
-            raise DimensionError(f"{name}: groups disagree on sequence length ({rows // n_seq} vs {T})")
+        T = rows if T is None else T
+        if rows != T:
+            raise DimensionError(f"{name}: groups disagree on sequence length ({rows} vs {T})")
         if len(directions) != D:
             raise DimensionError(f"{name}: groups disagree on direction count ({len(directions)} vs {D})")
         for p, _ in directions:
@@ -318,13 +309,13 @@ def _recurrence(groups, name: str) -> Tensor:
             if p.d_h != H:
                 raise DimensionError(f"{name}: directions disagree on d_h ({p.d_h} vs {H})")
     # one slot per (group, direction), group by group
-    slots = [(p, reverse, n_seq, seq.data.reshape(n_seq, T, -1))
-             for seq, n_seq, directions in groups for p, reverse in directions]
-    M, B = len(slots), max(n_seq for _, n_seq, _ in groups)
+    slots = [(p, reverse, seq.data) for seq, directions in groups for p, reverse in directions]
+    M, B = len(slots), max(len(xs) for *_, xs in slots)
 
     # time-major buffers: [t] is the (M, B, .) state of every pair at step t
     pre = np.empty((T, M, B, 4 * H))
-    for m, (p, reverse, n, xs) in enumerate(slots):
+    for m, (p, reverse, xs) in enumerate(slots):
+        n = len(xs)
         proj = np.matmul(xs, p.w_x.data)
         proj += p.b.data
         pre[:, m, :n] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
@@ -363,16 +354,17 @@ def _recurrence(groups, name: str) -> Tensor:
         return a[:, m, :n].transpose(1, 0, 2)
 
     def blocks(a):
-        """(slot, n_seq, reverse, its (n_seq, T, d_h) columns) per slot of
-        an array laid out as the output."""
+        """(slot, n, reverse, its (n, T, d_h) columns) per slot of an
+        array laid out as the output."""
         lo = 0
-        for g, (_, n, directions) in enumerate(groups):
-            block = a[lo : lo + n * T].reshape(n, T, D * H)
-            lo += n * T
+        for g, (seq, directions) in enumerate(groups):
+            n = len(seq.data)
+            block = a[lo : lo + n]
+            lo += n
             for k, (_, reverse) in enumerate(directions):
                 yield g * D + k, n, reverse, block[:, :, k * H : (k + 1) * H]
 
-    out = np.empty((sum(n * T for _, n, _ in groups), D * H))
+    out = np.empty((sum(len(seq.data) for seq, _ in groups), T, D * H))
     for m, n, reverse, cols in blocks(out):
         cols[...] = in_time(seq_major(hs, m, n), reverse)
     out = Tensor(out)
@@ -426,13 +418,13 @@ def _recurrence(groups, name: str) -> Tensor:
         dz = dz.reshape(T, M, B, 4 * H)
         grads = []
         for m in range(M - 1, -1, -1):
-            p, reverse, n, xs = slots[m]
-            dz_m = np.ascontiguousarray(seq_major(dz, m, n))
+            p, reverse, xs = slots[m]
+            dz_m = np.ascontiguousarray(seq_major(dz, m, len(xs)))
             x_m = np.ascontiguousarray(in_time(xs, reverse))
             grads += [
-                in_time(np.matmul(dz_m, p.w_x.data.T), reverse).reshape(n * T, -1),
+                in_time(np.matmul(dz_m, p.w_x.data.T), reverse),
                 _sum_last_to_first(np.matmul(x_m.transpose(0, 2, 1), dz_m)),
-                _sum_last_to_first(np.matmul(seq_major(h_prev, m, n).transpose(0, 2, 1), dz_m)),
+                _sum_last_to_first(np.matmul(seq_major(h_prev, m, len(xs)).transpose(0, 2, 1), dz_m)),
                 _sum_last_to_first(dz_m.sum(axis=1)),
             ]
         return grads
@@ -443,7 +435,7 @@ def _recurrence(groups, name: str) -> Tensor:
     # per direction, recorded group by group, so training stays
     # bit-identical to that layout.
     inputs = []
-    for seq, _, directions in reversed(groups):
+    for seq, directions in reversed(groups):
         for p, _ in reversed(directions):
             inputs += [seq, p.w_x, p.w_h, p.b]
     record(out, tuple(inputs), bwd)
@@ -457,20 +449,19 @@ def lstm_sequence(seq: Tensor, params: LSTMParams) -> Tensor:
     hidden states.  This is the one-direction, one-sequence case of the
     batched recurrence behind bilstm_forward.
     """
-    return _recurrence([(as_tensor(seq), 1, [(params, False)])], "lstm_sequence")
-
-
-def bilstm_forward(
-    seq: Tensor, params_fwd: LSTMParams, params_bwd: LSTMParams, n_seq: int = 1
-) -> Tensor:
-    """Bidirectional LSTM: row t is concat(forward h_t, backward h_t).
-
-    seq may stack n_seq equal-length sequences by rows, (n_seq*T, d_in);
-    each is encoded independently and the output stacks their (T, 2*d_h)
-    encodings in the same order.  Both directions of every sequence run
-    in one time loop.
-    """
     seq = as_tensor(seq)
-    if seq.data.ndim != 2 or seq.data.shape[0] == 0:
-        raise ContractError(f"bilstm_forward: need a nonempty (T, d_in) sequence, got {seq.data.shape}")
-    return _recurrence([(seq, n_seq, [(params_fwd, False), (params_bwd, True)])], "bilstm_forward")
+    if seq.data.ndim != 2:
+        raise DimensionError(f"lstm_sequence: need (T, d_in), got {seq.data.shape}")
+    h = _recurrence([(reshape(seq, (1,) + seq.data.shape), [(params, False)])], "lstm_sequence")
+    return reshape(h, h.data.shape[1:])
+
+
+def bilstm_forward(seq: Tensor, params_fwd: LSTMParams, params_bwd: LSTMParams) -> Tensor:
+    """Bidirectional LSTM over an (n, T, d_in) stack of sequences.
+
+    Each sequence is encoded independently; row t of its (T, 2*d_h)
+    output is concat(forward h_t, backward h_t).  Both directions of
+    every sequence run in one time loop.
+    """
+    return _recurrence([(as_tensor(seq), [(params_fwd, False), (params_bwd, True)])],
+                       "bilstm_forward")

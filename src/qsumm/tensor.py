@@ -29,7 +29,6 @@ __all__ = [
     "concat_rows",
     "slice_cols",
     "slice_rows",
-    "tile_rows",
     "mean_all",
     "mean_rows",
     "absolute",
@@ -215,16 +214,37 @@ def neg(a) -> Tensor:
     return out
 
 
+def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
+    """parts[-1] + ... + parts[0], summed in that order.
+
+    A tape accumulates the gradients of separate calls from the last call
+    to the first; summing a stack's per-sequence gradients the same way
+    makes a stacked call's gradients equal those of separate calls bit
+    for bit.
+    """
+    total = parts[-1]
+    for part in parts[-2::-1]:
+        total = total + part
+    return total
+
+
 def matmul(a, b) -> Tensor:
+    """a @ b for a matrix or an (n, T, k) stack a and a matrix b.
+
+    A stack runs through numpy's batched matmul, which computes each
+    sequence's own 2-d product, so its rows equal separate calls bit for
+    bit; flattening the stack into one (n*T, k) product would not.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul: shapes {a.data.shape} and {b.data.shape} do not chain"
         )
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        return [g @ b.data.T, a.data.T @ g]
+        db = a.data.swapaxes(-1, -2) @ g
+        return [g @ b.data.T, db if db.ndim == 2 else _sum_last_to_first(db)]
 
     record(out, (a, b), bwd)
     return out
@@ -246,18 +266,38 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
+def _sum_to(g: np.ndarray, shape) -> np.ndarray:
+    """g summed back to the shape concat_cols broadcast from: a stack axis
+    that shape lacks last to first, a length-1 axis by numpy."""
+    while g.ndim > len(shape):
+        g = _sum_last_to_first(g)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return np.array(g)
+
+
 def concat_cols(a, b) -> Tensor:
-    """Column-wise concatenation of two matrices with equal row counts."""
+    """Concatenation on the last axis; the leading axes broadcast.
+
+    A (T, p) matrix and a (Q, 1, q) stack give (Q, T, p+q): every
+    sequence of the stack joins the matrix, each on its own row.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
+    try:
+        lead = np.broadcast_shapes(a.data.shape[:-1], b.data.shape[:-1])
+    except ValueError:
+        lead = None
+    if a.data.ndim < 2 or b.data.ndim < 2 or lead is None:
         raise DimensionError(
             f"concat_cols: shapes {a.data.shape} and {b.data.shape} do not align"
         )
-    p = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
+    p = a.data.shape[-1]
+    out = Tensor(np.concatenate([np.broadcast_to(x.data, lead + x.data.shape[-1:])
+                                 for x in (a, b)], axis=-1))
 
     def bwd(g):
-        return [g[:, :p].copy(), g[:, p:].copy()]
+        return [_sum_to(g[..., :p], a.data.shape), _sum_to(g[..., p:], b.data.shape)]
 
     record(out, (a, b), bwd)
     return out
@@ -282,9 +322,10 @@ def slice_cols(x, lo: int, hi: int) -> Tensor:
 
 
 def concat_rows(xs) -> Tensor:
-    """Row-wise concatenation of matrices with equal column counts."""
+    """Concatenation on axis 0 of arrays of two or more dimensions that
+    agree on the others, such as (n, T, d) stacks into one stack."""
     xs = [as_tensor(x) for x in xs]
-    if not xs or any(x.data.ndim != 2 or x.data.shape[1] != xs[0].data.shape[1] for x in xs):
+    if not xs or any(x.data.ndim < 2 or x.data.shape[1:] != xs[0].data.shape[1:] for x in xs):
         raise DimensionError(
             f"concat_rows: shapes {[x.data.shape for x in xs]} do not align"
         )
@@ -299,9 +340,10 @@ def concat_rows(xs) -> Tensor:
 
 
 def slice_rows(x, lo: int, hi: int) -> Tensor:
-    """Rows [lo, hi) of a matrix."""
+    """Entries [lo, hi) on axis 0 of an array of two or more dimensions:
+    rows of a matrix, sequences of a stack."""
     x = as_tensor(x)
-    if x.data.ndim != 2 or not (0 <= lo < hi <= x.data.shape[0]):
+    if x.data.ndim < 2 or not (0 <= lo < hi <= x.data.shape[0]):
         raise DimensionError(
             f"slice_rows: [{lo}:{hi}] invalid for shape {x.data.shape}"
         )
@@ -316,18 +358,6 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
     return out
 
 
-def tile_rows(x, n: int) -> Tensor:
-    """Repeat a 1-row matrix n times along the row axis."""
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] != 1:
-        raise DimensionError(f"tile_rows: need shape (1, d), got {x.data.shape}")
-    if n < 1:
-        raise DimensionError(f"tile_rows: need n >= 1, got {n}")
-    out = Tensor(np.repeat(x.data, n, axis=0))
-    record(out, (x,), lambda g: [g.sum(axis=0, keepdims=True)])
-    return out
-
-
 def mean_all(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.mean())
@@ -336,13 +366,14 @@ def mean_all(x) -> Tensor:
 
 
 def mean_rows(x) -> Tensor:
-    """Mean over the row axis of a matrix: (n, d) -> (d,)."""
+    """Mean over axis -2: (T, d) -> (d,), and (n, T, d) -> (n, d), a
+    stack's sequences averaged over their own rows."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError(f"mean_rows: need a matrix, got shape {x.data.shape}")
-    n = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0))
-    record(out, (x,), lambda g: [np.broadcast_to(g / n, x.data.shape).copy()])
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"mean_rows: need a matrix or a stack, got shape {x.data.shape}")
+    n = x.data.shape[-2]
+    out = Tensor(x.data.mean(axis=-2))
+    record(out, (x,), lambda g: [np.broadcast_to(g[..., None, :] / n, x.data.shape).copy()])
     return out
 
 

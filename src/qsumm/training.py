@@ -324,9 +324,9 @@ def _critic_update(state: Checkpoint, corpus, hub: RngHub, step: int) -> float:
         r = None if cfg.omega == 1.0 else random_scores(batch.length, hub["random-summary"])
         with Tape(watch=disc_tensors.values()) as tape:
             # ground-truth, generated, then random: d_g, d_q, d_r
-            summs = [summary_repr(fwd.f_eq, batch.gt), summary_repr(fwd.f_eq, fwd.s)]
+            summs = [summary_repr(fwd.f_eq, batch.gt[None]), summary_repr(fwd.f_eq, fwd.s)]
             if r is not None:
-                summs.append(summary_repr(fwd.f_eq, r))
+                summs.append(summary_repr(fwd.f_eq, r[None]))
             scores = critic_scores(summs, fwd.f_vq, state.disc_params)
             d_r = scores[2] if r is not None else None
             try:
@@ -361,7 +361,7 @@ def _generator_update(state: Checkpoint, corpus, hub: RngHub, step: int,
         total = gen_adv = mul(d_q, -cfg.omega)
         ls_w = ll_w = 0.0
         if cfg.lambda_summ > 0:
-            ls = mul(loss_summ(fwd.s, batch.gt), cfg.lambda_summ)
+            ls = mul(loss_summ(fwd.s, batch.gt[None]), cfg.lambda_summ)
             ls_w = _check_finite(float(ls), step, "loss_summ")
             total = total + ls
         if cfg.lambda_len > 0:
@@ -641,6 +641,8 @@ def _index_sections(fh, size: int, source: str) -> dict:
         off += name_len + _PAYLOAD_HEAD.size
         if off + payload_len > size:
             raise FormatError(f"{source}: truncated inside section {name!r}")
+        if name in index:
+            raise FormatError(f"{source}: repeated checkpoint section {name!r}")
         index[name] = (off, payload_len)
         off += payload_len
     if off != size:

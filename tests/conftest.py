@@ -1,6 +1,6 @@
 import numpy as np
 
-from qsumm.tensor import Tape
+from qsumm.tensor import Tape, Tensor, mean_all
 
 
 def numeric_grad(f, params, eps=1e-5):
@@ -47,6 +47,40 @@ def check_grads(f, params, eps=1e-5, tol=1e-6):
     for name in params:
         err = max_rel_err(auto[name], num[name])
         assert err < tol, f"{name}: max relative error {err:.3g} >= {tol}"
+
+
+def assert_stack_equals_separate(fn, x, params, r, keepdims=False):
+    """fn over an (n, T, ...) stack x in one call gives the outputs and
+    gradients of n separate calls on its sequences, bit for bit.
+
+    A separate call gets x[i], or with keepdims the one-sequence stack
+    x[i:i+1].  The loss of each is the sum of the outputs weighted by r,
+    written as mean times count, so every output's gradient is exactly
+    its r entry and the two can agree bit for bit.  The gradients
+    compared are the input's, restacked for the separate calls, and
+    those of the params dict's tensors.
+    """
+    def run(inputs, rs):
+        with Tape(watch=[*inputs, *params.values()]) as tape:
+            outs = [fn(t) for t in inputs]
+            loss = None
+            for out, ri in zip(outs, rs):
+                term = mean_all(out * ri) * float(ri.size)
+                loss = term if loss is None else loss + term
+        tape.backward(loss)
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        return [out.data for out in outs], [t.grad for t in inputs], grads
+
+    def split(a):
+        return [a[i : i + 1] if keepdims else a[i] for i in range(len(a))]
+
+    join = np.concatenate if keepdims else np.stack
+    (out,), (dx,), grads = run([Tensor(x.copy())], [r])
+    outs, dxs, want_grads = run([Tensor(xi.copy()) for xi in split(x)], split(r))
+    assert np.array_equal(out, join(outs))
+    assert np.array_equal(dx, join(dxs))
+    for k in params:
+        assert np.array_equal(grads[k], want_grads[k]), k
 
 
 def json_values(st):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import json_values
-from test_training import write_sections
+from test_training import write_repeated_meta, write_sections
 from qsumm import cli
 from qsumm.cli import run_cli
 from qsumm.dataset import SynthConfig
@@ -199,6 +199,16 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and section in err and "Traceback" not in err
+
+    def test_repeated_checkpoint_section_is_runtime_error(self, workspace, tmp_path, capsys):
+        from qsumm.training import load_checkpoint
+
+        path = tmp_path / "repeated.qsck"
+        write_repeated_meta(load_checkpoint(workspace["checkpoint"]), path)
+        rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "repeated checkpoint section 'meta'" in err
 
     @pytest.mark.parametrize("drop", ["dims", "d_shot"])
     def test_manifest_without_dims_is_runtime_error(self, workspace, tmp_path, capsys, drop):
@@ -662,6 +672,25 @@ class TestTrainEvaluateSummarize:
         assert len(resumed.splitlines()) == 1 + MINI["train"]["max_steps"]
         straight = open(os.path.join(workspace["run"], "metrics.csv")).read()
         assert resumed == straight
+
+    def test_resume_keeps_the_run_config(self, workspace, tmp_path):
+        # the resumed leg overlays its file on the checkpoint's cfg/train,
+        # not on TrainConfig's defaults, and so continues the straight run
+        run_cfg = dict(MINI["train"], seed=3, n_critic=1, max_steps=4)
+        argv = ["train", "--corpus", workspace["corpus"], "--ablation", "two-player"]
+        straight, split = tmp_path / "straight", tmp_path / "split"
+        cfg = write_config(tmp_path, {"train": run_cfg})
+        assert run_cli(argv + ["--out", str(straight), "--config", cfg]) == 0
+        cfg = write_config(tmp_path, {"train": dict(run_cfg, max_steps=2)})
+        assert run_cli(argv + ["--out", str(split), "--config", cfg]) == 0
+        cfg = write_config(tmp_path, {"train": {"max_steps": 4}})
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(split),
+                        "--config", cfg, "--checkpoint", str(split / "checkpoint.qsck")]) == 0
+        assert (split / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes()
+        cfgs = [read_sections((run / "checkpoint.qsck").read_bytes(), "ckpt")["cfg/train"]
+                for run in (split, straight)]
+        assert cfgs[0] == cfgs[1]
+        assert json.loads(cfgs[0])["seed"] == 3 and json.loads(cfgs[0])["omega"] == 1.0
 
     def test_resume_rejects_paper_scale(self, workspace, tmp_path, capsys):
         rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),

@@ -328,6 +328,18 @@ class TestCorpusRoundTrip:
         with pytest.raises(FormatError, match="video id 'v000' is listed twice"):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize("vid", [7, "", None], ids=["int", "empty", "null"])
+    def test_video_id_must_be_a_nonempty_string(self, tmp_path, vid):
+        # an integer id would load, but no --video string could name it
+        manifest = self._written(tmp_path)
+        doc = json.loads(open(manifest).read())
+        doc["videos"][0]["id"] = vid
+        doc["splits"] = {k: [vid if m == "v000" else m for m in members]
+                         for k, members in doc["splits"].items()}
+        open(manifest, "w").write(json.dumps(doc))
+        with pytest.raises(FormatError, match="must be a nonempty string"):
+            load_corpus(manifest)
+
     def test_split_listing_a_video_twice_names_it(self, tmp_path):
         # a repeated member would count twice in evaluation and sampling
         manifest = self._written(tmp_path)

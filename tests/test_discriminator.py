@@ -21,33 +21,28 @@ from qsumm.gradcheck import grad_check
 from qsumm.tensor import Tape, Tensor, as_tensor, concat_rows, slice_rows
 
 # The critic as it was before its two branches shared one recurrence
-# call: a video Bi-LSTM call, then one batched call for the summaries.
-# The one-call critic must match it bit for bit.
+# call and its summaries were pooled as one stack: a video Bi-LSTM call,
+# one batched call for the summaries, then each summary split back and
+# normalized and pooled on its own.  The critic must match it bit for bit.
 def reference_critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
-    """Score several summaries of one video, one scalar per summary.
-
-    The video branch runs once and is shared.  The summaries are stacked
-    by rows into one batched Bi-LSTM call, so both directions of every
-    summary advance in a single time loop, with values equal to encoding
-    each summary alone.  The encodings are then split back and each
-    passes the summary batchnorm on its own.
-    """
+    """Score several (1, T, d) summaries of one (1, T, d) video, one
+    scalar per summary."""
     f_vq = as_tensor(f_vq)
-    T = f_vq.data.shape[0]
+    T = f_vq.data.shape[1]
     seqs = [as_tensor(summ) for summ in summs]
     for seq in seqs:
-        if seq.data.shape[0] != T:
+        if seq.data.shape[1] != T:
             raise DimensionError(
-                f"critic: summary has {seq.data.shape[0]} shots but video has {T}"
+                f"critic: summary has {seq.data.shape[1]} shots but video has {T}"
             )
     v = _pool(bilstm_forward(f_vq, params.vid_fwd, params.vid_bwd),
               params.vid_bn_gamma, params.vid_bn_beta)
     if not seqs:
         return []
-    h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd, n_seq=len(seqs))
+    h = bilstm_forward(concat_rows(seqs), params.summ_fwd, params.summ_bwd)
     out = []
     for i in range(len(seqs)):
-        u = _pool(slice_rows(h, i * T, (i + 1) * T), params.summ_bn_gamma, params.summ_bn_beta)
+        u = _pool(slice_rows(h, i, i + 1), params.summ_bn_gamma, params.summ_bn_beta)
         out.append(_head(u, v, params))
     return out
 
@@ -60,33 +55,35 @@ def tiny_params(seed=0):
 
 
 def tiny_inputs(T=5, seed=1):
+    """One-sequence stacks of encoded shots and of the video, (1, T, d)."""
     rng = np.random.default_rng(seed)
     return (
-        rng.standard_normal((T, TINY.d_summ_in)),
-        rng.standard_normal((T, TINY.d_vid_in)),
+        rng.standard_normal((1, T, TINY.d_summ_in)),
+        rng.standard_normal((1, T, TINY.d_vid_in)),
     )
 
 
 class TestSummaryRepr:
     def test_unit_scores_identity(self):
         f_eq, _ = tiny_inputs(4)
-        out = summary_repr(f_eq, np.ones(4))
+        out = summary_repr(f_eq, np.ones((1, 4)))
         assert_allclose(out.data, f_eq)
 
     def test_zero_scores(self):
         f_eq, _ = tiny_inputs(4)
-        out = summary_repr(f_eq, np.zeros(4))
+        out = summary_repr(f_eq, np.zeros((1, 4)))
         assert_allclose(out.data, np.zeros_like(f_eq))
 
     def test_per_row_scaling(self):
-        f_eq = np.array([[1.0, 2.0, 4.0], [3.0, -1.0, 0.5]])
-        out = summary_repr(f_eq, np.array([0.5, 1.0]))
-        assert_allclose(out.data, [[0.5, 1.0, 2.0], [3.0, -1.0, 0.5]])
+        f_eq = np.array([[[1.0, 2.0, 4.0], [3.0, -1.0, 0.5]], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
+        out = summary_repr(f_eq, np.array([[0.5, 1.0], [0.0, 2.0]]))
+        assert_allclose(out.data, [[[0.5, 1.0, 2.0], [3.0, -1.0, 0.5]],
+                                   [[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]]])
 
     def test_linear_in_scores(self):
         rng = np.random.default_rng(2)
         f_eq, _ = tiny_inputs(6)
-        s = rng.uniform(0, 1, 6)
+        s = rng.uniform(0, 1, (1, 6))
         base = summary_repr(f_eq, s).data
         scaled = summary_repr(f_eq, 0.25 * s).data
         assert_allclose(scaled, 0.25 * base, atol=1e-15)
@@ -94,7 +91,9 @@ class TestSummaryRepr:
     def test_length_mismatch(self):
         f_eq, _ = tiny_inputs(4)
         with pytest.raises(DimensionError):
-            summary_repr(f_eq, np.ones(5))
+            summary_repr(f_eq, np.ones((1, 5)))
+        with pytest.raises(DimensionError):
+            summary_repr(f_eq, np.ones(4))
 
 
 class TestRandomScores:
@@ -118,7 +117,7 @@ class TestCritic:
     def test_scalar_output(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.full(5, 0.6))
+        summ = summary_repr(f_eq, np.full((1, 5), 0.6))
         out = critic(summ, f_vq, params)
         assert out.data.shape == ()
         assert np.isfinite(out.data)
@@ -126,7 +125,7 @@ class TestCritic:
     def test_deterministic(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.full(5, 0.6))
+        summ = summary_repr(f_eq, np.full((1, 5), 0.6))
         a = float(critic(summ, f_vq, params))
         b = float(critic(summ, f_vq, params))
         assert a == b
@@ -136,21 +135,23 @@ class TestCritic:
         for t in params.tensors().values():
             t.data[:] = 0.0
         f_eq, f_vq = tiny_inputs()
-        summ = summary_repr(f_eq, np.ones(5))
+        summ = summary_repr(f_eq, np.ones((1, 5)))
         assert float(critic(summ, f_vq, params)) == 0.0
 
     def test_shot_count_mismatch(self):
         params = tiny_params()
         f_eq, _ = tiny_inputs(4)
         _, f_vq = tiny_inputs(5)
-        summ = summary_repr(f_eq, np.ones(4))
+        summ = summary_repr(f_eq, np.ones((1, 4)))
         with pytest.raises(DimensionError):
             critic(summ, f_vq, params)
+        with pytest.raises(DimensionError, match=r"\(1, T, d\) video"):
+            critic(summary_repr(f_eq, np.ones((1, 4))), np.concatenate([f_eq, f_eq]), params)
 
     def test_plain_tensor_accepted_as_summary(self):
         params = tiny_params()
         f_eq, f_vq = tiny_inputs()
-        via_repr = float(critic(summary_repr(f_eq, np.ones(5)), f_vq, params))
+        via_repr = float(critic(summary_repr(f_eq, np.ones((1, 5))), f_vq, params))
         direct = float(critic(Tensor(f_eq), f_vq, params))
         assert via_repr == direct
 
@@ -160,9 +161,9 @@ class TestSharedVideoBranch:
         f_eq, f_vq = tiny_inputs(6, seed=5)
         rng = np.random.default_rng(6)
         summs = [
-            summary_repr(f_eq, rng.uniform(0, 1, 6)),
-            summary_repr(f_eq, rng.integers(0, 2, 6).astype(float)),
-            summary_repr(f_eq, random_scores(6, rng)),
+            summary_repr(f_eq, rng.uniform(0, 1, (1, 6))),
+            summary_repr(f_eq, rng.integers(0, 2, (1, 6)).astype(float)),
+            summary_repr(f_eq, random_scores(6, rng)[None]),
         ]
         shared = [
             float(x) for x in critic_scores(summs, f_vq, tiny_params(seed=7))
@@ -174,7 +175,7 @@ class TestSharedVideoBranch:
     def test_gradients_match_separate_calls(self):
         f_eq, f_vq = (Tensor(a) for a in tiny_inputs(6, seed=12))
         rng = np.random.default_rng(13)
-        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(3)]
+        scores = [Tensor(rng.uniform(0, 1, (1, 6))) for _ in range(3)]
 
         def grads(batched):
             params = tiny_params(seed=14)
@@ -196,8 +197,8 @@ class TestSharedVideoBranch:
         f_eq, f_vq = tiny_inputs(6)
         short, _ = tiny_inputs(3)
         summs = [
-            summary_repr(f_eq, np.ones(6)),
-            summary_repr(short, np.ones(3)),
+            summary_repr(f_eq, np.ones((1, 6))),
+            summary_repr(short, np.ones((1, 3))),
         ]
         with pytest.raises(DimensionError):
             critic_scores(summs, f_vq, tiny_params())
@@ -210,9 +211,9 @@ class TestReferenceOracle:
     def run(score_fn, n_summ):
         rng = np.random.default_rng(40 + n_summ)
         params = tiny_params(seed=41)
-        f_eq = Tensor(rng.standard_normal((6, TINY.d_summ_in)))
-        f_vq = Tensor(rng.standard_normal((6, TINY.d_vid_in)))
-        scores = [Tensor(rng.uniform(0, 1, 6)) for _ in range(n_summ)]
+        f_eq = Tensor(rng.standard_normal((1, 6, TINY.d_summ_in)))
+        f_vq = Tensor(rng.standard_normal((1, 6, TINY.d_vid_in)))
+        scores = [Tensor(rng.uniform(0, 1, (1, 6))) for _ in range(n_summ)]
         coef = rng.uniform(-1.0, 1.0, n_summ)
         with Tape(watch=list(params.tensors().values()) + [f_vq, f_eq]) as tape:
             summs = [summary_repr(f_eq, s) for s in scores]
@@ -243,9 +244,9 @@ class TestCriticGradients:
     def test_params_and_both_branch_inputs(self):
         params = tiny_params(seed=9)
         rng = np.random.default_rng(10)
-        f_eq = Tensor(rng.standard_normal((5, TINY.d_summ_in)))
-        f_vq = Tensor(rng.standard_normal((5, TINY.d_vid_in)))
-        scores = Tensor(rng.uniform(0.2, 0.8, 5))
+        f_eq = Tensor(rng.standard_normal((1, 5, TINY.d_summ_in)))
+        f_vq = Tensor(rng.standard_normal((1, 5, TINY.d_vid_in)))
+        scores = Tensor(rng.uniform(0.2, 0.8, (1, 5)))
 
         def f():
             summ = summary_repr(f_eq, scores)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -651,6 +652,36 @@ class TestReportFiles:
         n_videos = len(report.per_video)
         assert len(lines) == 1 + len(report.rows) + n_videos + 1
 
+    def test_ordinary_ids_write_the_plain_rows(self, mini_params, mini_corpus, tmp_path):
+        # the rows as written before fields were quoted, for ids without
+        # a comma or a quote
+        report = evaluate(mini_params, mini_corpus, "test")
+        lines = ["video_id,query_id,scenario,precision,recall,f1"]
+        lines += [f"{r.video_id},{r.query_index},{r.scenario},{r.precision!r},{r.recall!r},{r.f1!r}"
+                  for r in report.rows]
+        lines += [f"{vid},,video-mean,{v['precision']!r},{v['recall']!r},{v['f1']!r}"
+                  for vid, v in report.per_video.items()]
+        lines.append(f",,corpus-mean,{report.precision!r},{report.recall!r},{report.f1!r}")
+        path = tmp_path / "report.csv"
+        write_report_csv(report, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_id_with_comma_stays_one_field(self, mini_params, mini_corpus, tmp_path):
+        report = evaluate(mini_params, mini_corpus, "train",
+                          predict=lambda video, query: query.gt_mask)
+        odd = {vid: f'v,"{i}' for i, vid in enumerate(report.per_video)}
+        report = dataclasses.replace(
+            report,
+            rows=[dataclasses.replace(r, video_id=odd[r.video_id]) for r in report.rows],
+            per_video={odd[vid]: v for vid, v in report.per_video.items()})
+        path = tmp_path / "report.csv"
+        write_report_csv(report, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert [row[0] for row in rows[1:-1]] == (
+            [r.video_id for r in report.rows] + list(report.per_video))
+
     def test_json_mirror(self, mini_params, mini_corpus, tmp_path):
         report = evaluate(
             mini_params, mini_corpus, "train",
@@ -728,7 +759,7 @@ def reference_evaluate(
                     gparams, video.frame_feats, video.shot_feats,
                     embed_query(query, corpus.concepts), train=False,
                 )
-                mask = select_shots(fwd.s, threshold)
+                mask = select_shots(fwd.s.data[0], threshold)
             gen_idx = np.flatnonzero(mask)
             gt_idx = np.flatnonzero(query.gt_mask)
             weights = _iou_matrix(incidence, gen_idx, gt_idx)
@@ -903,7 +934,7 @@ class TestScoringPass:
 
         def forward(params, frame, shot, query_emb, train):
             sizes.append(len(query_emb))
-            return SimpleNamespace(s=SimpleNamespace(data=np.zeros(len(query_emb) * len(frame))))
+            return SimpleNamespace(s=SimpleNamespace(data=np.zeros((len(query_emb), len(frame)))))
 
         monkeypatch.setattr(evaluation, "generator_forward", forward)
         scores = evaluation._query_scores(gparams, video, desk_corpus.concepts)
@@ -938,4 +969,4 @@ class TestScoringPass:
             for emb, got in zip(embs, scores, strict=True):
                 one = generator_forward(desk_params, video.frame_feats, video.shot_feats, emb,
                                         train=False)
-                assert np.array_equal(got, one.s.data)
+                assert np.array_equal(got, one.s.data[0])

@@ -41,7 +41,9 @@ class TestFuse:
         for T in (1, 3, 9):
             frame, shot, q = tiny_inputs(T)
             out = g_r_fuse(frame, shot, q, params)
-            assert out.data.shape == (T, TINY.d_fused + TINY.d_qenc)
+            assert out.data.shape == (1, T, TINY.d_fused + TINY.d_qenc)
+            out = g_r_fuse(frame, shot, np.stack([q, q, q]), params)
+            assert out.data.shape == (3, T, TINY.d_fused + TINY.d_qenc)
 
     def test_zero_query_passes_text_bias(self):
         params = tiny_params()
@@ -50,14 +52,14 @@ class TestFuse:
         out = g_r_fuse(frame, shot, np.zeros(TINY.d_text), params)
         want = np.maximum(params.query_b.data, 0.0)
         for t in range(4):
-            assert_allclose(out.data[t, TINY.d_fused:], want)
+            assert_allclose(out.data[0, t, TINY.d_fused:], want)
 
     def test_queries_differ_only_in_query_half(self):
         params = tiny_params()
         frame, shot, q1 = tiny_inputs(6)
         q2 = np.random.default_rng(9).standard_normal(TINY.d_text)
-        a = g_r_fuse(frame, shot, q1, params).data
-        b = g_r_fuse(frame, shot, q2, params).data
+        a = g_r_fuse(frame, shot, q1, params).data[0]
+        b = g_r_fuse(frame, shot, q2, params).data[0]
         assert_allclose(a[:, : TINY.d_fused], b[:, : TINY.d_fused])
         assert not np.allclose(a[:, TINY.d_fused :], b[:, TINY.d_fused :])
         # the query half is identical across rows
@@ -76,7 +78,7 @@ class TestEncode:
         frame, shot, q = tiny_inputs(1)
         f_vq = g_r_fuse(frame, shot, q, params)
         out = g_e_encode(f_vq, params)
-        assert out.data.shape == (1, 2 * TINY.d_h)
+        assert out.data.shape == (1, 1, 2 * TINY.d_h)
 
     def test_nonnegative_after_relu(self):
         params = tiny_params()
@@ -100,7 +102,7 @@ class TestScore:
         frame, shot, q = tiny_inputs(8)
         f_eq = g_e_encode(g_r_fuse(frame, shot, q, params), params)
         s = g_p_score(f_eq, params, train=False)
-        assert s.data.shape == (8,)
+        assert s.data.shape == (1, 8)
         assert np.all(s.data > 0.0) and np.all(s.data < 1.0)
 
     def test_eval_mode_repeatable(self):
@@ -193,8 +195,9 @@ class TestComposition:
         frame, shot, q = tiny_inputs(5)
         fwd = generator_forward(params, frame, shot, q, train=False)
         assert_allclose(fwd.k.data, g_g_gate(fwd.s, params.tau).data)
-        assert fwd.f_vq.data.shape == (5, TINY.d_fused + TINY.d_qenc)
-        assert fwd.f_eq.data.shape == (5, 2 * TINY.d_h)
+        assert fwd.f_vq.data.shape == (1, 5, TINY.d_fused + TINY.d_qenc)
+        assert fwd.f_eq.data.shape == (1, 5, 2 * TINY.d_h)
+        assert fwd.s.data.shape == fwd.k.data.shape == (1, 5)
 
     def test_frame_perturbation_moves_own_score(self):
         params = tiny_params()
@@ -203,7 +206,7 @@ class TestComposition:
         bumped = frame.copy()
         bumped[2] += 2.0
         moved = generator_forward(params, bumped, shot, q, train=False).s.data
-        assert not np.isclose(moved[2], base[2])
+        assert not np.isclose(moved[0, 2], base[0, 2])
 
     def test_full_generator_gradcheck(self):
         params = tiny_params(seed=7)
@@ -225,7 +228,7 @@ class TestComposition:
 
 class TestStackedQueries:
     """A (Q, d_text) stack of queries in eval mode gives, query by query,
-    the rows of one-query calls bit for bit."""
+    the sequences of one-query calls bit for bit."""
 
     @pytest.mark.parametrize("T", [1, 7, 13])
     def test_rows_equal_one_query_calls(self, T):
@@ -234,12 +237,12 @@ class TestStackedQueries:
         queries = np.random.default_rng(5).standard_normal((5, TINY.d_text))
         queries[2] = 0.0  # a none-present query embeds to zeros
         stacked = generator_forward(params, frame, shot, queries, train=False)
-        assert stacked.s.data.shape == (5 * T,)
+        assert stacked.s.data.shape == (5, T)
         for i, q in enumerate(queries):
             one = generator_forward(params, frame, shot, q, train=False)
             for name in ("f_vq", "f_eq", "s", "k"):
-                block = getattr(stacked, name).data[i * T : (i + 1) * T]
-                assert np.array_equal(block, getattr(one, name).data), (name, i)
+                assert np.array_equal(getattr(stacked, name).data[i : i + 1],
+                                      getattr(one, name).data), (name, i)
 
     def test_stack_of_one_equals_one_query(self):
         params = tiny_params()
@@ -266,15 +269,15 @@ class TestStackedQueries:
                               rng=np.random.default_rng(0))
 
     def test_one_query_tape_is_unchanged(self):
-        # the one-query training pass records the nodes it recorded before
-        # stacking existed: no row slicing or restacking
+        # the one-query training pass records no row slicing or restacking,
+        # and the query FC's row joins every shot inside concat_cols
         params = tiny_params()
         frame, shot, q = tiny_inputs(6)
         with Tape() as tape:
             generator_forward(params, frame, shot, q, train=True, rng=np.random.default_rng(0))
         assert [bwd.__qualname__.split(".")[0] for _, _, bwd in tape.nodes] == [
             "concat_cols", "matmul", "add", "relu",  # visual FC
-            "reshape", "matmul", "add", "relu", "tile_rows", "concat_cols",  # query FC
+            "reshape", "matmul", "add", "relu", "concat_cols",  # query FC
             "_recurrence", "batchnorm_forward", "relu",  # encoder
             "matmul", "add", "batchnorm_forward", "relu", "dropout", "matmul", "add",
             "reshape", "sigmoid",  # scorer

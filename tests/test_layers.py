@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import check_grads, max_rel_err
+from conftest import assert_stack_equals_separate, check_grads, max_rel_err
 from qsumm import layers
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, ContractError, DimensionError
@@ -118,6 +118,23 @@ class TestBatchnorm:
             return mean_all(y * r)
 
         check_grads(f, {"x": x, "gamma": gamma, "beta": beta})
+
+    @pytest.mark.parametrize("T", [1, 7])
+    def test_stack_equals_separate_calls(self, T):
+        rng = np.random.default_rng(50 + T)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 4))
+        beta = Tensor(rng.standard_normal(4))
+        assert_stack_equals_separate(lambda x: batchnorm_forward(x, gamma, beta),
+                                     rng.standard_normal((3, T, 4)),
+                                     {"gamma": gamma, "beta": beta},
+                                     rng.standard_normal((3, T, 4)))
+
+    def test_stack_normalizes_each_sequence(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 16, 3)) * np.array([1.0, 5.0])[:, None, None]
+        y = batchnorm_forward(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3))).data
+        assert np.all(np.abs(y.mean(axis=1)) < 1e-6)
+        assert np.all(np.abs(y.var(axis=1) - 1.0) < 1e-3)
 
 
 class TestDropout:
@@ -290,13 +307,11 @@ class TestLSTMSequence:
 
 
 def slice_row(seq, t):
-    """Row t of a matrix as a 1-d tensor, on the tape."""
+    """Row t of a (T, d) sequence or a (1, T, d) stack as a 1-d tensor, on the tape."""
     from qsumm.tensor import reshape, slice_cols
 
-    T, d = seq.data.shape
-    # transpose trick is overkill; reshape to (T*d,) is not sliceable by row,
-    # so go through slice of the transposed view via two reshapes
-    flat = reshape(seq, (1, T * d))
+    d = seq.data.shape[-1]
+    flat = reshape(seq, (1, seq.data.size))
     return reshape(slice_cols(flat, t * d, (t + 1) * d), (d,))
 
 
@@ -305,27 +320,27 @@ class TestBiLSTM:
         rng = np.random.default_rng(21)
         pf = LSTMParams.create(3, 2, rng)
         pb = LSTMParams.create(3, 2, rng)
-        x = rng.standard_normal((1, 3))
+        x = rng.standard_normal((1, 1, 3))
         out = bilstm_forward(Tensor(x), pf, pb)
-        hf, _ = lstm_cell(Tensor(x[0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), pf)
-        hb, _ = lstm_cell(Tensor(x[0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), pb)
-        assert_allclose(out.data, np.concatenate([hf.data, hb.data])[None, :])
+        hf, _ = lstm_cell(Tensor(x[0, 0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), pf)
+        hb, _ = lstm_cell(Tensor(x[0, 0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), pb)
+        assert_allclose(out.data, np.concatenate([hf.data, hb.data])[None, None, :])
 
     def test_output_shape(self):
         rng = np.random.default_rng(22)
         pf = LSTMParams.create(4, 3, rng)
         pb = LSTMParams.create(4, 3, rng)
-        for T in (1, 2, 7):
-            out = bilstm_forward(Tensor(rng.standard_normal((T, 4))), pf, pb)
-            assert out.data.shape == (T, 6)
+        for n, T in ((1, 1), (1, 2), (3, 7)):
+            out = bilstm_forward(Tensor(rng.standard_normal((n, T, 4))), pf, pb)
+            assert out.data.shape == (n, T, 6)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(23)
         pf = LSTMParams.create(4, 3, rng)
         pb = LSTMParams.create(4, 3, rng)
         seq = rng.standard_normal((5, 4))
-        a = bilstm_forward(Tensor(seq), pf, pb).data
-        b = bilstm_forward(Tensor(seq[::-1].copy()), pb, pf).data
+        a = bilstm_forward(Tensor(seq[None]), pf, pb).data[0]
+        b = bilstm_forward(Tensor(seq[None, ::-1].copy()), pb, pf).data[0]
         swapped = np.concatenate([b[:, 3:], b[:, :3]], axis=1)
         assert max_rel_err(a, swapped[::-1]) < 1e-12
 
@@ -334,10 +349,10 @@ class TestBiLSTM:
         pf = LSTMParams.create(3, 2, rng)
         pb = LSTMParams.create(3, 2, rng)
         seq = rng.standard_normal((6, 3))
-        base = bilstm_forward(Tensor(seq), pf, pb).data
+        base = bilstm_forward(Tensor(seq[None]), pf, pb).data[0]
         bumped = seq.copy()
         bumped[3] += 1.0
-        out = bilstm_forward(Tensor(bumped), pf, pb).data
+        out = bilstm_forward(Tensor(bumped[None]), pf, pb).data[0]
         # forward half: rows before t=3 unchanged; backward half: rows after
         assert_allclose(out[:3, :2], base[:3, :2])
         assert_allclose(out[4:, 2:], base[4:, 2:])
@@ -347,7 +362,7 @@ class TestBiLSTM:
         rng = np.random.default_rng(25)
         pf = LSTMParams.create(3, 2, rng)
         pb = LSTMParams.create(3, 2, rng)
-        seq = Tensor(rng.standard_normal((4, 3)))
+        seq = Tensor(rng.standard_normal((1, 4, 3)))
         params = {
             "fwd_wx": pf.w_x, "fwd_wh": pf.w_h, "fwd_b": pf.b,
             "bwd_wx": pb.w_x, "bwd_wh": pb.w_h, "bwd_b": pb.b,
@@ -364,32 +379,34 @@ class TestBiLSTM:
         pf = LSTMParams.create(3, 2, rng)
         pb = LSTMParams.create(3, 2, rng)
         with pytest.raises(ContractError):
-            bilstm_forward(Tensor(np.zeros((0, 3))), pf, pb)
+            bilstm_forward(Tensor(np.zeros((1, 0, 3))), pf, pb)
+        with pytest.raises(ContractError):
+            bilstm_forward(Tensor(np.zeros((0, 4, 3))), pf, pb)
 
 
-def stacked_and_separate(seed, n_seq=3, T=5, d_in=4, d_h=3):
+def stack_and_params(seed, n=3, T=5, d_in=4, d_h=3):
     rng = np.random.default_rng(seed)
     pf = LSTMParams.create(d_in, d_h, rng)
     pb = LSTMParams.create(d_in, d_h, rng)
-    seqs = [rng.standard_normal((T, d_in)) for _ in range(n_seq)]
+    seqs = rng.standard_normal((n, T, d_in))
     return pf, pb, seqs
 
 
 class TestBatchedBiLSTM:
-    """Sequences stacked by rows through one bilstm_forward call."""
+    """An (n, T, d_in) stack of sequences through one bilstm_forward call."""
 
     def test_values_match_separate_calls(self):
-        pf, pb, seqs = stacked_and_separate(27)
-        out = bilstm_forward(Tensor(np.vstack(seqs)), pf, pb, n_seq=3).data
-        separate = np.vstack([bilstm_forward(Tensor(s), pf, pb).data for s in seqs])
+        pf, pb, seqs = stack_and_params(27)
+        out = bilstm_forward(Tensor(seqs), pf, pb).data
+        separate = np.concatenate([bilstm_forward(Tensor(s[None]), pf, pb).data for s in seqs])
         assert_allclose(out, separate, rtol=0, atol=0)
 
     def test_matches_unrolled_cells_both_directions(self):
-        pf, pb, seqs = stacked_and_separate(28)
+        pf, pb, seqs = stack_and_params(28)
         T, H = 5, 3
-        out = bilstm_forward(Tensor(np.vstack(seqs)), pf, pb, n_seq=3).data
+        out = bilstm_forward(Tensor(seqs), pf, pb).data
         for b, seq in enumerate(seqs):
-            rows = out[b * T : (b + 1) * T]
+            rows = out[b]
             for params, order, cols in ((pf, range(T), slice(0, H)),
                                         (pb, range(T - 1, -1, -1), slice(H, 2 * H))):
                 h = Tensor(np.zeros(H))
@@ -399,43 +416,27 @@ class TestBatchedBiLSTM:
                     assert max_rel_err(rows[t, cols], h.data) < 1e-12
 
     def test_gradients_match_separate_calls(self):
-        pf, pb, seqs = stacked_and_separate(29)
-        r = np.random.default_rng(30).standard_normal((15, 6))
-        weights = [pf.w_x, pf.w_h, pf.b, pb.w_x, pb.w_h, pb.b]
+        pf, pb, seqs = stack_and_params(29)
+        r = np.random.default_rng(30).standard_normal((3, 5, 6))
+        weights = {"fwd_wx": pf.w_x, "fwd_wh": pf.w_h, "fwd_b": pf.b,
+                   "bwd_wx": pb.w_x, "bwd_wh": pb.w_h, "bwd_b": pb.b}
+        assert_stack_equals_separate(lambda s: bilstm_forward(s, pf, pb), seqs, weights, r,
+                                     keepdims=True)
 
-        stacked = Tensor(np.vstack(seqs))
-        with Tape(watch=weights + [stacked]) as tape:
-            loss = mean_all(bilstm_forward(stacked, pf, pb, n_seq=3) * r)
-        tape.backward(loss)
-        batched = [w.grad.copy() for w in weights] + [stacked.grad.copy()]
-
-        parts = [Tensor(s) for s in seqs]
-        with Tape(watch=weights + parts) as tape:
-            loss = mean_all(bilstm_forward(parts[0], pf, pb) * r[:5])
-            for i in (1, 2):
-                loss = loss + mean_all(bilstm_forward(parts[i], pf, pb) * r[5 * i : 5 * i + 5])
-            loss = loss * (1.0 / 3.0)  # the mean over all three parts
-        tape.backward(loss)
-        separate = [w.grad for w in weights] + [np.vstack([p.grad for p in parts])]
-
-        for a, b in zip(batched, separate):
-            assert max_rel_err(a, b) < 1e-10
-
-    def test_rows_must_split_evenly(self):
-        pf, pb, seqs = stacked_and_separate(31)
-        with pytest.raises(DimensionError):
-            bilstm_forward(Tensor(np.vstack(seqs)[:-1]), pf, pb, n_seq=3)
+    def test_needs_a_stack(self):
+        pf, pb, seqs = stack_and_params(31)
+        with pytest.raises(DimensionError, match=r"\(n, T, d_in\)"):
+            bilstm_forward(Tensor(seqs[0]), pf, pb)
 
 
 def mixed_groups(seed, T=5, d_h=3):
     """A one-sequence group of width 4 and a two-sequence group of width 6."""
     rng = np.random.default_rng(seed)
     groups = []
-    for d_in, n_seq in ((4, 1), (6, 2)):
+    for d_in, n in ((4, 1), (6, 2)):
         pf = LSTMParams.create(d_in, d_h, rng)
         pb = LSTMParams.create(d_in, d_h, rng)
-        groups.append((Tensor(rng.standard_normal((n_seq * T, d_in))), n_seq,
-                       [(pf, False), (pb, True)]))
+        groups.append((Tensor(rng.standard_normal((n, T, d_in))), [(pf, False), (pb, True)]))
     return groups
 
 
@@ -445,15 +446,15 @@ class TestRecurrenceGroups:
     def test_values_match_separate_calls(self):
         groups = mixed_groups(32)
         out = _recurrence(groups, "test").data
-        separate = np.vstack([bilstm_forward(seq, pf, pb, n_seq=n).data
-                              for seq, n, [(pf, _), (pb, _)] in groups])
+        separate = np.concatenate([bilstm_forward(seq, pf, pb).data
+                                   for seq, [(pf, _), (pb, _)] in groups])
         assert_allclose(out, separate, rtol=0, atol=0)
 
     def test_gradients_match_separate_calls(self):
         groups = mixed_groups(33)
-        watch = [t for seq, _, dirs in groups
+        watch = [t for seq, dirs in groups
                  for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
-        r = np.random.default_rng(34).standard_normal((15, 6))
+        r = np.random.default_rng(34).standard_normal((3, 5, 6))
 
         # each mean times its count: every output's gradient is exactly
         # its r entry, as for a sum, so the two tapes can agree bit for bit
@@ -463,37 +464,38 @@ class TestRecurrenceGroups:
         fused = [t.grad.copy() for t in watch]
 
         with Tape(watch=watch) as tape:
-            (a, n_a, [(pfa, _), (pba, _)]), (b, n_b, [(pfb, _), (pbb, _)]) = groups
-            loss = mean_all(bilstm_forward(a, pfa, pba, n_seq=n_a) * r[:5]) * r[:5].size
-            loss = loss + mean_all(bilstm_forward(b, pfb, pbb, n_seq=n_b) * r[5:]) * r[5:].size
+            (a, [(pfa, _), (pba, _)]), (b, [(pfb, _), (pbb, _)]) = groups
+            loss = mean_all(bilstm_forward(a, pfa, pba) * r[:1]) * r[:1].size
+            loss = loss + mean_all(bilstm_forward(b, pfb, pbb) * r[1:]) * r[1:].size
         tape.backward(loss)
         for x, t in zip(fused, watch):
             assert np.array_equal(x, t.grad)
 
     def test_groups_must_agree_on_length_and_directions(self):
-        (a, _, dirs_a), (b, _, dirs_b) = mixed_groups(35)
+        (a, dirs_a), (b, dirs_b) = mixed_groups(35)
         with pytest.raises(DimensionError, match="sequence length"):
-            _recurrence([(a, 1, dirs_a), (b, 1, dirs_b)], "test")
+            _recurrence([(a, dirs_a), (Tensor(b.data[:, 1:]), dirs_b)], "test")
         with pytest.raises(DimensionError, match="direction count"):
-            _recurrence([(a, 1, dirs_a), (b, 2, dirs_b[:1])], "test")
+            _recurrence([(a, dirs_a), (b, dirs_b[:1])], "test")
 
 
 def recurrence_case(kind):
     """Groups of _recurrence calls with T=6 and d_h=3: one direction, a
-    Bi-LSTM over 1 or 3 stacked sequences, and a critic-style call whose
-    groups differ in d_in and n_seq, so that the video's pairs are padded."""
+    Bi-LSTM over a stack of 1 or 3 sequences, and a critic-style call
+    whose groups differ in d_in and stack size, so that the video's pairs
+    are padded."""
     rng = np.random.default_rng(36)
     T, d_h = 6, 3
     shapes = {"one direction": [(4, 1, 1)], "bilstm n_seq=1": [(4, 1, 2)],
               "bilstm n_seq=3": [(4, 3, 2)], "critic": [(4, 1, 2), (6, 3, 2)]}[kind]
-    return [(Tensor(rng.standard_normal((n_seq * T, d_in))), n_seq,
+    return [(Tensor(rng.standard_normal((n, T, d_in))),
              [(LSTMParams.create(d_in, d_h, rng), k == 1) for k in range(D)])
-            for d_in, n_seq, D in shapes]
+            for d_in, n, D in shapes]
 
 
 def run_recurrence(groups, r_seed=37):
     """Output and every input's gradient of mean(_recurrence(groups) * r)."""
-    watch = [t for seq, _, dirs in groups
+    watch = [t for seq, dirs in groups
              for t in [seq] + [w for p, _ in dirs for w in (p.w_x, p.w_h, p.b)]]
     with Tape(watch=watch) as tape:
         out = _recurrence(groups, "test")
@@ -514,7 +516,7 @@ class TestRecurrenceLoops:
     @pytest.mark.parametrize("slots_per_loop", [1, 3])
     def test_split_loops_bit_equal_one_loop(self, kind, slots_per_loop, monkeypatch):
         groups = recurrence_case(kind)
-        n_slots = sum(len(dirs) for _, _, dirs in groups)
+        n_slots = sum(len(dirs) for _, dirs in groups)
         monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 1 << 40)
         assert len(_loop_slots(n_slots, 3)) == 1
         one_loop = run_recurrence(groups)
@@ -531,23 +533,24 @@ class TestRecurrenceLoops:
         out = _recurrence(groups, "test").data
         T, H = 6, 3
         lo = 0
-        for seq, n_seq, dirs in groups:
-            block = out[lo : lo + n_seq * T]
-            lo += n_seq * T
-            for b in range(n_seq):
+        for seq, dirs in groups:
+            n = len(seq.data)
+            block = out[lo : lo + n]
+            lo += n
+            for b in range(n):
                 for k, (p, reverse) in enumerate(dirs):
                     h = Tensor(np.zeros(H))
                     c = Tensor(np.zeros(H))
                     for t in (range(T - 1, -1, -1) if reverse else range(T)):
-                        h, c = lstm_cell(Tensor(seq.data[b * T + t]), h, c, p)
-                        assert max_rel_err(block[b * T + t, k * H : (k + 1) * H], h.data) < 1e-12
+                        h, c = lstm_cell(Tensor(seq.data[b, t]), h, c, p)
+                        assert max_rel_err(block[b, t, k * H : (k + 1) * H], h.data) < 1e-12
 
     def test_one_slot_per_loop_gradients_match_unrolled_cells(self, monkeypatch):
         monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
         rng = np.random.default_rng(38)
         pf = LSTMParams.create(3, 2, rng)
         pb = LSTMParams.create(3, 2, rng)
-        seq = Tensor(rng.standard_normal((4, 3)))
+        seq = Tensor(rng.standard_normal((1, 4, 3)))
         watch = [pf.w_x, pf.w_h, pf.b, pb.w_x, pb.w_h, pb.b, seq]
 
         with Tape(watch=watch) as tape:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import check_grads, max_rel_err, numeric_grad, tape_grad
+from conftest import (
+    assert_stack_equals_separate,
+    check_grads,
+    max_rel_err,
+    numeric_grad,
+    tape_grad,
+)
 from qsumm.errors import ContractError, DimensionError
 from qsumm.tensor import (
     Tape,
@@ -22,7 +28,6 @@ from qsumm.tensor import (
     slice_cols,
     slice_rows,
     tanh,
-    tile_rows,
 )
 
 
@@ -88,19 +93,27 @@ class TestForward:
         assert_allclose(slice_cols(x, 1, 3).data, x.data[:, 1:3])
         y = Tensor(np.arange(4.0).reshape(2, 2))
         assert_allclose(concat_cols(x, y).data, np.hstack([x.data, y.data]))
-        q = Tensor([[1.0, 2.0]])
-        assert_allclose(tile_rows(q, 3).data, np.repeat(q.data, 3, axis=0))
+        q = Tensor(np.arange(4.0).reshape(2, 1, 2))
+        joined = concat_cols(x, q).data
+        assert joined.shape == (2, 2, 5)
+        for i in range(2):
+            assert_allclose(joined[i], np.hstack([x.data, np.repeat(q.data[i], 2, axis=0)]))
 
     def test_row_ops(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         y = Tensor(np.arange(3.0).reshape(1, 3))
         assert_allclose(concat_rows([x, y, x]).data, np.vstack([x.data, y.data, x.data]))
         assert_allclose(slice_rows(x, 1, 2).data, x.data[1:2])
+        s = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        assert_allclose(concat_rows([s, slice_rows(s, 1, 2)]).data,
+                        np.concatenate([s.data, s.data[1:2]]))
 
     def test_reductions(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert float(mean_all(x)) == 2.5
         assert_allclose(mean_rows(x).data, [1.5, 2.5, 3.5])
+        stack = Tensor(np.stack([x.data, 2.0 * x.data]))
+        assert_allclose(mean_rows(stack).data, [[1.5, 2.5, 3.5], [3.0, 5.0, 7.0]])
 
     def test_absolute_value(self):
         assert_allclose(absolute(Tensor([-2.0, 0.0, 3.0])).data, [2.0, 0.0, 3.0])
@@ -138,9 +151,21 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             slice_rows(Tensor(np.zeros((2, 3))), 1, 3)
 
-    def test_tile_rows_needs_single_row(self):
+    def test_concat_cols_leading_axes_must_broadcast(self):
         with pytest.raises(DimensionError):
-            tile_rows(Tensor(np.zeros((2, 3))), 4)
+            concat_cols(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3, 2))))
+        with pytest.raises(DimensionError):
+            concat_cols(Tensor(np.zeros(3)), Tensor(np.zeros((1, 3))))
+
+    def test_stack_ops_need_a_matrix_or_stack(self):
+        with pytest.raises(DimensionError):
+            matmul(Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.zeros((4, 2))))
+        with pytest.raises(DimensionError):
+            mean_rows(Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            slice_rows(Tensor(np.zeros(3)), 0, 1)
+        with pytest.raises(DimensionError):
+            concat_rows([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3)))])
 
 
 class TestBackward:
@@ -277,15 +302,27 @@ class TestGradientOracle:
 
         check_grads(f, {"a": a, "b": b})
 
-    def test_tile_and_pool_grads(self):
+    def test_broadcast_concat_and_pool_grads(self):
         rng = np.random.default_rng(11)
-        q = Tensor(rng.standard_normal((1, 5)))
-        x = Tensor(rng.standard_normal((7, 5)))
+        q = Tensor(rng.standard_normal((3, 1, 5)))
+        x = Tensor(rng.standard_normal((7, 4)))
+        r = rng.standard_normal((3, 9))
 
         def f():
-            return mean_all(mean_rows(tanh(tile_rows(q, 7) * x)))
+            return mean_all(mean_rows(tanh(concat_cols(x, q))) * r)
 
         check_grads(f, {"q": q, "x": x})
+
+    def test_stacked_matmul_grads(self):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.standard_normal((3, 4, 5)))
+        b = Tensor(rng.standard_normal((5, 2)))
+        r = rng.standard_normal((3, 4, 2)) + np.sign(rng.standard_normal((3, 4, 2)))
+
+        def f():
+            return mean_all(matmul(a, b) * r)
+
+        check_grads(f, {"a": a, "b": b})
 
     def test_matmul_grads(self):
         rng = np.random.default_rng(12)
@@ -311,3 +348,30 @@ class TestGradientOracle:
             loss = mean_all(absolute(x))
         tape.backward(loss)
         assert_allclose(x.grad, [0.0])
+
+
+class TestStacks:
+    """A stack's outputs and gradients equal separate per-sequence calls
+    bit for bit: a one-row product, too, is each sequence's own."""
+
+    @pytest.mark.parametrize("T", [1, 7])
+    def test_matmul(self, T):
+        rng = np.random.default_rng(40 + T)
+        w = Tensor(rng.standard_normal((5, 6)))
+        assert_stack_equals_separate(lambda a: matmul(a, w), rng.standard_normal((4, T, 5)),
+                                     {"w": w}, rng.standard_normal((4, T, 6)))
+
+    @pytest.mark.parametrize("T", [1, 7])
+    def test_mean_rows(self, T):
+        rng = np.random.default_rng(42 + T)
+        assert_stack_equals_separate(mean_rows, rng.standard_normal((4, T, 5)), {},
+                                     rng.standard_normal((4, 5)))
+
+    @pytest.mark.parametrize("T", [1, 7])
+    def test_concat_cols_broadcasts_a_matrix_over_the_stack(self, T):
+        # the generator's fuse: a (T, p) visual matrix joins each query's row
+        rng = np.random.default_rng(44 + T)
+        visual = Tensor(rng.standard_normal((T, 3)))
+        assert_stack_equals_separate(lambda q: concat_cols(visual, q),
+                                     rng.standard_normal((4, 1, 2)), {"visual": visual},
+                                     rng.standard_normal((4, T, 5)))

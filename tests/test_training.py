@@ -238,9 +238,9 @@ class TestPhaseSeparation:
         )
         with Tape(watch=disc_tensors.values()) as tape:
             summs = [
-                summary_repr(fwd.f_eq, batch.gt),
+                summary_repr(fwd.f_eq, batch.gt[None]),
                 summary_repr(fwd.f_eq, fwd.s),
-                summary_repr(fwd.f_eq, np.ones(batch.length)),
+                summary_repr(fwd.f_eq, np.ones((1, batch.length))),
             ]
             d_g, d_q, d_r = critic_scores(summs, fwd.f_vq, self.dparams)
             c_loss, _ = adversarial_losses(d_g, d_q, d_r, 0.5)
@@ -258,7 +258,7 @@ class TestPhaseSeparation:
                 summary_repr(fwd.f_eq, fwd.s),
                 fwd.f_vq, self.dparams,
             )
-            total = mul(d_q, -0.5) + loss_summ(fwd.s, batch.gt) + loss_length(fwd.k, batch.gamma)
+            total = mul(d_q, -0.5) + loss_summ(fwd.s, batch.gt[None]) + loss_length(fwd.k, batch.gamma)
         tape.backward(total)
         assert all(t.grad is not None for t in gen_tensors.values())
         # the generator backward ran through critic ops without touching
@@ -509,6 +509,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_repeated_section_rejected(self, mini_checkpoint, tmp_path):
+        # a second meta section appended at step 999 must not replace the first
+        path = tmp_path / "g.qsck"
+        write_repeated_meta(mini_checkpoint, path)
+        for load in (load_checkpoint, load_generator):
+            with pytest.raises(FormatError, match="repeated checkpoint section 'meta'"):
+                load(path)
+
 
 # The checkpoint writer and the whole-buffer reader as they were before
 # save and load streamed section by section, kept as the byte-level and
@@ -701,13 +709,23 @@ def reference_load_checkpoint(path) -> Checkpoint:
     )
 
 
-def write_sections(path, sections: dict) -> None:
-    """Write (name -> payload) sections as a QSCK file, in dict order."""
-    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
-    for name, payload in sections.items():
+def write_sections(path, sections) -> None:
+    """Write sections, a name -> payload dict or a list of (name, payload)
+    pairs that may repeat a name, as a QSCK file, in order."""
+    pairs = list(sections.items() if isinstance(sections, dict) else sections)
+    blob = bytearray(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(pairs)))
+    for name, payload in pairs:
         blob += _SECTION_HEAD.pack(len(name.encode())) + name.encode()
         blob += _PAYLOAD_HEAD.pack(len(payload)) + payload
     path.write_bytes(bytes(blob))
+
+
+def write_repeated_meta(ckpt, path) -> None:
+    """ckpt saved to path with a second meta section, at step 999, appended."""
+    save_checkpoint(ckpt, path)
+    sections = reference_read_sections(path.read_bytes(), "ckpt")
+    meta = dict(json.loads(sections["meta"]), step=999)
+    write_sections(path, [*sections.items(), ("meta", json.dumps(meta).encode())])
 
 
 def bits(obj):

@@ -53,8 +53,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="directory for metrics and checkpoints")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--ablation", choices=ABLATIONS, default="none",
-                   help="train with the loss weights this ablation sets")
+    p.add_argument("--ablation", choices=ABLATIONS,
+                   help="train with the loss weights this ablation sets; "
+                        "weights it does not set take their defaults")
     p.add_argument("--checkpoint", help="resume from this checkpoint")
     p.add_argument("--paper-scale", action="store_true",
                    help="use paper-scale model widths")
@@ -143,7 +144,12 @@ def _cmd_train(args) -> int:
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
     base = resume.train_cfg if resume is not None else TrainConfig()
     cfg = _overlay(TrainConfig, dataclasses.asdict(base), section, args.config or "<flags>")
-    overrides = dict(ABLATIONS[args.ablation])
+    overrides = {}
+    if args.ablation is not None:
+        # every ablation weight: the variant's own, or else its default
+        defaults = TrainConfig()
+        overrides = {k: getattr(defaults, k) for w in ABLATIONS.values() for k in w}
+        overrides.update(ABLATIONS[args.ablation])
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = dataclasses.replace(cfg, **overrides)

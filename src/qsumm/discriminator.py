@@ -163,11 +163,12 @@ def _pool(h, gamma, beta):
 
 
 def _head(u, v, params) -> Tensor:
+    """(n, 1, 1) critic values of an (n, 1, 2d_h) summary stack beside a (1, 2d_h) video."""
     h = concat_cols(u, v)
     h = relu(linear_forward(h, params.fc1_w, params.fc1_b))
     h = relu(linear_forward(h, params.fc2_w, params.fc2_b))
     h = relu(linear_forward(h, params.fc3_w, params.fc3_b))
-    return reshape(linear_forward(h, params.out_w, params.out_b), ())
+    return linear_forward(h, params.out_w, params.out_b)
 
 
 def critic(summ, f_vq, params: DiscriminatorParams) -> Tensor:
@@ -185,10 +186,8 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     directions of the video and of every summary advance in a single
     time loop, with values equal to encoding each alone.  The video and
     the summaries are then normalized and pooled as two stacks, each
-    sequence over its own T shots.  The heads stay one per summary: as a
-    stack, _unbroadcast would sum their bias gradients over the summaries
-    first to last, where the tape sums separate heads last to first, and
-    training would no longer equal per-summary heads bit for bit.
+    sequence over its own T shots.  One head pass scores the (n, 1, 4d_h)
+    stack of pooled summaries, each beside the broadcast video row.
     """
     f_vq = as_tensor(f_vq)
     if f_vq.data.ndim != 3 or f_vq.data.shape[0] != 1:
@@ -208,4 +207,5 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     if not seqs:
         return []
     u = _pool(slice_rows(h, 1, len(h.data)), params.summ_bn_gamma, params.summ_bn_beta)
-    return [_head(slice_rows(u, i, i + 1), v, params) for i in range(len(seqs))]
+    d = _head(reshape(u, (len(seqs), 1, -1)), v, params)
+    return [reshape(slice_rows(d, i, i + 1), ()) for i in range(len(seqs))]

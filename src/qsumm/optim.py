@@ -22,7 +22,8 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: dict) -> "OptimizerState":
-        return cls(acc={name: np.zeros_like(p.data) for name, p in params.items()})
+        # np.zeros leaves its pages unwritten until the first update or load
+        return cls(acc={name: np.zeros(p.data.shape) for name, p in params.items()})
 
 
 def rmsprop_step(

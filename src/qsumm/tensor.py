@@ -147,10 +147,28 @@ def record(out: Tensor, inputs, backward) -> None:
         _TAPES[-1].nodes.append((out, inputs, backward))
 
 
+def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
+    """parts[-1] + ... + parts[0], summed in that order.
+
+    A tape accumulates the gradients of separate calls from the last call
+    to the first; summing a stack's per-sequence gradients the same way
+    makes a stacked call's gradients equal those of separate calls bit
+    for bit.
+    """
+    total = parts[-1]
+    for part in parts[-2::-1]:
+        total = total + part
+    return total
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum g over the axes numpy broadcasting expanded, back to shape."""
+    """Sum g over the axes numpy broadcasting expanded, back to shape: the
+    stack axis of an (n, T, d) g that shape lacks last to first, as the
+    tape sums separate calls, and every other axis by numpy."""
     if g.shape == tuple(shape):
         return g
+    if g.ndim == 3 and len(shape) < 3:
+        g = _sum_last_to_first(g)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -159,9 +177,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
+def _elementwise(op, a: Tensor, b: Tensor, opname: str) -> Tensor:
+    """op(a, b) under numpy broadcasting, as a Tensor."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return Tensor(op(a.data, b.data))
     except ValueError:
         raise DimensionError(
             f"{opname}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
@@ -170,8 +189,7 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = _elementwise(np.add, a, b, "add")
 
     def bwd(g):
         return [_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)]
@@ -182,8 +200,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
+    out = _elementwise(np.subtract, a, b, "sub")
 
     def bwd(g):
         return [_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)]
@@ -194,8 +211,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    out = _elementwise(np.multiply, a, b, "mul")
 
     def bwd(g):
         return [
@@ -212,20 +228,6 @@ def neg(a) -> Tensor:
     out = Tensor(-a.data)
     record(out, (a,), lambda g: [-g])
     return out
-
-
-def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
-    """parts[-1] + ... + parts[0], summed in that order.
-
-    A tape accumulates the gradients of separate calls from the last call
-    to the first; summing a stack's per-sequence gradients the same way
-    makes a stacked call's gradients equal those of separate calls bit
-    for bit.
-    """
-    total = parts[-1]
-    for part in parts[-2::-1]:
-        total = total + part
-    return total
 
 
 def matmul(a, b) -> Tensor:
@@ -266,17 +268,6 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def _sum_to(g: np.ndarray, shape) -> np.ndarray:
-    """g summed back to the shape concat_cols broadcast from: a stack axis
-    that shape lacks last to first, a length-1 axis by numpy."""
-    while g.ndim > len(shape):
-        g = _sum_last_to_first(g)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return np.array(g)
-
-
 def concat_cols(a, b) -> Tensor:
     """Concatenation on the last axis; the leading axes broadcast.
 
@@ -297,7 +288,7 @@ def concat_cols(a, b) -> Tensor:
                                  for x in (a, b)], axis=-1))
 
     def bwd(g):
-        return [_sum_to(g[..., :p], a.data.shape), _sum_to(g[..., p:], b.data.shape)]
+        return [_unbroadcast(g[..., :p], a.data.shape), _unbroadcast(g[..., p:], b.data.shape)]
 
     record(out, (a, b), bwd)
     return out

@@ -692,6 +692,21 @@ class TestTrainEvaluateSummarize:
         assert cfgs[0] == cfgs[1]
         assert json.loads(cfgs[0])["seed"] == 3 and json.loads(cfgs[0])["omega"] == 1.0
 
+    @pytest.mark.parametrize("flag, omega", [(["--ablation", "none"], 0.5), ([], 1.0)])
+    def test_resume_ablation_flag_resets_the_weights(self, workspace, tmp_path, flag, omega):
+        # a given flag sets every ablation weight, its own or the default;
+        # without it the checkpoint's weights stay
+        out = tmp_path / "run"
+        argv = ["train", "--corpus", workspace["corpus"], "--out", str(out)]
+        cfg = write_config(tmp_path, {"train": dict(MINI["train"], max_steps=2)})
+        assert run_cli(argv + ["--config", cfg, "--ablation", "two-player"]) == 0
+        cfg = write_config(tmp_path, {"train": {"max_steps": 3}})
+        assert run_cli(argv + ["--config", cfg, "--checkpoint", str(out / "checkpoint.qsck")]
+                       + flag) == 0
+        train_cfg = json.loads(read_sections((out / "checkpoint.qsck").read_bytes(),
+                                             "ckpt")["cfg/train"])
+        assert train_cfg["omega"] == omega
+
     def test_resume_rejects_paper_scale(self, workspace, tmp_path, capsys):
         rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),
                       "--config", workspace["cfg"], "--checkpoint", workspace["checkpoint"],

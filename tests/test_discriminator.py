@@ -6,7 +6,6 @@ from conftest import max_rel_err
 from qsumm.discriminator import (
     DiscriminatorConfig,
     DiscriminatorParams,
-    _head,
     _pool,
     bilstm_forward,
     critic,
@@ -18,12 +17,33 @@ from qsumm.discriminator import (
 )
 from qsumm.errors import DimensionError
 from qsumm.gradcheck import grad_check
-from qsumm.tensor import Tape, Tensor, as_tensor, concat_rows, slice_rows
+from qsumm.layers import linear_forward
+from qsumm.tensor import (
+    Tape,
+    Tensor,
+    as_tensor,
+    concat_cols,
+    concat_rows,
+    relu,
+    reshape,
+    slice_rows,
+)
 
 # The critic as it was before its two branches shared one recurrence
 # call and its summaries were pooled as one stack: a video Bi-LSTM call,
 # one batched call for the summaries, then each summary split back and
-# normalized and pooled on its own.  The critic must match it bit for bit.
+# normalized and pooled on its own, and scored by a head of its own.
+# The critic must match it bit for bit.
+def reference_head(u, v, params) -> Tensor:
+    """The scalar critic value of one (1, 2d_h) pooled summary beside the
+    (1, 2d_h) pooled video."""
+    h = concat_cols(u, v)
+    h = relu(linear_forward(h, params.fc1_w, params.fc1_b))
+    h = relu(linear_forward(h, params.fc2_w, params.fc2_b))
+    h = relu(linear_forward(h, params.fc3_w, params.fc3_b))
+    return reshape(linear_forward(h, params.out_w, params.out_b), ())
+
+
 def reference_critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     """Score several (1, T, d) summaries of one (1, T, d) video, one
     scalar per summary."""
@@ -43,7 +63,7 @@ def reference_critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
     out = []
     for i in range(len(seqs)):
         u = _pool(slice_rows(h, i, i + 1), params.summ_bn_gamma, params.summ_bn_beta)
-        out.append(_head(u, v, params))
+        out.append(reference_head(u, v, params))
     return out
 
 

@@ -7,6 +7,10 @@ marked "# noqa: F401", on its statement's first line or on its own
 line, is kept on purpose and skipped.  Because an __all__ entry counts
 as a use, a stale entry would also hide an unused import; the export
 check catches it.
+
+Every private module-level name of src/, a function, class or constant
+named with one leading underscore, is referenced somewhere in src/: as
+a name, an attribute or an imported name.
 """
 
 import ast
@@ -64,6 +68,60 @@ def test_scan_finds_an_unused_import():
     source = ("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
               "from math import (  # noqa: F401\n    pi,\n)\nloads('1')\n")
     assert unused_imports(source) == [(1, "os"), (3, "dumps")]
+
+
+def _private_defs(tree) -> list:
+    """(line, name) of the module-level functions, classes and constants
+    whose name starts with one underscore."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            targets = []
+        out += [(node.lineno, n) for n in targets if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def unused_private_names(sources: dict) -> list:
+    """(path, line, name) of every private module-level name in sources,
+    path -> text, that no module of sources references."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    return [(path, line, name) for path, tree in trees.items()
+            for line, name in _private_defs(tree) if name not in used]
+
+
+def test_no_unused_private_names_in_src():
+    sources = {}
+    for path in _modules():
+        if path.startswith("src" + os.sep):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                sources[path] = fh.read()
+    assert unused_private_names(sources) == []
+
+
+def test_scan_finds_an_unused_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_spare: int = 0\n__version__ = '1'\n"
+                 "def _kept():\n    return _LIMIT\n"
+                 "def _gone():\n    _gone_too = 1\n    return _gone_too\n"
+                 "class _Box:\n    pass\n"),
+        "b.py": "import a\nfrom a import _Box\n_spare = 1\na._kept()\n",
+    }
+    assert unused_private_names(sources) == [("a.py", 2, "_spare"), ("a.py", 6, "_gone"),
+                                             ("b.py", 3, "_spare")]
 
 
 def export_faults(module) -> list:

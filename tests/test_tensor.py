@@ -27,6 +27,7 @@ from qsumm.tensor import (
     sigmoid,
     slice_cols,
     slice_rows,
+    sub,
     tanh,
 )
 
@@ -132,8 +133,15 @@ class TestShapeErrors:
         assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
 
     def test_add_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as ei:
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+        assert str(ei.value) == "add: shapes (2, 3) and (4,) do not broadcast"
+
+    @pytest.mark.parametrize("op", [sub, mul])
+    def test_sub_and_mul_mismatch(self, op):
+        with pytest.raises(DimensionError) as ei:
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+        assert str(ei.value) == f"{op.__name__}: shapes (2, 3) and (4,) do not broadcast"
 
     def test_concat_row_mismatch(self):
         with pytest.raises(DimensionError):
@@ -375,3 +383,36 @@ class TestStacks:
         assert_stack_equals_separate(lambda q: concat_cols(visual, q),
                                      rng.standard_normal((4, 1, 2)), {"visual": visual},
                                      rng.standard_normal((4, T, 5)))
+
+
+class TestUnbroadcastOrder:
+    """An operand broadcast over the stack axis gets its gradient summed
+    over the sequences last to first, as the tape sums separate calls.
+    Down the stack each column reads 1, 1e16, -1e16: last to first that
+    sums to 1, first to last to 0."""
+
+    R = np.array([1.0, 1e16, -1e16]).reshape(3, 1, 1) * np.ones((3, 1, 2))
+
+    @staticmethod
+    def grad_of(fn, x, r):
+        """x's gradient of the sum of fn(x) * r, whose output gradient is r."""
+        x = Tensor(x)
+        with Tape(watch=[x]) as tape:
+            loss = mean_all(fn(x) * r) * float(r.size)
+        tape.backward(loss)
+        return x.grad
+
+    def test_values_tell_the_orders_apart(self):
+        assert np.array_equal(self.R[2] + self.R[1] + self.R[0], np.ones((1, 2)))
+        assert np.array_equal(self.R.sum(axis=0), np.zeros((1, 2)))
+
+    def test_bias_added_over_a_stack(self):
+        stack = Tensor(np.zeros((3, 1, 2)))
+        assert np.array_equal(self.grad_of(lambda b: add(stack, b), np.zeros(2), self.R),
+                              np.ones(2))
+
+    def test_matrix_concat_cols_broadcasts_over_a_stack(self):
+        stack = Tensor(np.zeros((3, 1, 2)))
+        r = np.concatenate([self.R, self.R], axis=-1)
+        assert np.array_equal(self.grad_of(lambda m: concat_cols(m, stack), np.zeros((1, 2)), r),
+                              np.ones((1, 2)))

@@ -208,4 +208,6 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
         return []
     u = _pool(slice_rows(h, 1, len(h.data)), params.summ_bn_gamma, params.summ_bn_beta)
     d = _head(reshape(u, (len(seqs), 1, -1)), v, params)
+    if len(seqs) == 1:  # the generator step: one op to the scalar, no slice
+        return [reshape(d, ())]
     return [reshape(slice_rows(d, i, i + 1), ()) for i in range(len(seqs))]

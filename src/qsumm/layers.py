@@ -13,11 +13,17 @@ recurrence as a single tape node with backpropagation-through-time
 inside it.  Directions share a time loop while their stacked recurrent
 weights fit a measured cache-sized cap, as at desk scale; otherwise they
 run in consecutive loops that each fit, so that at paper scale each
-direction's 32 MiB w_h stays in cache over all its steps.  lstm_sequence
-is its one-direction, one-sequence case; bilstm_forward runs both
-directions of a stack; the critic runs its video
-and summary branches as two groups of one call.  Equivalence tests tie
-the kernel to lstm_cell and the batched calls to separate ones.
+direction's 32 MiB w_h stays in cache over all its steps.  What the
+kernel holds follows from whether a tape records: under one it keeps
+every step's gates, cell state, tanh of the cell state and hidden state
+for BPTT; without one (evaluation, summarize, the generator forward of a
+critic update) consecutive loops reuse one loop's pre-activation buffer,
+the cell state and its tanh keep one step, and only the hidden states
+and the output span all steps.  lstm_sequence is its one-direction,
+one-sequence case; bilstm_forward runs both directions of a stack; the
+critic runs its video and summary branches as two groups of one call.
+Equivalence tests tie the kernel to lstm_cell, the batched calls to
+separate ones and the no-tape values to the taped ones.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .tensor import (
     matmul,
     mul,
     record,
+    recording,
     reshape,
     sigmoid,
     slice_cols,
@@ -260,6 +267,16 @@ def _stacked_w_h(params) -> np.ndarray:
     return np.stack([p.w_h.data for p in params])[:, None]
 
 
+def _step_buffer(T: int, shape: tuple, keep: bool) -> np.ndarray:
+    """A (T, *shape) buffer indexed by step.  With keep every step has its
+    own rows; without, every index views the same rows (a zero stride),
+    so a step's write replaces the step before."""
+    if keep:
+        return np.empty((T,) + shape)
+    one = np.empty(shape)
+    return np.ndarray((T,) + shape, buffer=one, strides=(0,) + one.strides)
+
+
 def _recurrence(groups, name: str) -> Tensor:
     """LSTM directions over groups of sequence stacks, as one tape node.
 
@@ -273,21 +290,30 @@ def _recurrence(groups, name: str) -> Tensor:
     states of its group's D directions at time t, side by side in list
     order.
 
-    Every (group, direction) is a slot.  Each slot's input projection is
-    one 3-d matmul, hoisted out of the time loop.  The slots then run in
-    consecutive time loops whose stacked w_h fits _LOOP_WEIGHT_BYTES:
-    one loop at desk scale, one per direction at paper scale.  Each step
-    of a loop advances its (slot, sequence) pairs with one stacked
-    matmul, the same 1 x d_h by d_h x 4d_h product per pair as running
-    it alone, so the values equal running each pair alone, however the
-    slots are split into loops.  The sequence axis is padded to the
-    largest n; a padded pair starts from zero pre-activations and
-    zero gradients, stays finite and is never read.  Gate activations
-    overwrite the pre-activation buffer, and the loop writes into
-    preallocated buffers only.  Hidden states go to a T+1-row buffer
-    whose first row is the zero start state, so BPTT reads the previous
-    states as a view of it.  The backward runs BPTT over the cached gates
-    in the same loops, with preallocated buffers too.
+    Every (group, direction) is a slot.  The slots run in consecutive
+    time loops whose stacked w_h fits _LOOP_WEIGHT_BYTES: one loop at
+    desk scale, one per direction at paper scale.  Before its loop, each
+    slot's input projection is one 3-d matmul written straight into the
+    loop's pre-activation buffer.  Each step of a loop advances its
+    (slot, sequence) pairs with one stacked matmul, the same 1 x d_h by
+    d_h x 4d_h product per pair as running it alone, so the values equal
+    running each pair alone, however the slots are split into loops.
+    The sequence axis is padded to the largest n; a padded pair starts
+    from zero pre-activations and zero gradients, stays finite and is
+    never read.  Gate activations overwrite the pre-activation buffer,
+    and the loop writes into preallocated buffers only.  Hidden states
+    go to a T+1-row buffer whose first row is the zero start state.
+
+    The loop body is the same in both modes; the buffers differ.  Under
+    a recording tape every slot has its own pre-activation rows, which
+    end up holding the gates, and every step its own c and tanh c, for
+    BPTT, which reads the previous hidden states as a view of the
+    T+1-row buffer; the backward runs in the same loops, with
+    preallocated buffers too.  Without a tape one buffer, as wide as the
+    widest loop, holds the pre-activations of the loop that runs, and c
+    and tanh c are zero-stride step buffers whose every step overwrites
+    the last.  At paper scale that holds one direction's (T, 4d_h)
+    pre-activations instead of both, and no (T, d_h) cell states.
     """
     H = groups[0][1][0][0].d_h
     D = len(groups[0][1])
@@ -311,26 +337,31 @@ def _recurrence(groups, name: str) -> Tensor:
     # one slot per (group, direction), group by group
     slots = [(p, reverse, seq.data) for seq, directions in groups for p, reverse in directions]
     M, B = len(slots), max(len(xs) for *_, xs in slots)
+    loops = _loop_slots(M, H)
+    w_hs = [_stacked_w_h([p for p, *_ in slots[s]]) for s in loops]
+    taped = recording()
 
-    # time-major buffers: [t] is the (M, B, .) state of every pair at step t
-    pre = np.empty((T, M, B, 4 * H))
-    for m, (p, reverse, xs) in enumerate(slots):
-        n = len(xs)
-        proj = np.matmul(xs, p.w_x.data)
-        proj += p.b.data
-        pre[:, m, :n] = (proj[:, ::-1] if reverse else proj).transpose(1, 0, 2)
-        pre[:, m, n:] = 0.0
+    # time-major buffers: [t] is the (slot, sequence, .) state at step t
+    pre = np.empty((T, M if taped else max(s.stop - s.start for s in loops), B, 4 * H))
     hs = np.empty((T + 1, M, B, H))  # hs[t] is the hidden state before step t
     hs[0] = 0.0
-    cs = np.empty((T, M, B, H))
-    tc = np.empty((T, M, B, H))
+    cs = _step_buffer(T, (M, B, H), taped)
+    tc = _step_buffer(T, (M, B, H), taped)
     zh = np.empty((M, B, 1, 4 * H))
     g = np.empty((M, B, H))
     ig = np.empty((M, B, H))
-    loops = _loop_slots(M, H)
-    w_hs = [_stacked_w_h([p for p, *_ in slots[s]]) for s in loops]
     for s, w_h in zip(loops, w_hs):
-        pre_s, hs_s, cs_s, tc_s = pre[:, s], hs[:, s], cs[:, s], tc[:, s]
+        pre_s = pre[:, s] if taped else pre[:, : s.stop - s.start]
+        for k, (p, reverse, xs) in enumerate(slots[s]):
+            n = len(xs)
+            # BLAS writes out= only with a unit column stride and a
+            # positive row stride, so a reversed slot projects a reversed
+            # copy of its input rather than into a reversed view
+            np.matmul(np.ascontiguousarray(xs[:, ::-1]) if reverse else xs, p.w_x.data,
+                      out=pre_s[:, k, :n].transpose(1, 0, 2))
+            pre_s[:, k, :n] += p.b.data
+            pre_s[:, k, n:] = 0.0
+        hs_s, cs_s, tc_s = hs[:, s], cs[:, s], tc[:, s]
         zh_s, g_s, ig_s = zh[s], g[s], ig[s]
         c = np.zeros(g_s.shape)
         for t in range(T):
@@ -343,7 +374,6 @@ def _recurrence(groups, name: str) -> Tensor:
             c += np.multiply(z[..., :H], g_s, out=ig_s)
             np.multiply(z[..., 3 * H :], np.tanh(c, out=tc_s[t]), out=hs_s[t + 1])
     h_prev, hs = hs[:-1], hs[1:]
-    gates = pre.reshape(T, M, B, 4, H)  # now [i, f, g, o] activations
 
     def in_time(a, reverse):
         """A (B, T, n) array from step order to time order, or back."""
@@ -380,6 +410,7 @@ def _recurrence(groups, name: str) -> Tensor:
         # fac3 = [1-i, 1-f, 1-g*g, 1-o], e.g. ((dc*g)*i)*(1-i) for the
         # input gate.  The factors do not depend on the carried dh and dc,
         # so they are formed for all steps at once, outside the loop.
+        gates = pre.reshape(T, M, B, 4, H)  # now [i, f, g, o] activations
         gi, gf, gg, go = (gates[..., j, :] for j in range(4))
         fac1 = np.empty_like(gates)
         fac1[..., 0, :] = gg

@@ -32,7 +32,10 @@ def rmsprop_step(
     """acc = decay*acc + (1-decay)*g^2; p -= lr*g/sqrt(acc + eps), in place.
 
     Parameters whose .grad is None are treated as zero-gradient: their
-    accumulator decays and their value stays put.
+    accumulator decays and their value stays put.  Each tensor's update
+    runs the IEEE operations of that formula, in the order of the
+    expression ((1-decay)*g)*g, acc + eps, (lr*g) / sqrt(...), in two
+    float64 temporaries of its size beside the finiteness check's mask.
     """
     if lr <= 0.0:
         raise ConfigError(f"rmsprop_step: lr must be positive, got {lr}")
@@ -44,11 +47,17 @@ def rmsprop_step(
         if g is None:
             acc *= decay
             continue
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"rmsprop_step: non-finite gradient for {name!r}")
         acc *= decay
-        acc += (1.0 - decay) * g * g
-        p.data -= lr * g / np.sqrt(acc + RMS_EPS)
+        step = np.multiply(1.0 - decay, g)
+        step *= g
+        acc += step
+        denom = np.add(acc, RMS_EPS)
+        np.sqrt(denom, out=denom)
+        np.multiply(lr, g, out=step)
+        step /= denom
+        p.data -= step
     state.step += 1
 
 

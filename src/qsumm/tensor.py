@@ -19,6 +19,7 @@ __all__ = [
     "Tape",
     "as_tensor",
     "record",
+    "recording",
     "add",
     "sub",
     "mul",
@@ -139,6 +140,11 @@ class Tape:
             if k in kept:
                 g = kept[k] if g is None else kept[k] + g
             t.grad = g if g is not None else np.zeros_like(t.data)
+
+
+def recording() -> bool:
+    """Whether a tape is active, so that ops record their backward closures."""
+    return bool(_TAPES)
 
 
 def record(out: Tensor, inputs, backward) -> None:

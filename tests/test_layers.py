@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,6 +527,8 @@ class TestRecurrenceLoops:
         split = run_recurrence(groups)
         for a, b in zip(one_loop, split, strict=True):
             assert np.array_equal(a, b)
+        # without a tape the loops share one pre-activation buffer and keep one step of c
+        assert np.array_equal(_recurrence(groups, "test").data, split[0])
 
     def test_one_slot_per_loop_matches_unrolled_cells(self, monkeypatch):
         monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
@@ -573,6 +576,58 @@ class TestRecurrenceLoops:
         tape.backward(loss)
         for a, t in zip(fused, watch):
             assert max_rel_err(a, t.grad) < 1e-10
+
+
+class TestRecurrenceModes:
+    """A no-tape call keeps one loop's pre-activations and one step of c
+    and tanh c; a taped call keeps every step for BPTT.  Both give the
+    same values."""
+
+    T, H, D_IN = 500, 64, 32
+
+    @pytest.mark.parametrize("n_seq", [1, 3])
+    def test_paper_scale_split_bit_equal_taped(self, n_seq):
+        # d_h=256: 2 MiB of w_h per direction, one direction per loop as
+        # at paper scale; the backward direction projects a reversed copy
+        rng = np.random.default_rng(40)
+        pf, pb = LSTMParams.create(10, 256, rng), LSTMParams.create(10, 256, rng)
+        assert len(_loop_slots(2, 256)) == 2
+        seq = Tensor(rng.standard_normal((n_seq, 7, 10)))
+        with Tape(watch=[seq]):
+            taped = bilstm_forward(seq, pf, pb).data
+        assert np.array_equal(bilstm_forward(seq, pf, pb).data, taped)
+
+    def split_case(self, monkeypatch):
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
+        rng = np.random.default_rng(41)
+        return (Tensor(rng.standard_normal((1, self.T, self.D_IN))),
+                LSTMParams.create(self.D_IN, self.H, rng), LSTMParams.create(self.D_IN, self.H, rng))
+
+    def test_no_tape_peak_is_one_loop_of_pre_activations(self, monkeypatch):
+        seq, pf, pb = self.split_case(monkeypatch)
+        T, H, d_in = self.T, self.H, self.D_IN
+        tracemalloc.start()
+        try:
+            bilstm_forward(seq, pf, pb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pre_one_loop = T * 4 * H * 8
+        hs = (T + 1) * 2 * H * 8
+        out = T * 2 * H * 8
+        reversed_input = T * d_in * 8
+        # 10% slack for the one-step buffers and Python objects; keeping
+        # every step's c and tanh c, or a second loop's pre-activations,
+        # would each add about half of the sum
+        assert peak < 1.1 * (pre_one_loop + hs + out + reversed_input)
+
+    def test_taped_split_backprops_as_one_loop(self, monkeypatch):
+        seq, pf, pb = self.split_case(monkeypatch)
+        split = run_recurrence([(seq, [(pf, False), (pb, True)])])
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 1 << 40)
+        one_loop = run_recurrence([(seq, [(pf, False), (pb, True)])])
+        for a, b in zip(one_loop, split, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestLoopSizes:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qsumm.errors import ConfigError, NumericError
-from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
+from qsumm.optim import RMS_EPS, OptimizerState, clip_weights, rmsprop_step
 from qsumm.tensor import Tensor
 
 
@@ -65,6 +65,56 @@ class TestRmsprop:
             p.grad = rng.standard_normal(8)
             rmsprop_step({"p": p}, state, lr=0.01)
             assert np.all(state.acc["p"] >= 0.0)
+
+
+def reference_rmsprop_step(params, state, lr, decay=0.9):
+    """rmsprop_step as one numpy expression per tensor, the oracle of the
+    buffered update."""
+    for name, p in params.items():
+        acc = state.acc[name]
+        g = p.grad
+        acc *= decay
+        if g is not None:
+            acc += (1.0 - decay) * g * g
+            p.data -= lr * g / np.sqrt(acc + RMS_EPS)
+    state.step += 1
+
+
+class TestRmspropOracle:
+    def test_buffered_update_bit_equals_expression(self):
+        rng = np.random.default_rng(5)
+        grads = {
+            "random": lambda: rng.standard_normal((7, 9)),
+            "zero": lambda: np.zeros((7, 9)),
+            "subnormal": lambda: rng.standard_normal((7, 9)) * 1e-310,
+            "none": lambda: None,
+        }
+        init = {name: rng.standard_normal((7, 9)) for name in grads}
+        sides = []
+        for _ in range(2):
+            params = {name: Tensor(x.copy()) for name, x in init.items()}
+            sides.append((params, OptimizerState.for_params(params)))
+        for _ in range(5):
+            drawn = {name: draw() for name, draw in grads.items()}
+            assert np.all(np.abs(drawn["subnormal"]) < np.finfo(np.float64).tiny)
+            for params, _ in sides:
+                for name, p in params.items():
+                    p.grad = drawn[name]
+            (got, got_state), (want, want_state) = sides
+            rmsprop_step(got, got_state, lr=0.01, decay=0.9)
+            reference_rmsprop_step(want, want_state, lr=0.01, decay=0.9)
+            for name in grads:
+                assert got[name].data.tobytes() == want[name].data.tobytes()
+                assert got_state.acc[name].tobytes() == want_state.acc[name].tobytes()
+            assert got_state.step == want_state.step
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_entry_is_rejected(self, bad):
+        p = Tensor(np.zeros(5))
+        p.grad = np.arange(5.0)
+        p.grad[3] = bad
+        with pytest.raises(NumericError):
+            rmsprop_step({"p": p}, OptimizerState.for_params({"p": p}), lr=0.1)
 
 
 class TestClipWeights:

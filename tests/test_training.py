@@ -455,6 +455,35 @@ class TestCriticAgainstReference:
         assert fused == (tmp_path / "reference" / "metrics.csv").read_bytes()
 
 
+    def test_generator_tape_nodes_pinned(self, monkeypatch):
+        """Each recipe generator step records 62 tape nodes: the one
+        summary's critic value is reshaped to a scalar, not sliced first."""
+        corpus = synth_corpus(SynthConfig(), seed=9)
+        gen_cfg = GeneratorConfig(d_frame=corpus.dims["d_frame"], d_shot=corpus.dims["d_shot"],
+                                  d_text=corpus.dims["d_text"], dropout_p=0.2)
+        cfg = TrainConfig(seed=0, max_steps=3, n_critic=1, lr_gen=1e-3, lr_critic=1e-3,
+                          segment_len=60)
+        nodes, inside = [], []
+        real_backward, real_update = Tape.backward, training._generator_update
+
+        def backward(tape, loss):
+            if inside:
+                nodes.append(len(tape.nodes))
+            return real_backward(tape, loss)
+
+        def update(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_update(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Tape, "backward", backward)
+        monkeypatch.setattr(training, "_generator_update", update)
+        train(corpus, cfg, gen_cfg=gen_cfg)
+        assert nodes == [62] * 3
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, mini_corpus, tmp_path):
         res = train(mini_corpus, MINI_TRAIN, gen_cfg=MINI_GEN)

@@ -67,7 +67,7 @@ class Query:
 
 @dataclass
 class ConceptTable:
-    embeddings: np.ndarray  # (n_concepts, d_text) float64
+    embeddings: np.ndarray  # (n_concepts, d_text) float64, so embed_query sums in float64
     names: list
 
     def __len__(self) -> int:
@@ -84,8 +84,10 @@ class ConceptTable:
 @dataclass
 class Video:
     video_id: str
-    frame_feats: np.ndarray  # (T, d_frame) float64
-    shot_feats: np.ndarray  # (T, d_shot) float64
+    # float32 as synthesized or loaded from QSFM v1; generator_forward
+    # takes any float dtype and widens the rows it reads to float64
+    frame_feats: np.ndarray  # (T, d_frame)
+    shot_feats: np.ndarray  # (T, d_shot)
     annotations: list  # per shot, tuple of concept ids
     queries: list  # of Query
 
@@ -277,8 +279,9 @@ def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
     """Generate a planted corpus; deterministic in (cfg, seed).
 
     Shot features are strength-scaled sums of per-concept signal directions
-    plus unit Gaussian noise, created as float32 so a written corpus
-    round-trips bit-exactly.
+    plus unit Gaussian noise, kept as float32, the dtype that QSFM v1
+    writes and load_corpus returns, so a written corpus loads back equal.
+    The concept table holds float32 values in float64.
     """
     rng = stream_rng(seed, "corpus")
     concept_emb = _unit_rows(rng, cfg.n_concepts, cfg.d_text)
@@ -311,8 +314,8 @@ def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
         videos.append(
             Video(
                 video_id=f"v{vi:03d}",
-                frame_feats=frame.astype(np.float32).astype(np.float64),
-                shot_feats=shot.astype(np.float32).astype(np.float64),
+                frame_feats=frame.astype(np.float32),
+                shot_feats=shot.astype(np.float32),
                 annotations=annotations,
                 queries=queries,
             )
@@ -438,7 +441,7 @@ def _load_corpus(manifest_path) -> Corpus:
         np.isfinite(emb).all(),
         f"concept table: embedding file {cinfo['path']} holds non-finite values",
     )
-    table = ConceptTable(embeddings=emb, names=names)
+    table = ConceptTable(embeddings=emb.astype(np.float64), names=names)
     n_concepts = len(table)
 
     videos = []

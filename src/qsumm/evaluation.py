@@ -248,13 +248,14 @@ class EvalReport:
 
 
 # Cap on the recurrence buffers of one stacked generator call.  Scoring
-# runs with no tape: per query the kernel holds one loop's
-# pre-activations, both directions' hidden states and the output,
-# T * 12 d_h * 8 bytes at desk scale (both directions in one loop,
-# 184 KB) and T * 8 d_h * 8 at paper scale (one per loop, 65.5 MB).
-# _query_scores counts T * 2 * 7 d_h * 8, an upper bound: 215 KB at desk
-# scale (19 queries fit, so a video's 12 queries run as one call) and
-# 115 MB at paper scale (1 query per call).
+# runs with no tape: per query the kernel holds one block of the running
+# loop's pre-activations, that loop's hidden states and the output,
+# T * 12 d_h * 8 bytes at desk scale (both directions in one loop and
+# T=60 in one block, 184 KB) and T * 3 d_h * 8 plus an 8 MB block at
+# paper scale (one direction per loop, 33 MB).  _query_scores counts
+# T * 2 * 7 d_h * 8, an upper bound: 215 KB at desk scale (19 queries
+# fit, so a video's 12 queries run as one call) and 115 MB at paper
+# scale (1 query per call).
 _STACK_BYTES = 4 << 20
 
 

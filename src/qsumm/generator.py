@@ -24,8 +24,9 @@ from .layers import (
     linear_forward,
     lstm_shapes,
     named_tensors,
+    row_blocks,
 )
-from .tensor import Tensor, as_tensor, concat_cols, relu, reshape, sigmoid
+from .tensor import Tensor, as_tensor, concat_cols, recording, relu, reshape, sigmoid
 
 __all__ = [
     "GeneratorConfig",
@@ -139,15 +140,26 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     (Q, d_text) stack of queries gives (Q, T, d_fused+d_qenc).  The
     visual FC runs once; the query FC runs over (Q, 1, d_text), each
     query's own one-row product, as for a single query.
+
+    Features of any float dtype are widened to float64.  Under a tape
+    that is one copy of each, joined into one (T, d_frame+d_shot)
+    matrix.  With no tape the visual FC runs over layers.row_blocks of
+    that matrix, each joined in float64 and written straight into the
+    output's columns, with the values of one product bit for bit.
     """
-    frame = as_tensor(frame_feats)
-    shot = as_tensor(shot_feats)
-    if frame.data.ndim != 2 or shot.data.ndim != 2 or frame.data.shape[0] != shot.data.shape[0]:
+    frame, shot = (x.data if isinstance(x, Tensor) else np.asarray(x)
+                   for x in (frame_feats, shot_feats))
+    if frame.ndim != 2 or shot.ndim != 2 or frame.shape[0] != shot.shape[0]:
         raise DimensionError(
-            f"g_r_fuse: frame {frame.data.shape} and shot {shot.data.shape} "
+            f"g_r_fuse: frame {frame.shape} and shot {shot.shape} "
             f"features disagree on shot count"
         )
-    visual = relu(linear_forward(concat_cols(frame, shot), params.fuse_w, params.fuse_b))
+    d_frame, d_visual = frame.shape[1], frame.shape[1] + shot.shape[1]
+    if d_visual != params.fuse_w.data.shape[0]:
+        raise DimensionError(
+            f"g_r_fuse: frame and shot widths {d_frame} + {shot.shape[1]} do not match "
+            f"fuse_w rows {params.fuse_w.data.shape[0]}"
+        )
     q = as_tensor(query_emb)
     d_text = params.query_w.data.shape[0]
     if q.data.ndim not in (1, 2) or q.data.shape[0] == 0 or q.data.shape[-1] != d_text:
@@ -155,8 +167,29 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
             f"g_r_fuse: need a ({d_text},) query or a nonempty (Q, {d_text}) stack of queries, "
             f"got query shape {q.data.shape}"
         )
-    q = reshape(q, (q.data.size // d_text, 1, d_text))
-    return concat_cols(visual, relu(linear_forward(q, params.query_w, params.query_b)))
+
+    def query_fc():
+        qs = reshape(q, (q.data.size // d_text, 1, d_text))
+        return relu(linear_forward(qs, params.query_w, params.query_b))
+
+    if recording():
+        visual = relu(linear_forward(concat_cols(as_tensor(frame_feats), as_tensor(shot_feats)),
+                                     params.fuse_w, params.fuse_b))
+        return concat_cols(visual, query_fc())
+    query = query_fc().data
+    T, d_fused = len(frame), params.fuse_b.data.shape[0]
+    out = np.empty((len(query), T, d_fused + query.shape[-1]))
+    visual = out[0, :, :d_fused]
+    for block in row_blocks(T, d_visual * 8):
+        x = np.empty((block.stop - block.start, d_visual))
+        x[:, :d_frame] = frame[block]
+        x[:, d_frame:] = shot[block]
+        v = np.matmul(x, params.fuse_w.data, out=visual[block])
+        v += params.fuse_b.data
+        np.maximum(v, 0.0, out=v)
+    out[1:, :, :d_fused] = visual
+    out[:, :, d_fused:] = query
+    return Tensor(out)
 
 
 def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:
@@ -164,10 +197,12 @@ def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:
     stack of sequences.
 
     The encoder normalizes each sequence over its own shots, so training
-    and inference run it the same way.
+    and inference run it the same way.  With no tape the Bi-LSTM output
+    is dropped before the ReLU allocates its own.
     """
     h = bilstm_forward(f_vq, params.enc_fwd, params.enc_bwd)
-    return relu(batchnorm_forward(h, params.enc_bn_gamma, params.enc_bn_beta))
+    h = batchnorm_forward(h, params.enc_bn_gamma, params.enc_bn_beta)
+    return relu(h)
 
 
 def g_p_score(f_eq: Tensor, params: GeneratorParams, train: bool, rng=None) -> Tensor:

@@ -17,11 +17,13 @@ direction's 32 MiB w_h stays in cache over all its steps.  What the
 kernel holds follows from whether a tape records: under one it keeps
 every step's gates, cell state, tanh of the cell state and hidden state
 for BPTT; without one (evaluation, summarize, the generator forward of a
-critic update) consecutive loops reuse one loop's pre-activation buffer,
-the cell state and its tanh keep one step, and only the hidden states
-and the output span all steps.  lstm_sequence is its one-direction,
-one-sequence case; bilstm_forward runs both directions of a stack; the
-critic runs its video and summary branches as two groups of one call.
+critic update) consecutive loops reuse one loop's pre-activation and
+hidden-state buffers, the pre-activations span one row_blocks block of
+steps, the cell state and its tanh keep one step, and only one loop's
+hidden states and the output span all steps.  lstm_sequence is its
+one-direction, one-sequence case; bilstm_forward runs both directions of
+a stack; the critic runs its video and summary branches as two groups
+of one call.
 Equivalence tests tie the kernel to lstm_cell, the batched calls to
 separate ones and the no-tape values to the taped ones.
 """
@@ -61,6 +63,7 @@ __all__ = [
     "lstm_cell",
     "lstm_sequence",
     "bilstm_forward",
+    "row_blocks",
     "BN_EPS",
 ]
 
@@ -98,8 +101,13 @@ def batchnorm_forward(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = x.data.mean(axis=-2, keepdims=True)
     var = x.data.var(axis=-2, keepdims=True)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    xhat = x.data - mu
+    xhat *= inv
+    # the backward reads xhat; with no tape to run it, the output takes
+    # xhat's buffer
+    y = gamma.data * xhat if recording() else np.multiply(xhat, gamma.data, out=xhat)
+    y += beta.data
+    out = Tensor(y)
 
     def bwd(g):
         dgamma = (g * xhat).sum(axis=-2)
@@ -260,6 +268,34 @@ def _loop_slots(n_slots: int, d_h: int) -> list:
     return [slice(lo, min(lo + per_loop, n_slots)) for lo in range(0, n_slots, per_loop)]
 
 
+# Cap on the float64 rows that a pass with no tape builds ahead of one
+# row block: g_r_fuse's frame||shot rows for the visual FC, and
+# _recurrence's input projections for a block of steps.  At paper scale
+# (T=1000) that is 6 blocks of 167 fuse rows and 4 blocks of 250 steps
+# per direction.  Every block repacks the weights (50 MB fuse_w, 37.7 MB
+# w_x), so smaller blocks cost time: on a 2-core Xeon with OpenBLAS on
+# 2 threads, the paper-scale fuse took 183 ms in one block, 180 ms in
+# 8 MiB blocks and 233 ms in 64-row blocks, and one direction's input
+# projection 96, 114 and 152 ms.
+_BLOCK_BYTES = 8 << 20
+
+
+def row_blocks(T: int, row_bytes: int) -> list:
+    """Row ranges that split a length-T pass, as slices in order: one
+    block under a recording tape; without one, ceil(T / rows) blocks as
+    even as possible, rows = max(4, _BLOCK_BYTES // row_bytes).  Two or
+    more blocks each have over rows / 2 rows, so a T > 1 pass gets no
+    one-row block, which numpy runs through gemv, and no short last
+    block, which OpenBLAS on AVX-512 may run through its small-matrix
+    kernel (under 10**6 multiply-adds).  Either can differ from one
+    product in the last bits, as the last 6 rows of a
+    (1030, 1024) @ (1024, 128) product split 1024 + 6 did.
+    """
+    rows = T if recording() else max(4, _BLOCK_BYTES // row_bytes)
+    n = -(-T // rows)
+    return [slice(T * i // n, T * (i + 1) // n) for i in range(n)]
+
+
 def _stacked_w_h(params) -> np.ndarray:
     """The w_h of a loop's m LSTMParams as (m, 1, d_h, 4d_h), a view for m = 1."""
     if len(params) == 1:
@@ -292,9 +328,10 @@ def _recurrence(groups, name: str) -> Tensor:
 
     Every (group, direction) is a slot.  The slots run in consecutive
     time loops whose stacked w_h fits _LOOP_WEIGHT_BYTES: one loop at
-    desk scale, one per direction at paper scale.  Before its loop, each
-    slot's input projection is one 3-d matmul written straight into the
-    loop's pre-activation buffer.  Each step of a loop advances its
+    desk scale, one per direction at paper scale.  A loop runs its steps
+    in row_blocks blocks, and before each block, each slot's input
+    projection for those steps is one 3-d matmul written straight into
+    the pre-activation buffer.  Each step of a loop advances its
     (slot, sequence) pairs with one stacked matmul, the same 1 x d_h by
     d_h x 4d_h product per pair as running it alone, so the values equal
     running each pair alone, however the slots are split into loops.
@@ -305,15 +342,18 @@ def _recurrence(groups, name: str) -> Tensor:
     go to a T+1-row buffer whose first row is the zero start state.
 
     The loop body is the same in both modes; the buffers differ.  Under
-    a recording tape every slot has its own pre-activation rows, which
-    end up holding the gates, and every step its own c and tanh c, for
-    BPTT, which reads the previous hidden states as a view of the
-    T+1-row buffer; the backward runs in the same loops, with
-    preallocated buffers too.  Without a tape one buffer, as wide as the
-    widest loop, holds the pre-activations of the loop that runs, and c
-    and tanh c are zero-stride step buffers whose every step overwrites
-    the last.  At paper scale that holds one direction's (T, 4d_h)
-    pre-activations instead of both, and no (T, d_h) cell states.
+    a recording tape there is one block of T steps, every slot has its
+    own pre-activation rows, which end up holding the gates, and every
+    step its own c and tanh c, for BPTT, which reads the previous hidden
+    states as a view of the T+1-row buffer; the backward runs in the
+    same loops, with preallocated buffers too.  Without a tape the
+    pre-activation and hidden-state buffers are as wide as the widest
+    loop and serve each loop in turn; the pre-activations hold one
+    block of steps, a loop's hidden states are copied into the output
+    when it ends, and c and tanh c are zero-stride step buffers whose
+    every step overwrites the last.  At paper scale (T=1000, d_h=1024)
+    that is 8.2 MB of pre-activations and one direction's hidden
+    states, 8.2 MB, beside the 16.4 MB output.
     """
     H = groups[0][1][0][0].d_h
     D = len(groups[0][1])
@@ -340,40 +380,9 @@ def _recurrence(groups, name: str) -> Tensor:
     loops = _loop_slots(M, H)
     w_hs = [_stacked_w_h([p for p, *_ in slots[s]]) for s in loops]
     taped = recording()
-
-    # time-major buffers: [t] is the (slot, sequence, .) state at step t
-    pre = np.empty((T, M if taped else max(s.stop - s.start for s in loops), B, 4 * H))
-    hs = np.empty((T + 1, M, B, H))  # hs[t] is the hidden state before step t
-    hs[0] = 0.0
-    cs = _step_buffer(T, (M, B, H), taped)
-    tc = _step_buffer(T, (M, B, H), taped)
-    zh = np.empty((M, B, 1, 4 * H))
-    g = np.empty((M, B, H))
-    ig = np.empty((M, B, H))
-    for s, w_h in zip(loops, w_hs):
-        pre_s = pre[:, s] if taped else pre[:, : s.stop - s.start]
-        for k, (p, reverse, xs) in enumerate(slots[s]):
-            n = len(xs)
-            # BLAS writes out= only with a unit column stride and a
-            # positive row stride, so a reversed slot projects a reversed
-            # copy of its input rather than into a reversed view
-            np.matmul(np.ascontiguousarray(xs[:, ::-1]) if reverse else xs, p.w_x.data,
-                      out=pre_s[:, k, :n].transpose(1, 0, 2))
-            pre_s[:, k, :n] += p.b.data
-            pre_s[:, k, n:] = 0.0
-        hs_s, cs_s, tc_s = hs[:, s], cs[:, s], tc[:, s]
-        zh_s, g_s, ig_s = zh[s], g[s], ig[s]
-        c = np.zeros(g_s.shape)
-        for t in range(T):
-            z = pre_s[t]
-            z += np.matmul(hs_s[t, :, :, None, :], w_h, out=zh_s)[:, :, 0]
-            np.tanh(z[..., 2 * H : 3 * H], out=g_s)
-            _sigmoid(z, out=z)
-            z[..., 2 * H : 3 * H] = g_s
-            c = np.multiply(z[..., H : 2 * H], c, out=cs_s[t])
-            c += np.multiply(z[..., :H], g_s, out=ig_s)
-            np.multiply(z[..., 3 * H :], np.tanh(c, out=tc_s[t]), out=hs_s[t + 1])
-    h_prev, hs = hs[:-1], hs[1:]
+    wide = max(s.stop - s.start for s in loops)  # slots of the widest loop
+    width = M if taped else wide  # slots the step buffers hold
+    steps = row_blocks(T, width * B * 4 * H * 8)
 
     def in_time(a, reverse):
         """A (B, T, n) array from step order to time order, or back."""
@@ -394,9 +403,50 @@ def _recurrence(groups, name: str) -> Tensor:
             for k, (_, reverse) in enumerate(directions):
                 yield g * D + k, n, reverse, block[:, :, k * H : (k + 1) * H]
 
+    # time-major buffers: [t] is the (slot, sequence, .) state at step t,
+    # and pre's [t - start] that of step t of the block being run
+    pre = np.empty((max(b.stop - b.start for b in steps), width, B, 4 * H))
+    hs = np.empty((T + 1, width, B, H))  # hs[t] is the hidden state before step t
+    hs[0] = 0.0
+    cs = _step_buffer(T, (width, B, H), taped)
+    tc = _step_buffer(T, (width, B, H), taped)
+    zh = np.empty((wide, B, 1, 4 * H))
+    g = np.empty((wide, B, H))
+    ig = np.empty((wide, B, H))
     out = np.empty((sum(len(seq.data) for seq, _ in groups), T, D * H))
-    for m, n, reverse, cols in blocks(out):
-        cols[...] = in_time(seq_major(hs, m, n), reverse)
+    out_cols = list(blocks(out))
+    for s, w_h in zip(loops, w_hs):
+        m_s = s.stop - s.start
+        ks = s if taped else slice(0, m_s)  # this loop's slots in the step buffers
+        pre_s, hs_s, cs_s, tc_s = pre[:, ks], hs[:, ks], cs[:, ks], tc[:, ks]
+        zh_s, g_s, ig_s = zh[:m_s], g[:m_s], ig[:m_s]
+        c = np.zeros(g_s.shape)
+        for block in steps:
+            t0, t1 = block.start, block.stop
+            pre_b = pre_s[: t1 - t0]
+            for k, (p, reverse, xs) in enumerate(slots[s]):
+                n = len(xs)
+                # BLAS writes out= only with a unit column stride and a
+                # positive row stride, so a reversed slot projects a
+                # reversed copy of its block's input rather than into a
+                # reversed view
+                x = np.ascontiguousarray(xs[:, T - t1 : T - t0][:, ::-1]) if reverse else xs[:, block]
+                np.matmul(x, p.w_x.data, out=pre_b[:, k, :n].transpose(1, 0, 2))
+                pre_b[:, k, :n] += p.b.data
+                pre_b[:, k, n:] = 0.0
+            for t in range(t0, t1):
+                z = pre_b[t - t0]
+                z += np.matmul(hs_s[t, :, :, None, :], w_h, out=zh_s)[:, :, 0]
+                np.tanh(z[..., 2 * H : 3 * H], out=g_s)
+                _sigmoid(z, out=z)
+                z[..., 2 * H : 3 * H] = g_s
+                c = np.multiply(z[..., H : 2 * H], c, out=cs_s[t])
+                c += np.multiply(z[..., :H], g_s, out=ig_s)
+                np.multiply(z[..., 3 * H :], np.tanh(c, out=tc_s[t]), out=hs_s[t + 1])
+        for k, m in enumerate(range(s.start, s.stop)):
+            _, n, reverse, cols = out_cols[m]
+            cols[...] = in_time(seq_major(hs_s[1:], k, n), reverse)
+    h_prev = hs[:-1]
     out = Tensor(out)
 
     def bwd(g_out):

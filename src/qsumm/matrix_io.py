@@ -4,7 +4,8 @@ Layout: 24-byte header -- magic "QSFM", format version u32 LE, rows u64 LE,
 cols u64 LE -- followed by the row-major payload.  Version 1 stores float32
 and is what corpus feature files use; version 2 stores float64 and is used
 for checkpoint tensors, where training state must round-trip bit-exactly.
-Loads always return float64.
+Loads return the file's dtype: corpus features stay float32 in memory,
+and the models widen them to float64 as they read them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import FormatError, VersionError
 
 __all__ = ["write_atomic", "write_matrix", "load_feature_matrix", "matrix_bytes",
-           "matrix_from_bytes", "encode_matrix", "parse_matrix_header", "HEADER_SIZE"]
+           "matrix_from_bytes", "readinto", "encode_matrix", "parse_matrix_header",
+           "HEADER_SIZE"]
 
 MAGIC = b"QSFM"
 _HEADER = struct.Struct("<4sIQQ")
@@ -71,9 +73,16 @@ def parse_matrix_header(head: bytes, payload_len: int, source: str) -> tuple[np.
 
 
 def matrix_from_bytes(buf: bytes, source: str = "<bytes>") -> np.ndarray:
+    """A writable copy of the matrix a QSFM buffer holds, in its dtype."""
     dtype, rows, cols = parse_matrix_header(buf, len(buf) - _HEADER.size, source)
-    arr = np.frombuffer(buf, dtype=dtype, offset=_HEADER.size).reshape(rows, cols)
-    return arr.astype(np.float64)
+    return np.frombuffer(buf, dtype=dtype, offset=_HEADER.size).reshape(rows, cols).copy()
+
+
+def readinto(fh, arr: np.ndarray, source: str) -> None:
+    """Fill the contiguous arr with the next bytes of the open file fh."""
+    view = memoryview(arr).cast("B")
+    if fh.readinto(view) != len(view):
+        raise FormatError(f"{source}: file ended early; it changed while being read")
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -90,7 +99,11 @@ def write_matrix(path, arr: np.ndarray, version: int = 1) -> None:
 
 
 def load_feature_matrix(path) -> np.ndarray:
-    """Load a QSFM file as a float64 matrix."""
+    """Load a QSFM file as a matrix of its dtype, read straight into it."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    return matrix_from_bytes(buf, source=str(path))
+        head = fh.read(_HEADER.size)
+        payload_len = os.fstat(fh.fileno()).st_size - len(head)
+        dtype, rows, cols = parse_matrix_header(head, payload_len, str(path))
+        arr = np.empty((rows, cols), dtype=dtype)
+        readinto(fh, arr, str(path))
+    return arr

@@ -54,7 +54,8 @@ from .generator import (
     init_generator_params,
 )
 # matrix_from_bytes stays importable here: perfbench/tracing.py wraps this name
-from .matrix_io import HEADER_SIZE, encode_matrix, matrix_from_bytes, parse_matrix_header  # noqa: F401
+from .matrix_io import (  # noqa: F401
+    HEADER_SIZE, encode_matrix, matrix_from_bytes, parse_matrix_header, readinto)
 from .optim import OptimizerState, clip_weights, rmsprop_step
 from .rng import RngHub
 from .tensor import Tape, Tensor, absolute, as_tensor, mean_all, mul, sub
@@ -599,12 +600,6 @@ def _read_exact(fh, n: int, source: str) -> bytes:
     return data
 
 
-def _readinto(fh, arr: np.ndarray, source: str) -> None:
-    view = memoryview(arr).cast("B")
-    if fh.readinto(view) != len(view):
-        raise FormatError(f"{source}: file ended early; it changed while being read")
-
-
 def _index_sections(fh, size: int, source: str) -> dict:
     """Walk the section headers of an open checkpoint of `size` bytes.
 
@@ -656,14 +651,14 @@ def _read_tensor(fh, name, count, out, scratch, source) -> None:
     Non-finite values raise FormatError.
     """
     if out is not None:
-        _readinto(fh, out, source)
+        readinto(fh, out, source)
         finite = bool(np.isfinite(out).all())
     else:
         step = scratch.size // 8  # float64 values per chunk
         finite = True
         for start in range(0, count, step):
             chunk = scratch[: min(step, count - start) * 8].view(np.float64)
-            _readinto(fh, chunk, source)
+            readinto(fh, chunk, source)
             finite = finite and bool(np.isfinite(chunk).all())
     if not finite:
         raise FormatError(f"{source}: section {name!r} holds non-finite values")

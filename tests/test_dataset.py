@@ -1,6 +1,8 @@
+import contextlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from qsumm.errors import (
     QsummError,
     VersionError,
 )
-from qsumm.matrix_io import load_feature_matrix, matrix_bytes, write_matrix
+from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
+from qsumm.matrix_io import load_feature_matrix, matrix_bytes, matrix_from_bytes, write_matrix
+from qsumm.tensor import Tape
 
 
 def corpora_equal(a: Corpus, b: Corpus) -> bool:
@@ -101,6 +105,28 @@ class TestMatrixFormat:
         write_matrix(p, m)
         back = load_feature_matrix(p)
         assert np.array_equal(back, m.astype(np.float64))
+
+    @pytest.mark.parametrize("version, dtype", [(1, np.float32), (2, np.float64)])
+    def test_loads_keep_the_file_dtype(self, tmp_path, version, dtype):
+        m = np.random.default_rng(2).standard_normal((3, 4)).astype(dtype)
+        p = tmp_path / "m.qsfm"
+        write_matrix(p, m, version=version)
+        for back in (load_feature_matrix(p), matrix_from_bytes(p.read_bytes())):
+            assert back.dtype == dtype and np.array_equal(back, m)
+            back[0, 0] = 1.0  # a writable array of its own
+
+    def test_load_reads_straight_into_the_array(self, tmp_path):
+        # no bytes copy of the payload and no widened copy beside the array
+        m = np.random.default_rng(3).standard_normal((1000, 512)).astype(np.float32)
+        p = tmp_path / "m.qsfm"
+        write_matrix(p, m)
+        tracemalloc.start()
+        try:
+            back = load_feature_matrix(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m) and peak < m.nbytes + (64 << 10)
 
     def test_float64_version_keeps_all_bits(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -256,6 +282,32 @@ class TestCorpusRoundTrip:
         corpus = synth_corpus(self.cfg, seed=7)
         manifest = write_corpus(corpus, tmp_path / "c")
         assert corpora_equal(load_corpus(manifest), corpus)
+
+    def test_features_stay_float32(self, tmp_path):
+        corpus = synth_corpus(self.cfg, seed=7)
+        loaded = load_corpus(write_corpus(corpus, tmp_path / "c"))
+        for c in (corpus, loaded):
+            assert c.concepts.embeddings.dtype == np.float64
+            for v in c.videos:
+                assert v.frame_feats.dtype == v.shot_feats.dtype == np.float32
+        assert corpora_equal(loaded, corpus)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_float64_features_score_the_same(self, train):
+        cfg = self.cfg
+        corpus = synth_corpus(cfg, seed=7)
+        video = corpus.videos[0]
+        gcfg = GeneratorConfig(d_frame=cfg.d_frame, d_shot=cfg.d_shot, d_text=cfg.d_text,
+                               dropout_p=0.0)
+        params = init_generator_params(gcfg, np.random.default_rng(0))
+        q = embed_query(video.queries[0], corpus.concepts)
+        scores = []
+        for frame, shot in ((video.frame_feats, video.shot_feats),
+                            (video.frame_feats.astype(np.float64), video.shot_feats.astype(np.float64))):
+            with Tape(watch=[params.fuse_w]) if train else contextlib.nullcontext():
+                scores.append(generator_forward(params, frame, shot, q, train=train,
+                                                rng=np.random.default_rng(1)).s.data)
+        assert np.array_equal(scores[0], scores[1])
 
     def test_write_is_deterministic(self, tmp_path):
         corpus = synth_corpus(self.cfg, seed=8)

@@ -923,7 +923,7 @@ class TestScoringPass:
 
     def test_paper_scale_scores_one_query_per_call(self, desk_corpus, monkeypatch):
         # One query of the paper-scale generator on a 1000-shot video counts
-        # 115 MB of recurrence buffers (a no-tape call holds 65.5 MB), far
+        # 115 MB of recurrence buffers (a no-tape call holds 33 MB), far
         # above the cap.  Stand-ins
         # keep paper-scale arrays out: a d_h-only encoder, zero-strided
         # frame features and a generator that returns zero scores.

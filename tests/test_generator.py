@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qsumm import layers
 from qsumm.errors import ConfigError, ContractError, DimensionError
 from qsumm.gradcheck import grad_check
 from qsumm.generator import (
@@ -70,6 +73,14 @@ class TestFuse:
         params = tiny_params()
         with pytest.raises(DimensionError):
             g_r_fuse(np.zeros((3, TINY.d_frame)), np.zeros((4, TINY.d_shot)), np.zeros(TINY.d_text), params)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_feature_width_mismatch(self, taped):
+        params = tiny_params()
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(DimensionError, match="fuse_w rows 14"):
+                g_r_fuse(np.zeros((3, TINY.d_frame)), np.zeros((3, TINY.d_shot + 1)),
+                         np.zeros(TINY.d_text), params)
 
 
 class TestEncode:
@@ -332,3 +343,40 @@ class TestDerivedTensors:
         after = arrays(params)
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+class TestEvalMemory:
+    """An eval-mode forward holds no full-length temporaries beyond the
+    stage it runs: no (T, d_frame+d_shot) float64 join of the features,
+    no pre-activations for more than one block of steps, and the hidden
+    states of one time loop at a time."""
+
+    T, H = 400, 64
+    CFG = GeneratorConfig(d_frame=512, d_shot=512, d_fused=64, d_h=H)
+
+    def test_peak_is_one_stage(self, monkeypatch):
+        # one direction per loop, as at paper scale; blocks of 32 fuse
+        # rows and 128 steps
+        monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 256 << 10)
+        cfg, T, H = self.CFG, self.T, self.H
+        params = init_generator_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        frame = rng.standard_normal((T, cfg.d_frame)).astype(np.float32)
+        shot = rng.standard_normal((T, cfg.d_shot)).astype(np.float32)
+        q = rng.standard_normal(cfg.d_text)
+        tracemalloc.start()
+        try:
+            generator_forward(params, frame, shot, q, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        d_in, rows = cfg.d_fused + cfg.d_qenc, 128
+        f_vq = T * d_in * 8
+        h = T * 2 * H * 8  # the Bi-LSTM output, and each array of its size after it
+        recurrence = f_vq + h + (T + 1) * H * 8 + rows * (4 * H + d_in) * 8
+        batchnorm = f_vq + 2 * h
+        # 1.22 MB against a 1.34 MB bound (the parent peaks at 7.0 MB);
+        # a (T, 1024) float64 join adds 3.3 MB, full-T pre-activations
+        # 0.56 MB and a second loop's hidden states 0.21 MB
+        assert peak < 1.1 * max(recurrence, batchnorm)

@@ -9,7 +9,7 @@ from conftest import assert_stack_equals_separate, check_grads, max_rel_err
 from qsumm import layers
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, ContractError, DimensionError
-from qsumm.generator import GeneratorConfig
+from qsumm.generator import GeneratorConfig, g_r_fuse, init_generator_params
 from qsumm.layers import (
     BN_EPS,
     _loop_slots,
@@ -22,6 +22,7 @@ from qsumm.layers import (
     linear_forward,
     lstm_cell,
     lstm_sequence,
+    row_blocks,
 )
 from qsumm.tensor import Tape, Tensor, mean_all
 
@@ -129,6 +130,18 @@ class TestBatchnorm:
                                      rng.standard_normal((3, T, 4)),
                                      {"gamma": gamma, "beta": beta},
                                      rng.standard_normal((3, T, 4)))
+
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 7, 4)])
+    def test_no_tape_equals_taped_and_keeps_its_input(self, shape):
+        # with no tape the output is computed in xhat's buffer
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal(shape) * 3.0 + 1.0)
+        before = x.data.copy()
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.standard_normal(4))
+        with Tape(watch=[x]):
+            taped = batchnorm_forward(x, gamma, beta).data
+        assert np.array_equal(batchnorm_forward(x, gamma, beta).data, taped)
+        assert np.array_equal(x.data, before)
 
     def test_stack_normalizes_each_sequence(self):
         rng = np.random.default_rng(10)
@@ -648,3 +661,54 @@ class TestLoopSizes:
     def test_slots_fill_loops_up_to_the_cap(self):
         # d_h=128: 512 KiB per slot, four to a 2 MiB loop
         assert _loop_slots(6, 128) == [slice(0, 4), slice(4, 6)]
+
+
+class TestRowBlocks:
+    """A no-tape pass runs its input projections in row blocks and never
+    leaves a one-row block, whose product numpy runs through gemv; the
+    values equal a taped pass, one block of T rows, bit for bit."""
+
+    ROWS = 4  # the fewest rows row_blocks gives a block, reached at a zero cap
+
+    def test_blocks_cover_the_rows_without_a_one_row_block(self, monkeypatch):
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 0)
+        for T in range(1, 40):
+            blocks = row_blocks(T, 8)
+            assert blocks[0].start == 0 and blocks[-1].stop == T
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            assert max(sizes) <= self.ROWS and (T == 1 or min(sizes) >= 2), (T, sizes)
+        with Tape():
+            assert row_blocks(39, 8) == [slice(0, 39)]
+
+    def test_cap_sets_the_block_height(self, monkeypatch):
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 100 * 64)
+        assert row_blocks(1000, 64) == [slice(100 * i, 100 * i + 100) for i in range(10)]
+        assert [b.stop - b.start for b in row_blocks(1001, 64)] == [91] * 11
+
+    @pytest.mark.parametrize("T", [1, 2, ROWS + 1, 3 * ROWS + 1])
+    @pytest.mark.parametrize("n_seq", [1, 3])
+    def test_bilstm_no_tape_equals_taped(self, T, n_seq, monkeypatch):
+        # d_in 80 by 4*d_h 64: a one-row projection there differs from
+        # a GEMM row in its last bits
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(60)
+        pf, pb = LSTMParams.create(80, 16, rng), LSTMParams.create(80, 16, rng)
+        seq = Tensor(rng.standard_normal((n_seq, T, 80)))
+        with Tape(watch=[seq]):
+            taped = bilstm_forward(seq, pf, pb).data
+        assert np.array_equal(bilstm_forward(seq, pf, pb).data, taped)
+
+    @pytest.mark.parametrize("T", [1, 2, ROWS + 1, 3 * ROWS + 1])
+    @pytest.mark.parametrize("n_queries", [1, 3])
+    def test_fuse_no_tape_equals_taped(self, T, n_queries, monkeypatch):
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", 0)
+        cfg = GeneratorConfig(d_frame=32, d_shot=48, d_fused=64)
+        params = init_generator_params(cfg, np.random.default_rng(61))
+        rng = np.random.default_rng(62)
+        frame = rng.standard_normal((T, cfg.d_frame)).astype(np.float32)
+        shot = rng.standard_normal((T, cfg.d_shot)).astype(np.float32)
+        q = rng.standard_normal((n_queries, cfg.d_text))
+        with Tape():
+            taped = g_r_fuse(frame, shot, q, params).data
+        assert np.array_equal(g_r_fuse(frame, shot, q, params).data, taped)

@@ -159,6 +159,8 @@ class SynthConfig:
 
     @classmethod
     def paper_scale(cls, **overrides) -> "SynthConfig":
+        """1000-shot videos with the paper's feature widths, which
+        GeneratorConfig.paper_scale takes from here."""
         base = dict(
             d_frame=2048, d_shot=4096, d_text=300,
             n_shots=1000, n_concepts=48, n_queries=46,

@@ -411,18 +411,7 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    payload = {
-        "split": report.split,
-        "threshold": report.threshold,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "d": report.d,
-        "length_dev": report.length_dev,
-        "per_video": report.per_video,
-        "rows": [asdict(r) for r in report.rows],
-    }
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(asdict(report), sort_keys=True, indent=1) + "\n")
 
 
 def write_length_study(report: EvalReport, path) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import SynthConfig
 from .errors import ConfigError, ContractError, DimensionError, check_fields
 from .layers import (
     LSTMParams,
@@ -26,7 +27,7 @@ from .layers import (
     named_tensors,
     row_blocks,
 )
-from .tensor import Tensor, as_tensor, concat_cols, recording, relu, reshape, sigmoid
+from .tensor import Tensor, _sum_last_to_first, as_tensor, record, relu, reshape, sigmoid
 
 __all__ = [
     "GeneratorConfig",
@@ -65,8 +66,11 @@ class GeneratorConfig:
 
     @classmethod
     def paper_scale(cls, **overrides) -> "GeneratorConfig":
+        """The paper's layer widths, on the feature widths of
+        SynthConfig.paper_scale."""
+        synth = SynthConfig.paper_scale()
         base = dict(
-            d_frame=2048, d_shot=4096, d_text=300,
+            d_frame=synth.d_frame, d_shot=synth.d_shot, d_text=synth.d_text,
             d_fused=1024, d_qenc=128, d_h=1024, d_pred=128,
         )
         base.update(overrides)
@@ -141,11 +145,13 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
     visual FC runs once; the query FC runs over (Q, 1, d_text), each
     query's own one-row product, as for a single query.
 
-    Features of any float dtype are widened to float64.  Under a tape
-    that is one copy of each, joined into one (T, d_frame+d_shot)
-    matrix.  With no tape the visual FC runs over layers.row_blocks of
-    that matrix, each joined in float64 and written straight into the
-    output's columns, with the values of one product bit for bit.
+    The visual FC runs over layers.row_blocks of the joined
+    (T, d_frame+d_shot) rows, each block joined in float64 from features
+    of any float dtype and written straight into the output's columns,
+    with the values of one product bit for bit.  Under a tape that is
+    one block, kept for the backward pass, and the whole stage records
+    one node on fuse_w, fuse_b and the query FC's output; the features
+    get no gradient.
     """
     frame, shot = (x.data if isinstance(x, Tensor) else np.asarray(x)
                    for x in (frame_feats, shot_feats))
@@ -168,28 +174,25 @@ def g_r_fuse(frame_feats, shot_feats, query_emb, params: GeneratorParams) -> Ten
             f"got query shape {q.data.shape}"
         )
 
-    def query_fc():
-        qs = reshape(q, (q.data.size // d_text, 1, d_text))
-        return relu(linear_forward(qs, params.query_w, params.query_b))
-
-    if recording():
-        visual = relu(linear_forward(concat_cols(as_tensor(frame_feats), as_tensor(shot_feats)),
-                                     params.fuse_w, params.fuse_b))
-        return concat_cols(visual, query_fc())
-    query = query_fc().data
+    qs = reshape(q, (q.data.size // d_text, 1, d_text))
+    query = relu(linear_forward(qs, params.query_w, params.query_b))
     T, d_fused = len(frame), params.fuse_b.data.shape[0]
-    out = np.empty((len(query), T, d_fused + query.shape[-1]))
-    visual = out[0, :, :d_fused]
+    out = Tensor(np.empty((len(query.data), T, d_fused + query.data.shape[-1])))
+    visual = out.data[0, :, :d_fused]
     for block in row_blocks(T, d_visual * 8):
-        x = np.empty((block.stop - block.start, d_visual))
-        x[:, :d_frame] = frame[block]
-        x[:, d_frame:] = shot[block]
+        x = np.concatenate((frame[block], shot[block]), axis=1, dtype=np.float64)
         v = np.matmul(x, params.fuse_w.data, out=visual[block])
         v += params.fuse_b.data
         np.maximum(v, 0.0, out=v)
-    out[1:, :, :d_fused] = visual
-    out[:, :, d_fused:] = query
-    return Tensor(out)
+    out.data[1:, :, :d_fused] = visual
+    out.data[:, :, d_fused:] = query.data
+
+    def bwd(g):
+        gv = _sum_last_to_first(g[..., :d_fused]) * (visual > 0.0)
+        return [x.T @ gv, gv.sum(axis=0), g[..., d_fused:].sum(axis=1, keepdims=True)]
+
+    record(out, (params.fuse_w, params.fuse_b, query), bwd)
+    return out
 
 
 def g_e_encode(f_vq: Tensor, params: GeneratorParams) -> Tensor:

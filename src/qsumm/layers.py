@@ -281,9 +281,10 @@ _BLOCK_BYTES = 8 << 20
 
 
 def row_blocks(T: int, row_bytes: int) -> list:
-    """Row ranges that split a length-T pass, as slices in order: one
-    block under a recording tape; without one, ceil(T / rows) blocks as
-    even as possible, rows = max(4, _BLOCK_BYTES // row_bytes).  Two or
+    """Row ranges that split a length-T pass, as slices in order, none
+    for T = 0: one block under a recording tape; without one,
+    ceil(T / rows) blocks as even as possible,
+    rows = max(4, _BLOCK_BYTES // row_bytes).  Two or
     more blocks each have over rows / 2 rows, so a T > 1 pass gets no
     one-row block, which numpy runs through gemv, and no short last
     block, which OpenBLAS on AVX-512 may run through its small-matrix
@@ -291,7 +292,7 @@ def row_blocks(T: int, row_bytes: int) -> list:
     product in the last bits, as the last 6 rows of a
     (1030, 1024) @ (1024, 128) product split 1024 + 6 did.
     """
-    rows = T if recording() else max(4, _BLOCK_BYTES // row_bytes)
+    rows = max(1, T) if recording() else max(4, _BLOCK_BYTES // row_bytes)
     n = -(-T // rows)
     return [slice(T * i // n, T * (i + 1) // n) for i in range(n)]
 

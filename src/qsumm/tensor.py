@@ -277,8 +277,9 @@ def reshape(x, shape) -> Tensor:
 def concat_cols(a, b) -> Tensor:
     """Concatenation on the last axis; the leading axes broadcast.
 
-    A (T, p) matrix and a (Q, 1, q) stack give (Q, T, p+q): every
-    sequence of the stack joins the matrix, each on its own row.
+    An (n, 1, p) stack and a (1, q) row give (n, 1, p+q): every
+    sequence of the stack joins the row, as the critic's pooled
+    summaries each join the video's.
     """
     a, b = as_tensor(a), as_tensor(b)
     try:

@@ -498,8 +498,8 @@ def train(
 _SECTION_HEAD = struct.Struct("<I")
 _PAYLOAD_HEAD = struct.Struct("<Q")
 _FILE_HEAD = struct.Struct("<4sII")
-# size of the save buffer, and of the scratch buffer that payloads
-# which are only validated pass through on load
+# size of the save buffer, and of the chunks in which a load reads and
+# checks every payload
 _SCRATCH_BYTES = 8 << 20
 
 
@@ -646,22 +646,18 @@ def _index_sections(fh, size: int, source: str) -> dict:
 
 
 def _read_tensor(fh, name, count, out, scratch, source) -> None:
-    """Read one float64 payload of `count` values straight into `out`, or,
-    when out is None, only validate it through `scratch` in chunks.
-    Non-finite values raise FormatError.
+    """Read one float64 payload of `count` values in chunks the size of
+    `scratch`: into views of `out`, a C-contiguous array the loader
+    allocated, or, when out is None, into scratch to be dropped.  The
+    first chunk holding a non-finite value raises FormatError.
     """
-    if out is not None:
-        readinto(fh, out, source)
-        finite = bool(np.isfinite(out).all())
-    else:
-        step = scratch.size // 8  # float64 values per chunk
-        finite = True
-        for start in range(0, count, step):
-            chunk = scratch[: min(step, count - start) * 8].view(np.float64)
-            readinto(fh, chunk, source)
-            finite = finite and bool(np.isfinite(chunk).all())
-    if not finite:
-        raise FormatError(f"{source}: section {name!r} holds non-finite values")
+    buf = scratch.view(np.float64)
+    for start in range(0, count, buf.size):
+        n = min(buf.size, count - start)
+        chunk = buf[:n] if out is None else out.reshape(-1)[start:start + n]
+        readinto(fh, chunk, source)
+        if not np.isfinite(chunk).all():
+            raise FormatError(f"{source}: section {name!r} holds non-finite values")
 
 
 def _read_checkpoint(path, generator_only: bool) -> Checkpoint:

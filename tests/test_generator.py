@@ -20,7 +20,7 @@ from qsumm.generator import (
     init_generator_params,
     select_shots,
 )
-from qsumm.tensor import Tape, Tensor, mean_all
+from qsumm.tensor import Tape, Tensor, as_tensor, concat_cols, mean_all, relu, reshape
 
 TINY = GeneratorConfig(d_frame=6, d_shot=8, d_text=4, d_fused=8, d_qenc=4, d_h=8, d_pred=8)
 
@@ -38,7 +38,38 @@ def tiny_inputs(T=5, seed=1):
     )
 
 
+def reference_fuse(frame_feats, shot_feats, query_emb, params):
+    """The fuse stage as the chain of taped primitives that g_r_fuse's
+    one node replaced: concat -> FC -> ReLU, joined with the query FC."""
+    visual = relu(layers.linear_forward(concat_cols(as_tensor(frame_feats), as_tensor(shot_feats)),
+                                        params.fuse_w, params.fuse_b))
+    d_text = params.query_w.data.shape[0]
+    qs = reshape(as_tensor(query_emb), (np.size(query_emb) // d_text, 1, d_text))
+    return concat_cols(visual, relu(layers.linear_forward(qs, params.query_w, params.query_b)))
+
+
 class TestFuse:
+    @pytest.mark.parametrize("T", [1, 2, 13])
+    @pytest.mark.parametrize("n_queries", [1, 3])
+    def test_one_node_equals_reference_chain(self, T, n_queries):
+        params = tiny_params()
+        rng = np.random.default_rng(T * 10 + n_queries)
+        frame = rng.standard_normal((T, TINY.d_frame)).astype(np.float32)
+        shot = rng.standard_normal((T, TINY.d_shot))
+        q = rng.standard_normal((n_queries, TINY.d_text))
+        q = q[0] if n_queries == 1 else q
+        r = rng.standard_normal((n_queries, T, TINY.d_fused + TINY.d_qenc))
+        watched = [params.fuse_w, params.fuse_b, params.query_w, params.query_b]
+        runs = []
+        for fuse in (g_r_fuse, reference_fuse):
+            with Tape(watch=watched) as tape:
+                out = fuse(frame, shot, q, params)
+                tape.backward(mean_all(out * r))
+            runs.append([out.data] + [t.grad for t in watched])
+        assert np.any(runs[0][0][..., :TINY.d_fused] == 0.0)  # the ReLU mask matters
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
     def test_output_shape(self):
         params = tiny_params()
         for T in (1, 3, 9):
@@ -281,14 +312,14 @@ class TestStackedQueries:
 
     def test_one_query_tape_is_unchanged(self):
         # the one-query training pass records no row slicing or restacking,
-        # and the query FC's row joins every shot inside concat_cols
+        # and the visual FC and the join are one g_r_fuse node
         params = tiny_params()
         frame, shot, q = tiny_inputs(6)
         with Tape() as tape:
             generator_forward(params, frame, shot, q, train=True, rng=np.random.default_rng(0))
         assert [bwd.__qualname__.split(".")[0] for _, _, bwd in tape.nodes] == [
-            "concat_cols", "matmul", "add", "relu",  # visual FC
-            "reshape", "matmul", "add", "relu", "concat_cols",  # query FC
+            "reshape", "matmul", "add", "relu",  # query FC
+            "g_r_fuse",  # visual FC, joined with the query FC's row
             "_recurrence", "batchnorm_forward", "relu",  # encoder
             "matmul", "add", "batchnorm_forward", "relu", "dropout", "matmul", "add",
             "reshape", "sigmoid",  # scorer

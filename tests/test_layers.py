@@ -678,8 +678,10 @@ class TestRowBlocks:
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             sizes = [b.stop - b.start for b in blocks]
             assert max(sizes) <= self.ROWS and (T == 1 or min(sizes) >= 2), (T, sizes)
+        assert row_blocks(0, 8) == []
         with Tape():
             assert row_blocks(39, 8) == [slice(0, 39)]
+            assert row_blocks(0, 8) == []
 
     def test_cap_sets_the_block_height(self, monkeypatch):
         monkeypatch.setattr(layers, "_BLOCK_BYTES", 100 * 64)

@@ -456,8 +456,9 @@ class TestCriticAgainstReference:
 
 
     def test_generator_tape_nodes_pinned(self, monkeypatch):
-        """Each recipe generator step records 62 tape nodes: the one
-        summary's critic value is reshaped to a scalar, not sliced first."""
+        """Each recipe generator step records 58 tape nodes: the one
+        summary's critic value is reshaped to a scalar, not sliced first,
+        and the visual FC and its join with the query are one node."""
         corpus = synth_corpus(SynthConfig(), seed=9)
         gen_cfg = GeneratorConfig(d_frame=corpus.dims["d_frame"], d_shot=corpus.dims["d_shot"],
                                   d_text=corpus.dims["d_text"], dropout_p=0.2)
@@ -481,7 +482,7 @@ class TestCriticAgainstReference:
         monkeypatch.setattr(Tape, "backward", backward)
         monkeypatch.setattr(training, "_generator_update", update)
         train(corpus, cfg, gen_cfg=gen_cfg)
-        assert nodes == [62] * 3
+        assert nodes == [58] * 3
 
 
 class TestCheckpoint:
@@ -847,7 +848,8 @@ class TestCheckpointAgainstReference:
             with pytest.raises(FormatError, match=f"section '{name}' holds <f4 values"):
                 load(path)
 
-    @pytest.mark.parametrize("name", ["dparam/out_w", "dopt/acc/fc1_w", "gopt/acc/fuse_w"])
+    @pytest.mark.parametrize("name", ["dparam/out_w", "dopt/acc/fc1_w", "gopt/acc/fuse_w",
+                                      "gparam/fuse_w"])
     def test_non_finite_training_state_rejected_by_both_loaders(
             self, mini_checkpoint, tmp_path, monkeypatch, name):
         monkeypatch.setattr(training, "_SCRATCH_BYTES", 64)
@@ -861,6 +863,25 @@ class TestCheckpointAgainstReference:
         for load in (load_checkpoint, load_generator):
             with pytest.raises(FormatError, match=name):
                 load(path)
+
+    def test_generator_load_holds_no_whole_array_mask(self, tmp_path, monkeypatch):
+        # fuse_w's 512 Ki values would need a 512 KiB finiteness mask if
+        # checked whole; in chunks the load holds the scratch buffer and
+        # one chunk's mask above what it keeps
+        scratch = 256 << 10
+        monkeypatch.setattr(training, "_SCRATCH_BYTES", scratch)
+        gen_cfg = dataclasses.replace(MINI_GEN, d_frame=256, d_shot=256, d_fused=1024)
+        disc_cfg = DiscriminatorConfig.for_generator(gen_cfg)
+        path = tmp_path / "wide.qsck"
+        save_checkpoint(training._initial_state(MINI_TRAIN, gen_cfg, disc_cfg), path)
+        tracemalloc.start()
+        try:
+            gparams = load_generator(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gparams.fuse_w.data.size > scratch
+        assert peak - kept < 2 * scratch, (peak - kept) / scratch
 
 
 class TestCheckpointV1:

@@ -13,6 +13,7 @@ mean per-query deviation of summary length from the target fraction.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -69,20 +70,25 @@ def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
+@functools.lru_cache(maxsize=4096)
+def _exact(x: float) -> Fraction:
+    """The fraction a positive weight x reads as: the fraction q of
+    denominator <= 2**26 nearest to x when q rounds back to x, and x's
+    own binary fraction otherwise, so an IoU a/b reads exactly as a/b.
+    IoU values repeat across rows and calls, so readings are cached."""
+    q = Fraction(x).limit_denominator(1 << 26)
+    return q if float(q) == x else Fraction(x)
+
+
 def _integer_weights(values, k: int) -> dict:
     """Exact integer weights of a matrix's distinct positive values.
 
-    A value x reads as the fraction q of denominator <= 2**26 nearest to
-    it when q rounds back to x, and as x's own binary fraction otherwise,
-    so an IoU a/b reads exactly as a/b.  Over L, the lcm of the values'
-    denominators, a/b weighs a*(L/b)*k + 1: with k above the largest
-    possible matching size, a heavier integer total is a heavier exact
-    total or, at an equal one, more pairs.
+    Each value x reads as the fraction _exact(x).  Over L, the lcm of
+    the values' denominators, a/b weighs a*(L/b)*k + 1: with k above the
+    largest possible matching size, a heavier integer total is a heavier
+    exact total or, at an equal one, more pairs.
     """
-    exact = {}
-    for x in values:
-        q = Fraction(x).limit_denominator(1 << 26)
-        exact[x] = q if float(q) == x else Fraction(x)
+    exact = {x: _exact(x) for x in values}
     scale = math.lcm(*(q.denominator for q in exact.values()))
     return {x: q.numerator * (scale // q.denominator) * k + 1 for x, q in exact.items()}
 
@@ -168,11 +174,13 @@ def max_weight_matching(weights) -> list:
     fractions _integer_weights reads them as.  So [[1, .5], [.5, 0]]
     gives [(0, 1), (1, 0)], and three pairs at IoU 1/3 tie two at IoU
     1/2 and win, although 3 * fl(1/3) < 1.  Rows and columns without a
-    positive entry drop out; equal rows form kinds and equal columns
-    classes, and _transport solves the problem once over kinds x
-    classes.  Each kind-class flow becomes pairs of the kind's lowest
-    unused rows with the class's lowest unused columns.  Pairs come back
-    sorted.
+    positive entry drop out.  Equal rows form kinds and equal columns
+    classes, each in order of first occurrence: lines are compared by
+    the bytes of their values with -0.0 read as 0.0, so lines are equal
+    when their values compare equal.  _transport solves the problem once
+    over kinds x classes.  Each kind-class flow becomes pairs of the
+    kind's lowest unused rows with the class's lowest unused columns.
+    Pairs come back sorted.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -182,27 +190,30 @@ def max_weight_matching(weights) -> list:
         return []
     if not np.isfinite(w).all():
         raise ContractError("max_weight_matching: weights must be finite")
-    lines = w.tolist()
+    w = w + 0.0  # -0.0 + 0.0 is 0.0, so lines whose values compare equal have equal bytes
+    pos = w > 0.0
     kinds, classes = {}, {}
-    for i, line in enumerate(lines):
-        kinds.setdefault(tuple(line), []).append(i)
-    for j, col in enumerate(zip(*lines)):
-        classes.setdefault(col, []).append(j)
-    kinds = {line: m for line, m in kinds.items() if max(line) > 0.0}
-    classes = [m for col, m in classes.items() if max(col) > 0.0]
+    for lines, live, group in ((w, pos.any(axis=1), kinds), (w.T, pos.any(axis=0), classes)):
+        idx = np.flatnonzero(live)
+        # each line with a positive entry as one bytes object
+        keys = np.ascontiguousarray(lines[idx]).view(f"V{8 * lines.shape[1]}").ravel()
+        for i, key in zip(idx.tolist(), keys.tolist()):
+            group.setdefault(key, []).append(i)
     if not kinds:
         return []
-    table = [[line[m[0]] for m in classes] for line in kinds]
+    kinds, classes = list(kinds.values()), list(classes.values())
+    table = w[[m[0] for m in kinds]][:, [m[0] for m in classes]].tolist()
     weight = _integer_weights({x for row in table for x in row if x > 0.0},
                               min(n_gen, n_gt) + 1)
     flow = _transport([[weight.get(x, 0) for x in row] for row in table],
-                      [len(m) for m in kinds.values()], [len(m) for m in classes])
+                      [len(m) for m in kinds], [len(m) for m in classes])
     unused = [iter(m) for m in classes]
     pairs = []
-    for rows, sent in zip(kinds.values(), flow):
+    for rows, sent in zip(kinds, flow):
         free = iter(rows)
         for taken, units in zip(unused, sent):
-            pairs += [(next(free), next(taken)) for _ in range(units)]
+            if units:
+                pairs += [(next(free), next(taken)) for _ in range(units)]
     pairs.sort()
     return pairs
 

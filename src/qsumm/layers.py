@@ -7,24 +7,26 @@ is given and keeps no running averages.
 The LSTM comes in two forms.  lstm_cell composes taped primitives and is
 the reference single-step implementation.  Everything else runs through
 one batched recurrence kernel: it advances several directions over
-(n, T, d_in) stacks of equal-length sequences, in one or more groups
-of their own input width and weights, and records the whole
-recurrence as a single tape node with backpropagation-through-time
-inside it.  Directions share a time loop while their stacked recurrent
-weights fit a measured cache-sized cap, as at desk scale; otherwise they
-run in consecutive loops that each fit, so that at paper scale each
-direction's 32 MiB w_h stays in cache over all its steps.  What the
-kernel holds follows from whether a tape records: under one it keeps
-every step's gates, cell state, tanh of the cell state and hidden state
-for BPTT; without one (evaluation, summarize, the generator forward of a
-critic update) consecutive loops reuse one loop's pre-activation and
+(n, T, d_in) stacks of equal-length sequences, in one or more groups of
+their own input width and weights, and records the whole recurrence as a
+single tape node with backpropagation-through-time inside it.  A time
+step runs a fixed sequence of numpy calls into preallocated buffers.
+Directions share a time loop while their stacked recurrent weights fit a
+measured cache-sized cap, as at desk scale; otherwise they run in
+consecutive loops that each fit, so that at paper scale each direction's
+32 MiB w_h stays in cache over all its steps.  What the kernel holds
+follows from whether a tape records: under one it keeps every step's
+gates, cell state, tanh of the cell state and hidden state for BPTT;
+without one (evaluation, summarize, the generator forward of a critic
+update) consecutive loops reuse one loop's pre-activation and
 hidden-state buffers, the pre-activations span one row_blocks block of
 steps, the cell state and its tanh keep one step, and only one loop's
 hidden states and the output span all steps.  lstm_sequence is its
 one-direction, one-sequence case; bilstm_forward runs both directions of
-a stack; the critic runs its video and summary branches as two groups
-of one call.
-Equivalence tests tie the kernel to lstm_cell, the batched calls to
+a stack; the critic runs its video and summary branches as two groups of
+one call.
+Equivalence tests tie the kernel to lstm_cell, its values bit for bit
+to a plain per-pair numpy loop in its op order, the batched calls to
 separate ones and the no-tape values to the taped ones.
 """
 
@@ -339,8 +341,11 @@ def _recurrence(groups, name: str) -> Tensor:
     The sequence axis is padded to the largest n; a padded pair starts
     from zero pre-activations and zero gradients, stays finite and is
     never read.  Gate activations overwrite the pre-activation buffer,
-    and the loop writes into preallocated buffers only.  Hidden states
-    go to a T+1-row buffer whose first row is the zero start state.
+    and the loop writes into preallocated buffers only, the logistic's
+    scratch included; the step's views of the gate blocks, of its
+    matmul input and of its state rows come from iterating over step
+    axes built once per block.  Hidden states go to a T+1-row buffer
+    whose first row is the zero start state.
 
     The loop body is the same in both modes; the buffers differ.  Under
     a recording tape there is one block of T steps, every slot has its
@@ -412,6 +417,8 @@ def _recurrence(groups, name: str) -> Tensor:
     cs = _step_buffer(T, (width, B, H), taped)
     tc = _step_buffer(T, (width, B, H), taped)
     zh = np.empty((wide, B, 1, 4 * H))
+    e = np.empty((wide, B, 4 * H))  # the logistic's scratch
+    nonneg = np.empty((wide, B, 4 * H), dtype=bool)
     g = np.empty((wide, B, H))
     ig = np.empty((wide, B, H))
     out = np.empty((sum(len(seq.data) for seq, _ in groups), T, D * H))
@@ -420,7 +427,9 @@ def _recurrence(groups, name: str) -> Tensor:
         m_s = s.stop - s.start
         ks = s if taped else slice(0, m_s)  # this loop's slots in the step buffers
         pre_s, hs_s, cs_s, tc_s = pre[:, ks], hs[:, ks], cs[:, ks], tc[:, ks]
-        zh_s, g_s, ig_s = zh[:m_s], g[:m_s], ig[:m_s]
+        zh_s, e_s, nonneg_s, g_s, ig_s = zh[:m_s], e[:m_s], nonneg[:m_s], g[:m_s], ig[:m_s]
+        zh_rows = zh_s[:, :, 0]
+        h_rows = hs_s[:, :, :, None, :]  # [t] is the matmul's (m, B, 1, H) input at step t
         c = np.zeros(g_s.shape)
         for block in steps:
             t0, t1 = block.start, block.stop
@@ -435,15 +444,19 @@ def _recurrence(groups, name: str) -> Tensor:
                 np.matmul(x, p.w_x.data, out=pre_b[:, k, :n].transpose(1, 0, 2))
                 pre_b[:, k, :n] += p.b.data
                 pre_b[:, k, n:] = 0.0
-            for t in range(t0, t1):
-                z = pre_b[t - t0]
-                z += np.matmul(hs_s[t, :, :, None, :], w_h, out=zh_s)[:, :, 0]
-                np.tanh(z[..., 2 * H : 3 * H], out=g_s)
-                _sigmoid(z, out=z)
-                z[..., 2 * H : 3 * H] = g_s
-                c = np.multiply(z[..., H : 2 * H], c, out=cs_s[t])
-                c += np.multiply(z[..., :H], g_s, out=ig_s)
-                np.multiply(z[..., 3 * H :], np.tanh(c, out=tc_s[t]), out=hs_s[t + 1])
+            # the block's per-step views, taken by iterating over step axes
+            gate_blocks = [pre_b[..., j * H : (j + 1) * H] for j in range(4)]
+            for z, zi, zf, zg, zo, h, h_next, c_t, tc_t in zip(
+                pre_b, *gate_blocks, h_rows[t0:t1], hs_s[t0 + 1 : t1 + 1], cs_s[t0:t1], tc_s[t0:t1]
+            ):
+                np.matmul(h, w_h, out=zh_s)
+                z += zh_rows
+                np.tanh(zg, out=g_s)
+                _sigmoid(z, out=z, e=e_s, nonneg=nonneg_s)
+                zg[...] = g_s
+                c = np.multiply(zf, c, out=c_t)
+                c += np.multiply(zi, g_s, out=ig_s)
+                np.multiply(zo, np.tanh(c, out=tc_t), out=h_next)
         for k, m in enumerate(range(s.start, s.stop)):
             _, n, reverse, cols = out_cols[m]
             cols[...] = in_time(seq_major(hs_s[1:], k, n), reverse)

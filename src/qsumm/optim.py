@@ -32,24 +32,27 @@ def rmsprop_step(
     """acc = decay*acc + (1-decay)*g^2; p -= lr*g/sqrt(acc + eps), in place.
 
     Parameters whose .grad is None are treated as zero-gradient: their
-    accumulator decays and their value stays put.  Each tensor's update
+    accumulator decays and their value stays put.  Every gradient is
+    checked before any tensor changes, so a non-finite one raises
+    NumericError, naming the first such tensor, with every parameter,
+    accumulator and the step count as they were.  Each tensor's update
     runs the IEEE operations of that formula, in the order of the
     expression ((1-decay)*g)*g, acc + eps, (lr*g) / sqrt(...), in two
-    float64 temporaries of its size beside the finiteness check's mask.
+    float64 temporaries of its size.
     """
     if lr <= 0.0:
         raise ConfigError(f"rmsprop_step: lr must be positive, got {lr}")
     if not 0.0 <= decay < 1.0:
         raise ConfigError(f"rmsprop_step: decay must be in [0, 1), got {decay}")
     for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericError(f"rmsprop_step: non-finite gradient for {name!r}")
+    for name, p in params.items():
         acc = state.acc[name]
         g = p.grad
-        if g is None:
-            acc *= decay
-            continue
-        if not np.isfinite(g).all():
-            raise NumericError(f"rmsprop_step: non-finite gradient for {name!r}")
         acc *= decay
+        if g is None:
+            continue
         step = np.multiply(1.0 - decay, g)
         step *= g
         acc += step

@@ -383,15 +383,19 @@ def absolute(x) -> Tensor:
     return out
 
 
-def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None, e=None, nonneg=None) -> np.ndarray:
     """Stable logistic: 1/(1+e) where z >= 0, else e/(1+e), e = exp(-|z|).
 
-    out=z evaluates it in place.
+    out=z evaluates it in place.  e (float64) and nonneg (bool), arrays
+    of z's shape, are scratch that a caller running it at every step
+    allocates once; without them it allocates its temporaries.
     """
-    e = np.exp(-np.abs(z))
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    nonneg = np.greater_equal(z, 0.0, out=nonneg)
     # e <= 1, so the max picks 1 where z >= 0 and e below; NaN stays NaN
-    num = np.maximum(e, z >= 0.0)
-    return np.divide(num, 1.0 + e, out=out)
+    num = np.maximum(e, nonneg, out=out)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def sigmoid(x) -> Tensor:

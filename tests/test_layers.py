@@ -24,7 +24,7 @@ from qsumm.layers import (
     lstm_sequence,
     row_blocks,
 )
-from qsumm.tensor import Tape, Tensor, mean_all
+from qsumm.tensor import Tape, Tensor, _sigmoid, mean_all
 
 
 class TestLinear:
@@ -589,6 +589,80 @@ class TestRecurrenceLoops:
         tape.backward(loss)
         for a, t in zip(fused, watch):
             assert max_rel_err(a, t.grad) < 1e-10
+
+
+def oracle_recurrence(groups) -> np.ndarray:
+    """_recurrence's forward in plain numpy, one (direction, sequence) at
+    a time, in the kernel's op order: the sequence's input projection
+    plus bias, then per step one (1, H) @ (H, 4H) product added to the
+    step's row, the allocating _sigmoid with tanh of the g block written
+    over it, c = f*c + i*g and h = o*tanh(c)."""
+    H = groups[0][1][0][0].d_h
+    out = []
+    for seq, dirs in groups:
+        block = np.empty(seq.data.shape[:2] + (len(dirs) * H,))
+        for b, xs in enumerate(seq.data):
+            for k, (p, reverse) in enumerate(dirs):
+                x = np.ascontiguousarray(xs[::-1]) if reverse else xs
+                pre = x @ p.w_x.data + p.b.data
+                h, c = np.zeros(H), np.zeros(H)
+                hs = []
+                for t in range(len(x)):
+                    z = pre[t] + (h[None, :] @ p.w_h.data)[0]
+                    g = np.tanh(z[2 * H : 3 * H])
+                    a = _sigmoid(z)
+                    a[2 * H : 3 * H] = g
+                    c = a[H : 2 * H] * c + a[:H] * g
+                    h = a[3 * H :] * np.tanh(c)
+                    hs.append(h)
+                block[b, :, k * H : (k + 1) * H] = hs[::-1] if reverse else hs
+        out.append(block)
+    return np.concatenate(out)
+
+
+def pin_pre_activations(groups):
+    """Zero some gate columns of every direction's weights and set their
+    bias to +700, -700 or 0, so those pre-activations are exactly that
+    at every step: exp(-700) is near the bottom of the normal range."""
+    H = groups[0][1][0][0].d_h
+    cols = [0, 1, H + 1, 2 * H, 2 * H + 1, 3 * H, 3 * H + 2]
+    for _, dirs in groups:
+        for p, _ in dirs:
+            p.w_x.data[:, cols] = 0.0
+            p.w_h.data[:, cols] = 0.0
+            p.b.data[cols] = [700.0, -700.0, 0.0, 700.0, -700.0, 0.0, -700.0]
+    return groups
+
+
+class TestRecurrenceOracle:
+    """The kernel's values equal a plain per-pair loop bit for bit, so a
+    reordered step fails here even where it stays within lstm_cell's
+    tolerance."""
+
+    @pytest.mark.parametrize("kind", ["one direction", "bilstm n_seq=3", "critic"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_kernel_bit_equals_oracle(self, kind, split, monkeypatch):
+        if split:
+            monkeypatch.setattr(layers, "_LOOP_WEIGHT_BYTES", 0)
+        groups = pin_pre_activations(recurrence_case(kind))
+        want = oracle_recurrence(groups)
+        seqs = [seq for seq, _ in groups]
+        with Tape(watch=seqs):
+            taped = _recurrence(groups, "test").data
+        assert np.array_equal(taped, want)
+        assert np.array_equal(_recurrence(groups, "test").data, want)
+
+    def test_bilstm_forward_bit_equals_oracle(self):
+        pf, pb, seqs = stack_and_params(39, n=3, T=7)
+        seq = Tensor(seqs)
+        groups = pin_pre_activations([(seq, [(pf, False), (pb, True)])])
+        want = oracle_recurrence(groups)
+        with Tape(watch=[seq]):
+            taped = bilstm_forward(seq, pf, pb).data
+        assert np.array_equal(taped, want)
+        assert np.array_equal(bilstm_forward(seq, pf, pb).data, want)
+        # unit 2's output gate is pinned at sigmoid(-700), about 1e-304
+        assert 0.0 < np.abs(want[..., 2]).max() < 1e-300
 
 
 class TestRecurrenceModes:

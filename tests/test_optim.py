@@ -52,6 +52,18 @@ class TestRmsprop:
             rmsprop_step({"enc_w": p}, state, lr=0.1)
         assert "enc_w" in str(ei.value)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        # a finite gradient on a, listed first, and NaN on b: the raise
+        # comes before a or any accumulator moves
+        a, b = Tensor([1.0]), Tensor([2.0])
+        a.grad, b.grad = np.array([0.5]), np.array([np.nan])
+        state = OptimizerState(acc={"a": np.zeros(1), "b": np.array([0.3])}, step=7)
+        with pytest.raises(NumericError, match="'b'"):
+            rmsprop_step({"a": a, "b": b}, state, lr=0.1)
+        assert a.data.tolist() == [1.0] and b.data.tolist() == [2.0]
+        assert state.acc["a"].tolist() == [0.0] and state.acc["b"].tolist() == [0.3]
+        assert state.step == 7
+
     def test_bad_lr(self):
         p = Tensor([1.0])
         with pytest.raises(ConfigError):

@@ -87,6 +87,10 @@ class TestForward:
         buf = z.reshape(4, -1).copy()
         _sigmoid(buf, out=buf)
         assert np.array_equal(buf.ravel().view(np.int64), want)
+        # with the scratch the recurrence kernel passes at every step
+        buf = z.reshape(4, -1).copy()
+        _sigmoid(buf, out=buf, e=np.empty(buf.shape), nonneg=np.empty(buf.shape, dtype=bool))
+        assert np.array_equal(buf.ravel().view(np.int64), want)
 
     def test_structural_ops(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))

@@ -13,7 +13,6 @@ mean per-query deviation of summary length from the target fraction.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -70,25 +69,20 @@ def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
-@functools.lru_cache(maxsize=4096)
-def _exact(x: float) -> Fraction:
-    """The fraction a positive weight x reads as: the fraction q of
-    denominator <= 2**26 nearest to x when q rounds back to x, and x's
-    own binary fraction otherwise, so an IoU a/b reads exactly as a/b.
-    IoU values repeat across rows and calls, so readings are cached."""
-    q = Fraction(x).limit_denominator(1 << 26)
-    return q if float(q) == x else Fraction(x)
-
-
 def _integer_weights(values, k: int) -> dict:
     """Exact integer weights of a matrix's distinct positive values.
 
-    Each value x reads as the fraction _exact(x).  Over L, the lcm of
-    the values' denominators, a/b weighs a*(L/b)*k + 1: with k above the
-    largest possible matching size, a heavier integer total is a heavier
-    exact total or, at an equal one, more pairs.
+    A value x reads as the fraction q of denominator <= 2**26 nearest to
+    it when q rounds back to x, and as x's own binary fraction otherwise,
+    so an IoU a/b reads exactly as a/b.  Over L, the lcm of the values'
+    denominators, a/b weighs a*(L/b)*k + 1: with k above the largest
+    possible matching size, a heavier integer total is a heavier exact
+    total or, at an equal one, more pairs.
     """
-    exact = {x: _exact(x) for x in values}
+    exact = {}
+    for x in values:
+        q = Fraction(x).limit_denominator(1 << 26)
+        exact[x] = q if float(q) == x else Fraction(x)
     scale = math.lcm(*(q.denominator for q in exact.values()))
     return {x: q.numerator * (scale // q.denominator) * k + 1 for x, q in exact.items()}
 
@@ -212,8 +206,7 @@ def max_weight_matching(weights) -> list:
     for rows, sent in zip(kinds, flow):
         free = iter(rows)
         for taken, units in zip(unused, sent):
-            if units:
-                pairs += [(next(free), next(taken)) for _ in range(units)]
+            pairs += [(next(free), next(taken)) for _ in range(units)]
     pairs.sort()
     return pairs
 

@@ -202,22 +202,6 @@ class TestMatching:
         assert max_weight_matching(w) == [(0, 0), (1, 2), (2, 1)]
         assert sides == [([2, 1], [2, 1])]
 
-    def test_cold_and_warm_readings_give_the_same_pairs(self, desk_corpus):
-        assert evaluation._exact.cache_info().maxsize is not None
-        matrices = [np.array([[1.0, 0.5], [0.5, 0.0]])]
-        for video in desk_corpus.videos:
-            incidence = _concept_incidence(video.annotations)
-            everything = np.arange(video.n_shots)
-            matrices += [_iou_matrix(incidence, everything, np.flatnonzero(q.gt_mask))
-                         for q in video.queries]
-        evaluation._exact.cache_clear()
-        cold = [max_weight_matching(w) for w in matrices]
-        assert evaluation._exact.cache_info().hits > 0
-        warm = [max_weight_matching(w) for w in matrices]
-        evaluation._exact.cache_clear()
-        assert cold[0] == warm[0] == [(0, 1), (1, 0)]
-        assert [max_weight_matching(w) for w in matrices] == cold == warm
-
     def test_permutation_invariant_total(self):
         rng = np.random.default_rng(101)
         for _ in range(20):

@@ -4,9 +4,9 @@ Subcommands: synth (write a synthetic corpus), train (corpus to
 checkpoint plus metrics log), evaluate (checkpoint to matching report),
 summarize (per-shot scores for one video and query), gradcheck (the
 finite-difference verification suite).  Exit codes: 0 success, 1 usage
-error, 2 runtime failure.  Config files are JSON with optional "synth"
-and "train" objects; explicit flags win over file values, which win
-over defaults.
+error, 2 runtime failure.  Config files are JSON with optional "synth",
+"train" and "generator" objects; explicit flags win over file values,
+which win over defaults.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _load_config_file(path) -> dict:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(cfg) - {"synth", "train"}
+    unknown = set(cfg) - {"synth", "train", "generator"}
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
     for name, section in cfg.items():
@@ -137,13 +137,17 @@ def _cmd_train(args) -> int:
             "--paper-scale cannot be combined with --checkpoint: "
             "a resumed run keeps the model widths of its checkpoint"
         )
-    section = {}
-    if args.config:
-        section = _load_config_file(args.config).get("train", {})
+    sections = _load_config_file(args.config) if args.config else {}
+    if args.checkpoint and "generator" in sections:
+        raise ConfigError(
+            f"{args.config}: a generator section cannot be combined with --checkpoint: "
+            "a resumed run keeps the generator config of its checkpoint"
+        )
+    source = args.config or "<flags>"
     # a resumed run keeps its own config, and the file and flags change it
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
     base = resume.train_cfg if resume is not None else TrainConfig()
-    cfg = _overlay(TrainConfig, dataclasses.asdict(base), section, args.config or "<flags>")
+    cfg = _overlay(TrainConfig, dataclasses.asdict(base), sections.get("train", {}), source)
     overrides = {}
     if args.ablation is not None:
         # every ablation weight: the variant's own, or else its default
@@ -155,10 +159,16 @@ def _cmd_train(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     corpus = load_corpus(_corpus_manifest(args.corpus))
-    # train() takes dims and tau from the corpus, and a resume its configs
+    # train() takes dims and tau from the corpus, and a resume its configs;
+    # a generator section overlays the config train() would build, and
+    # train() rejects dims or a tau that the section made disagree
     gen_cfg = disc_cfg = None
+    if args.paper_scale or "generator" in sections:
+        scale = GeneratorConfig.paper_scale if args.paper_scale else GeneratorConfig
+        gen_cfg = _overlay(GeneratorConfig,
+                           dataclasses.asdict(scale(**corpus.dims, tau=cfg.tau)),
+                           sections.get("generator", {}), source)
     if args.paper_scale:
-        gen_cfg = GeneratorConfig.paper_scale(**corpus.dims, tau=cfg.tau)
         disc_cfg = DiscriminatorConfig.paper_scale(gen_cfg)
     result = train(corpus, cfg, gen_cfg=gen_cfg, disc_cfg=disc_cfg,
                    out_dir=args.out, resume=resume)

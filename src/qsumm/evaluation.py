@@ -17,7 +17,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -69,22 +69,56 @@ def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
+def _iou_table(annotations):
+    """Each shot's index among a video's distinct concept sets, in order
+    of first occurrence, and the _iou_matrix of those sets: the IoU of
+    shots i and j is table[index[i], index[j]]."""
+    sets = {}
+    index = np.array([sets.setdefault(frozenset(c), len(sets)) for c in annotations],
+                     dtype=np.intp)
+    every = np.arange(len(sets))
+    return index, _iou_matrix(_concept_incidence(list(sets)), every, every)
+
+
+def _exact_ratio(x: float) -> tuple:
+    """x > 0 as (numerator, denominator) in lowest terms: the fraction q
+    of denominator <= 2**26 nearest to x when q rounds back to x, and x's
+    own binary fraction otherwise.
+
+    q is Fraction(x).limit_denominator(2**26), computed in plain ints:
+    the continued-fraction convergents of x up to the bound, then the
+    nearer of the last convergent p1/q1 and the semiconvergent beyond
+    it, p1/q1 on a tie.  Their distance apart is 1/(q1*(q0+k*q1)) and
+    p1/q1's from x is rest/(q1*den), so p1/q1 wins when
+    2*rest*(q0+k*q1) <= den.
+    """
+    num, den = x.as_integer_ratio()
+    limit = 1 << 26
+    if den <= limit:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, rest = num, den
+    while (q2 := q0 + (a := n // rest) * q1) <= limit:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, rest = rest, n - a * rest
+    k = (limit - q0) // q1
+    if 2 * rest * (q0 + k * q1) > den:
+        p1, q1 = p0 + k * p1, q0 + k * q1
+    return (p1, q1) if p1 / q1 == x else (num, den)
+
+
 def _integer_weights(values, k: int) -> dict:
     """Exact integer weights of a matrix's distinct positive values.
 
-    A value x reads as the fraction q of denominator <= 2**26 nearest to
-    it when q rounds back to x, and as x's own binary fraction otherwise,
-    so an IoU a/b reads exactly as a/b.  Over L, the lcm of the values'
-    denominators, a/b weighs a*(L/b)*k + 1: with k above the largest
-    possible matching size, a heavier integer total is a heavier exact
-    total or, at an equal one, more pairs.
+    Each value x reads as _exact_ratio(x), so an IoU a/b reads exactly
+    as a/b.  Over L, the lcm of the values' denominators, a/b weighs
+    a*(L/b)*k + 1: with k above the largest possible matching size, a
+    heavier integer total is a heavier exact total or, at an equal one,
+    more pairs.
     """
-    exact = {}
-    for x in values:
-        q = Fraction(x).limit_denominator(1 << 26)
-        exact[x] = q if float(q) == x else Fraction(x)
-    scale = math.lcm(*(q.denominator for q in exact.values()))
-    return {x: q.numerator * (scale // q.denominator) * k + 1 for x, q in exact.items()}
+    exact = {x: _exact_ratio(x) for x in values}
+    scale = math.lcm(*(den for _, den in exact.values()))
+    return {x: num * (scale // den) * k + 1 for x, (num, den) in exact.items()}
 
 
 def _transport(profit, supply, demand) -> list:
@@ -110,16 +144,16 @@ def _transport(profit, supply, demand) -> list:
     pot_k = [max(row) for row in profit]
     pot_c = [0] * (nc + 1)  # classes, then the sink
     into = [{} for _ in range(nc)]  # into[c][r]: units sent from kind r to class c
-    INF = float("inf")
+    unreached = [float("inf")] * (nc + 1)
+    every = list(range(nc + 1))
+    prev = [0] * (nc + 1)  # the kind a class or the sink was reached from
+    back = [None] * nk  # the class a kind was reached back from, -1: the source
     for source in range(nk):
         while supply[source]:
-            dist = [INF] * (nc + 1)
-            prev = [0] * (nc + 1)  # the kind a class or the sink was reached from
-            back = [None] * nk  # the class a kind was reached back from, -1: the source
-            kdist = [INF] * nk
-            back[source], kdist[source] = -1, 0
-            frontier, du = [source], 0
-            todo = list(range(nc + 1))
+            dist, todo = unreached[:], every[:]
+            back[source] = -1
+            reached, popped = [source], []  # kinds and left-behind classes, in order
+            frontier, du = reached, 0
             while True:
                 for r in frontier:
                     base = du + pot_k[r]
@@ -133,11 +167,18 @@ def _transport(profit, supply, demand) -> list:
                 if end == nc or demand[end]:
                     break
                 todo.remove(end)
+                popped.append(end)
                 frontier = [r for r in into[end] if back[r] is None]
                 for r in frontier:
-                    back[r], kdist[r] = end, du
-            pot_k = [p + (d if d < du else du) for p, d in zip(pot_k, kdist)]
-            pot_c = [p + (d if d < du else du) for p, d in zip(pot_c, dist)]
+                    back[r] = end
+                reached += frontier
+            # Dijkstra's potential update, min(dist, du), shifted by -du:
+            # every reduced cost stays as it was, and what was not reached
+            # keeps its potential
+            for c in popped:
+                pot_c[c] += dist[c] - du
+            for r in reached:
+                pot_k[r] += (dist[back[r]] if r != source else 0) - du
             units, r = supply[source], prev[end]
             if end < nc:
                 units = min(units, demand[end])
@@ -157,6 +198,8 @@ def _transport(profit, supply, demand) -> list:
                     into[c][r] -= units
                     if not into[c][r]:
                         del into[c][r]
+            for r in reached:
+                back[r] = None
     return [[flows.get(r, 0) for flows in into] for r in range(nk)]
 
 
@@ -206,7 +249,8 @@ def max_weight_matching(weights) -> list:
     for rows, sent in zip(kinds, flow):
         free = iter(rows)
         for taken, units in zip(unused, sent):
-            pairs += [(next(free), next(taken)) for _ in range(units)]
+            if units:
+                pairs += zip(islice(free, units), islice(taken, units))
     pairs.sort()
     return pairs
 
@@ -278,13 +322,12 @@ def _query_scores(gparams: GeneratorParams, video, concepts) -> list:
     return scores
 
 
-def _query_row(video, qi: int, query, mask, incidence) -> QueryResult:
-    gen_idx = np.flatnonzero(mask)
+def _query_row(video, qi: int, query, gen_idx, index, table) -> QueryResult:
     gt_idx = np.flatnonzero(query.gt_mask)
-    weights = _iou_matrix(incidence, gen_idx, gt_idx)
+    weights = table[index[gen_idx]][:, index[gt_idx]]
     matched = len(max_weight_matching(weights))
-    p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
-    gamma_q = float(query.gt_mask.mean())
+    n_selected, n_gt = gen_idx.size, gt_idx.size
+    p, r, f1 = prf(matched, n_selected, n_gt)
     return QueryResult(
         video_id=video.video_id,
         query_index=qi,
@@ -292,11 +335,23 @@ def _query_row(video, qi: int, query, mask, incidence) -> QueryResult:
         precision=p,
         recall=r,
         f1=f1,
-        n_selected=int(gen_idx.size),
-        n_gt=int(gt_idx.size),
-        length_dev=abs(float(mask.mean()) - gamma_q),
-        length_delta=float(mask.sum()) - float(gt_idx.size),
+        n_selected=n_selected,
+        n_gt=n_gt,
+        length_dev=abs(n_selected / video.n_shots - n_gt / video.n_shots),
+        length_delta=float(n_selected - n_gt),
     )
+
+
+def _predicted_mask(video, qi: int, mask) -> np.ndarray:
+    """A predict hook's mask, checked to be one 0 or 1 per shot."""
+    mask = np.asarray(mask)
+    where = f"evaluate: predict for video {video.video_id} query {qi}"
+    if mask.shape != (video.n_shots,):
+        raise ContractError(f"{where} gave shape {mask.shape}, need ({video.n_shots},)")
+    if not (mask.dtype == np.bool_ or np.issubdtype(mask.dtype, np.number)) \
+            or not ((mask == 0) | (mask == 1)).all():
+        raise ContractError(f"{where} gave entries other than 0 and 1")
+    return mask
 
 
 def _report(split: str, threshold: float, rows: list) -> EvalReport:
@@ -350,10 +405,14 @@ def evaluate_grid(
     the zero conventions and drag the averages down for the wrong
     reason.
 
+    Each video's distinct concept sets get one IoU table, so a query's
+    IoU matrix is two lookups into it.
+
     predict, when given, replaces the generator: called as
-    predict(video, query) for every threshold and expected to return a
-    binary mask over the video's shots.  Evaluation hooks and oracle
-    tests use it.  Every threshold is checked before any scoring.
+    predict(video, query) for every threshold, it must return a mask of
+    shape (n_shots,) whose entries, bool or numeric, are 0 or 1; any
+    other mask raises ContractError.  Evaluation hooks and oracle tests
+    use it.  Every threshold is checked before any scoring.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
@@ -370,15 +429,15 @@ def evaluate_grid(
                 f"evaluate: video {video.video_id} has {len(video.annotations)} "
                 f"annotation entries for {video.n_shots} shots"
             )
-        incidence = _concept_incidence(video.annotations)
+        index, table = _iou_table(video.annotations)
         scores = _query_scores(gparams, video, corpus.concepts) if predict is None else None
         for threshold, out in zip(thresholds, rows):
             for qi, query in enumerate(video.queries):
                 if predict is not None:
-                    mask = np.asarray(predict(video, query)).astype(np.uint8)
+                    mask = _predicted_mask(video, qi, predict(video, query))
                 else:
                     mask = select_shots(scores[qi], threshold)
-                out.append(_query_row(video, qi, query, mask, incidence))
+                out.append(_query_row(video, qi, query, np.flatnonzero(mask), index, table))
     return [_report(split, th, out) for th, out in zip(thresholds, rows)]
 
 

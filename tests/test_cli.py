@@ -467,7 +467,7 @@ class TestConfigFile:
         assert a != (out_c / "metrics.csv").read_bytes()
 
 
-CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig}
+CONFIG_SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "generator": GeneratorConfig}
 
 
 def violates_type(kind, value) -> bool:
@@ -706,6 +706,53 @@ class TestTrainEvaluateSummarize:
         train_cfg = json.loads(read_sections((out / "checkpoint.qsck").read_bytes(),
                                              "ckpt")["cfg/train"])
         assert train_cfg["omega"] == omega
+
+    def test_generator_section_sets_the_model_config(self, workspace, tmp_path):
+        cfg = write_config(tmp_path, {"train": MINI["train"],
+                                      "generator": {"dropout_p": 0.2, "d_h": 5}})
+        out = tmp_path / "run"
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                        "--config", cfg]) == 0
+        sections = read_sections((out / "checkpoint.qsck").read_bytes(), "ckpt")
+        gen = json.loads(sections["cfg/gen"])
+        want = dict(dataclasses.asdict(GeneratorConfig(
+            d_frame=MINI["synth"]["d_frame"], d_shot=MINI["synth"]["d_shot"],
+            d_text=MINI["synth"]["d_text"])), dropout_p=0.2, d_h=5)
+        assert gen == want
+        assert json.loads(sections["cfg/disc"]) == dataclasses.asdict(
+            DiscriminatorConfig.for_generator(GeneratorConfig(**want)))
+
+    def test_empty_generator_section_trains_as_without_one(self, workspace, tmp_path):
+        cfg = write_config(tmp_path, dict(MINI, generator={}))
+        out = tmp_path / "run"
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                        "--config", cfg]) == 0
+        assert dir_bytes(out) == dir_bytes(workspace["run"])
+
+    @pytest.mark.parametrize("section, message", [
+        ({"d_h": "32"}, "d_h must be int"),
+        ({"d_hidden": 32}, "unknown GeneratorConfig fields ['d_hidden']"),
+        ({"d_frame": 9}, "generator d_frame=9 does not match corpus d_frame=8"),
+        ({"tau": 0.2}, "generator tau 0.2 conflicts with training tau 0.1"),
+    ], ids=["str-d_h", "unknown-field", "d_frame-off-corpus", "tau-off-train"])
+    def test_bad_generator_section_rejected(self, workspace, tmp_path, capsys, section,
+                                            message):
+        cfg = write_config(tmp_path, {"train": MINI["train"], "generator": section})
+        out = tmp_path / "run"
+        assert run_cli(["train", "--corpus", workspace["corpus"], "--out", str(out),
+                        "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_resume_rejects_generator_section(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"generator": {"dropout_p": 0.2}})
+        rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),
+                      "--config", cfg, "--checkpoint", workspace["checkpoint"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "generator section" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
 
     def test_resume_rejects_paper_scale(self, workspace, tmp_path, capsys):
         rc = run_cli(["train", "--corpus", workspace["corpus"], "--out", str(tmp_path / "run"),

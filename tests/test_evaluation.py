@@ -177,6 +177,7 @@ class TestMatching:
             else:
                 w = fixed[trial - 600]
             pairs = max_weight_matching(w)
+            assert pairs == reference_max_weight_matching(w), f"trial {trial}"
             total = sum(w[i, j] for i, j in pairs)
             want_total, want_count = brute_force_best(w)
             assert abs(total - want_total) < 1e-9, f"trial {trial}"
@@ -256,6 +257,152 @@ def reference_hungarian_min(cost: np.ndarray) -> list:
     return [(int(p[j]) - 1, j - 1) for j in range(1, n + 1)]
 
 
+# The matcher as it was before its exact reading moved to plain ints,
+# its transport stopped reallocating per round and its pairs were cut
+# with islice.  Kept verbatim as the oracle for the readings, integer
+# weights and pairs of max_weight_matching.
+def reference_integer_weights(values, k: int) -> dict:
+    """Exact integer weights of a matrix's distinct positive values.
+
+    A value x reads as the fraction q of denominator <= 2**26 nearest to
+    it when q rounds back to x, and as x's own binary fraction otherwise,
+    so an IoU a/b reads exactly as a/b.  Over L, the lcm of the values'
+    denominators, a/b weighs a*(L/b)*k + 1: with k above the largest
+    possible matching size, a heavier integer total is a heavier exact
+    total or, at an equal one, more pairs.
+    """
+    exact = {}
+    for x in values:
+        q = Fraction(x).limit_denominator(1 << 26)
+        exact[x] = q if float(q) == x else Fraction(x)
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    return {x: q.numerator * (scale // q.denominator) * k + 1 for x, q in exact.items()}
+
+
+def reference_transport(profit, supply, demand) -> list:
+    """Max-profit flows from kinds to classes, exact in Python ints.
+
+    Kind r offers supply[r] units, class c takes at most demand[c], and
+    a unit sent from r to c gains profit[r][c] > 0; 0 marks no edge.
+    This is min-cost flow on costs -profit by successive shortest paths.
+    A unit ends in a class with demand left or, unmatched and at no
+    gain, in a sink.  Each round runs Dijkstra on reduced costs from one
+    kind with supply left until it reaches such an end, and sends the
+    bottleneck amount along the path.  Every end keeps the sink's
+    potential, so the first end reached is the nearest.  An edge that
+    carries flow has reduced cost 0 both ways, so the kinds a full class
+    sends back to are reached at its distance, and only classes queue.
+    A round sends at least one unit and costs O(kinds * classes), so a
+    matrix without repeats takes O(n^3).  Returns the kinds x classes
+    flow table.
+    """
+    nk, nc = len(supply), len(demand)
+    supply, demand = list(supply), list(demand)
+    edges = [[(c, p) for c, p in enumerate(row) if p] for row in profit]
+    pot_k = [max(row) for row in profit]
+    pot_c = [0] * (nc + 1)  # classes, then the sink
+    into = [{} for _ in range(nc)]  # into[c][r]: units sent from kind r to class c
+    INF = float("inf")
+    for source in range(nk):
+        while supply[source]:
+            dist = [INF] * (nc + 1)
+            prev = [0] * (nc + 1)  # the kind a class or the sink was reached from
+            back = [None] * nk  # the class a kind was reached back from, -1: the source
+            kdist = [INF] * nk
+            back[source], kdist[source] = -1, 0
+            frontier, du = [source], 0
+            todo = list(range(nc + 1))
+            while True:
+                for r in frontier:
+                    base = du + pot_k[r]
+                    for c, p in edges[r]:
+                        if (d := base - p - pot_c[c]) < dist[c]:
+                            dist[c], prev[c] = d, r
+                    if (d := base - pot_c[nc]) < dist[nc]:
+                        dist[nc], prev[nc] = d, r
+                end = min(todo, key=dist.__getitem__)
+                du = dist[end]
+                if end == nc or demand[end]:
+                    break
+                todo.remove(end)
+                frontier = [r for r in into[end] if back[r] is None]
+                for r in frontier:
+                    back[r], kdist[r] = end, du
+            pot_k = [p + (d if d < du else du) for p, d in zip(pot_k, kdist)]
+            pot_c = [p + (d if d < du else du) for p, d in zip(pot_c, dist)]
+            units, r = supply[source], prev[end]
+            if end < nc:
+                units = min(units, demand[end])
+            while r != source:
+                units = min(units, into[back[r]][r])
+                r = prev[back[r]]
+            supply[source] -= units
+            if end < nc:
+                demand[end] -= units
+            c = end
+            while c != -1:
+                r = prev[c]
+                if c < nc:
+                    into[c][r] = into[c].get(r, 0) + units
+                c = back[r]
+                if c != -1:
+                    into[c][r] -= units
+                    if not into[c][r]:
+                        del into[c][r]
+    return [[flows.get(r, 0) for flows in into] for r in range(nk)]
+
+
+def reference_max_weight_matching(weights) -> list:
+    """Pairs (i, j) of a maximum-weight matching of a rectangular matrix,
+    and among those of one with the most pairs.
+
+    Only positive entries are edges, and weights compare as the exact
+    fractions reference_integer_weights reads them as.  So [[1, .5], [.5, 0]]
+    gives [(0, 1), (1, 0)], and three pairs at IoU 1/3 tie two at IoU
+    1/2 and win, although 3 * fl(1/3) < 1.  Rows and columns without a
+    positive entry drop out.  Equal rows form kinds and equal columns
+    classes, each in order of first occurrence: lines are compared by
+    the bytes of their values with -0.0 read as 0.0, so lines are equal
+    when their values compare equal.  reference_transport solves the problem once
+    over kinds x classes.  Each kind-class flow becomes pairs of the
+    kind's lowest unused rows with the class's lowest unused columns.
+    Pairs come back sorted.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2:
+        raise ContractError(f"max_weight_matching: need a matrix, got shape {w.shape}")
+    n_gen, n_gt = w.shape
+    if n_gen == 0 or n_gt == 0:
+        return []
+    if not np.isfinite(w).all():
+        raise ContractError("max_weight_matching: weights must be finite")
+    w = w + 0.0  # -0.0 + 0.0 is 0.0, so lines whose values compare equal have equal bytes
+    pos = w > 0.0
+    kinds, classes = {}, {}
+    for lines, live, group in ((w, pos.any(axis=1), kinds), (w.T, pos.any(axis=0), classes)):
+        idx = np.flatnonzero(live)
+        # each line with a positive entry as one bytes object
+        keys = np.ascontiguousarray(lines[idx]).view(f"V{8 * lines.shape[1]}").ravel()
+        for i, key in zip(idx.tolist(), keys.tolist()):
+            group.setdefault(key, []).append(i)
+    if not kinds:
+        return []
+    kinds, classes = list(kinds.values()), list(classes.values())
+    table = w[[m[0] for m in kinds]][:, [m[0] for m in classes]].tolist()
+    weight = reference_integer_weights({x for row in table for x in row if x > 0.0},
+                              min(n_gen, n_gt) + 1)
+    flow = reference_transport([[weight.get(x, 0) for x in row] for row in table],
+                      [len(m) for m in kinds], [len(m) for m in classes])
+    unused = [iter(m) for m in classes]
+    pairs = []
+    for rows, sent in zip(kinds, flow):
+        free = iter(rows)
+        for taken, units in zip(unused, sent):
+            pairs += [(next(free), next(taken)) for _ in range(units)]
+    pairs.sort()
+    return pairs
+
+
 def random_annotations(rng, n, pool, max_len=3):
     """Shots annotated like the synthetic corpus, 0 to max_len-1 ids each
     from a small pool, with repeats, so equal IoU values are common."""
@@ -297,10 +444,61 @@ class TestMatchingAgainstReference:
         for n_gen, n_gt in [(60, 60), (120, 90), (90, 120), (250, 250), (250, 100)]:
             w = iou_like(rng, n_gen, n_gt)
             pairs = max_weight_matching(w)
+            assert pairs == reference_max_weight_matching(w)
             r, c = optimize.linear_sum_assignment(w, maximize=True)
             assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
             assert sum(w[i, j] for i, j in pairs) == pytest.approx(
                 w[r, c].sum(), rel=1e-12, abs=1e-12)
+
+
+class TestSlowPathOracles:
+    def test_small_fractions_read_as_limit_denominator(self):
+        for b in range(1, 65):
+            for a in range(1, 2 * b + 1):
+                x = a / b
+                assert evaluation._exact_ratio(x) == exact_iou(x).as_integer_ratio(), (a, b)
+
+    def test_any_positive_float_reads_as_limit_denominator(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        positive = st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),  # subnormal
+            st.floats(min_value=1e-9, max_value=1.0),
+            st.just(1.0),
+        )
+
+        @hypothesis.settings(max_examples=2000, deadline=None, database=None)
+        @hypothesis.given(x=positive)
+        def check(x):
+            assert evaluation._exact_ratio(x) == exact_iou(x).as_integer_ratio()
+
+        check()
+
+    def test_integer_weights_equal_reference(self):
+        rng = np.random.default_rng(315)
+        pools = [[a / b for b in range(1, 13) for a in range(1, b + 1)],
+                 rng.uniform(0.0, 1.0, 40).tolist(),
+                 [5e-324, 1e-300, 1.0, 2.0, 1e300]]
+        for pool in pools:
+            for trial in range(30):
+                values = set(rng.choice(pool, size=int(rng.integers(1, 8))).tolist())
+                k = int(rng.integers(1, 100))
+                assert (evaluation._integer_weights(values, k)
+                        == reference_integer_weights(values, k))
+
+    def test_pairs_equal_reference_on_corpus_iou_matrices(self):
+        corpus = synth_corpus(SynthConfig(n_videos=6), seed=9)
+        rng = np.random.default_rng(316)
+        for video in corpus.videos:
+            index, table = evaluation._iou_table(video.annotations)
+            for query in video.queries:
+                gt = np.flatnonzero(query.gt_mask)
+                for share in (0.1, 0.5, 0.9):
+                    gen = np.flatnonzero(rng.uniform(size=video.n_shots) < share)
+                    w = table[index[gen]][:, index[gt]]
+                    assert np.array_equal(w, iou_loop(video.annotations, gen, gt))
+                    assert max_weight_matching(w) == reference_max_weight_matching(w)
 
 
 def list_hungarian_min(cost: np.ndarray) -> list:
@@ -381,6 +579,7 @@ def assert_optimal(w: np.ndarray, weight_solver=list_hungarian_min):
     below 2**53 on the inputs here, so scipy's floats hold them exactly."""
     optimize = pytest.importorskip("scipy.optimize")
     pairs = max_weight_matching(w)
+    assert pairs == reference_max_weight_matching(w)
     assert pairs == sorted(pairs)
     assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
     assert all(w[i, j] > 0 for i, j in pairs)
@@ -527,6 +726,37 @@ class TestIouMatrix:
         assert np.array_equal(_iou_matrix(inc, [0, 1], [1]), np.zeros((2, 1)))
 
 
+class TestIouTable:
+    def test_lookups_equal_iou_loop(self):
+        # pool 5 and up to 4 ids per shot: repeated ids, concept-less shots
+        # and shots with equal sets are common
+        rng = np.random.default_rng(305)
+        for trial in range(50):
+            ann = random_annotations(rng, int(rng.integers(1, 30)), pool=5, max_len=5)
+            index, table = evaluation._iou_table(ann)
+            assert table.shape == (len({frozenset(c) for c in ann}),) * 2
+            rows = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
+            cols = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
+            w = table[index[rows]][:, index[cols]]
+            assert w.dtype == np.float64 and w.shape == (rows.size, cols.size)
+            assert np.array_equal(w, iou_loop(ann, rows, cols)), f"trial {trial}"
+            assert np.array_equal(w, _iou_matrix(_concept_incidence(ann), rows, cols))
+
+    def test_equal_sets_share_an_index(self):
+        ann = [(), (3, 3), (3,), (7, 3), (3, 7, 7), (), (9,)]
+        index, table = evaluation._iou_table(ann)
+        assert index.tolist() == [0, 1, 1, 2, 2, 0, 3]
+        everything = np.arange(len(ann))
+        assert np.array_equal(table[index][:, index], iou_loop(ann, everything, everything))
+        assert table[0, 0] == 0.0 and table[1, 2] == 0.5
+
+    def test_video_without_shots_or_concepts(self):
+        index, table = evaluation._iou_table([])
+        assert index.shape == (0,) and table.shape == (0, 0)
+        index, table = evaluation._iou_table([(), ()])
+        assert index.tolist() == [0, 0] and np.array_equal(table, np.zeros((1, 1)))
+
+
 class TestPrf:
     def test_perfect(self):
         assert prf(3, 3, 3) == (1.0, 1.0, 1.0)
@@ -652,6 +882,38 @@ class TestEvaluate:
         )
         with pytest.raises(FormatError):
             evaluate(mini_params, broken, "train")
+
+
+class TestPredictMask:
+    @pytest.mark.parametrize("mask, message", [
+        (lambda n: np.ones(n - 5, dtype=np.uint8), "gave shape"),
+        (lambda n: np.ones(n + 5, dtype=np.uint8), "gave shape"),
+        (lambda n: np.ones((1, n), dtype=np.uint8), "gave shape"),
+        (lambda n: np.full(n, 2.0), "gave entries other than 0 and 1"),
+        (lambda n: np.full(n, 0.5), "gave entries other than 0 and 1"),
+        (lambda n: np.full(n, np.nan), "gave entries other than 0 and 1"),
+        (lambda n: np.array(["1"] * n), "gave entries other than 0 and 1"),
+    ], ids=["short", "long", "2d", "twos", "halves", "nan", "strings"])
+    def test_bad_mask_rejected(self, mini_corpus, mask, message):
+        video = mini_corpus.split_videos("test")[0]
+
+        def predict(v, query):
+            return mask(v.n_shots) if v is video and query is video.queries[1] else query.gt_mask
+
+        with pytest.raises(ContractError, match=f"video {video.video_id} query 1 {message}"):
+            evaluate(None, mini_corpus, "test", predict=predict)
+
+    @pytest.mark.parametrize("convert", [
+        lambda m: m.astype(bool), lambda m: m.astype(np.float32), lambda m: m.tolist(),
+        lambda m: np.where(m == 1, 1.0, -0.0),
+    ], ids=["bool", "float32", "list", "signed-zero"])
+    def test_binary_masks_of_any_numeric_type_accepted(self, mini_corpus, convert):
+        def predict(video, query):
+            return (np.arange(video.n_shots) % 2 == query.concept_a % 2).astype(np.uint8)
+
+        want = evaluate(None, mini_corpus, "train", predict=predict)
+        got = evaluate(None, mini_corpus, "train", predict=lambda v, q: convert(predict(v, q)))
+        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
 
 
 class TestReportFiles:

@@ -159,11 +159,11 @@ def _cmd_train(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     corpus = load_corpus(_corpus_manifest(args.corpus))
-    # train() takes dims and tau from the corpus, and a resume its configs;
-    # a generator section overlays the config train() would build, and
-    # train() rejects dims or a tau that the section made disagree
+    # a fresh run lays the file's generator section over the corpus's
+    # widths and the run's tau, and train() rejects widths or a tau that
+    # disagree with those; a resume keeps its checkpoint's configs
     gen_cfg = disc_cfg = None
-    if args.paper_scale or "generator" in sections:
+    if resume is None:
         scale = GeneratorConfig.paper_scale if args.paper_scale else GeneratorConfig
         gen_cfg = _overlay(GeneratorConfig,
                            dataclasses.asdict(scale(**corpus.dims, tau=cfg.tau)),

@@ -424,6 +424,8 @@ def evaluate_grid(
         raise ContractError(f"evaluate: split {split!r} is empty")
     rows = [[] for _ in thresholds]
     for video in videos:
+        if not video.n_shots:
+            raise ContractError(f"evaluate: video {video.video_id} has no shots")
         if len(video.annotations) != video.n_shots:
             raise FormatError(
                 f"evaluate: video {video.video_id} has {len(video.annotations)} "

@@ -874,6 +874,12 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(mini_params, broken, "train")
 
+    def test_video_without_shots_rejected(self, mini_corpus):
+        vid = mini_corpus.splits["test"][0]
+        with pytest.raises(ContractError, match=f"video {vid} has no shots"):
+            evaluate(None, truncated(mini_corpus, vid, 0), "test",
+                     predict=lambda video, query: query.gt_mask)
+
     def test_missing_annotations(self, mini_params, mini_corpus):
         video = mini_corpus.videos[0]
         doctored = dataclasses.replace(video, annotations=video.annotations[:-1])

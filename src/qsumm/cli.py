@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .discriminator import DiscriminatorConfig
 from .errors import ConfigError, ContractError, QsummError
 from .generator import GeneratorConfig, check_threshold, generator_forward, select_shots
 from .gradcheck import SUITE_TOLERANCE, component_suite
-from .matrix_io import write_atomic
+from .matrix_io import parse_json, write_atomic
 from .training import ABLATIONS
 
 __all__ = ["run_cli", "main"]
@@ -84,12 +83,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
-        except (ValueError, RecursionError) as e:
-            raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    with open(path, "rb") as fh:
+        cfg = parse_json(fh.read(), ConfigError, f"{path}: not valid JSON")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(cfg) - {"synth", "train", "generator"}

@@ -31,7 +31,7 @@ from .errors import (
     check_fields,
     is_json_int,
 )
-from .matrix_io import load_feature_matrix, write_atomic, write_matrix
+from .matrix_io import load_feature_matrix, parse_json, write_atomic, write_matrix
 from .rng import STREAMS, stream_rng
 
 __all__ = [
@@ -407,12 +407,9 @@ def load_corpus(manifest_path) -> Corpus:
 
 
 def _load_corpus(manifest_path) -> Corpus:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
-        except (ValueError, RecursionError) as e:
-            raise FormatError(f"{manifest_path}: manifest is not UTF-8 JSON: {e}") from None
+    with open(manifest_path, "rb") as fh:
+        manifest = parse_json(fh.read(), FormatError,
+                              f"{manifest_path}: manifest is not UTF-8 JSON")
     base = os.path.dirname(os.path.abspath(manifest_path))
     _require(manifest.get("format") == MANIFEST_FORMAT, f"{manifest_path}: not a corpus manifest")
     _require(
@@ -534,14 +531,14 @@ def _load_corpus(manifest_path) -> Corpus:
     )
 
 
-def sample_batch(corpus: Corpus, rng, segment_len: int, split: str = "train") -> TrainingBatch:
-    """Uniform video with a query, uniform query, uniform contiguous window
-    of shots.  Videos without queries are never drawn."""
+def sample_batch(corpus: Corpus, rng, segment_len: int) -> TrainingBatch:
+    """Uniform train video with a query, uniform query, uniform contiguous
+    window of shots.  Videos without queries are never drawn."""
     if segment_len < 1:
         raise ConfigError(f"sample_batch: segment_len must be >= 1, got {segment_len}")
-    videos = [v for v in corpus.split_videos(split) if v.queries]
+    videos = [v for v in corpus.split_videos("train") if v.queries]
     if not videos:
-        raise ContractError(f"sample_batch: split {split!r} has no video with a query")
+        raise ContractError("sample_batch: split 'train' has no video with a query")
     video = videos[int(rng.integers(len(videos)))]
     qi = int(rng.integers(len(video.queries)))
     query = video.queries[qi]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_fields
+from .errors import ContractError, DimensionError, check_fields
 from .generator import GeneratorConfig
 # bilstm_forward stays importable here: perfbench/tracing.py wraps this name
 from .layers import (  # noqa: F401
@@ -177,7 +177,7 @@ def critic(summ, f_vq, params: DiscriminatorParams) -> Tensor:
 
 
 def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
-    """Score several summaries of one video, one scalar per summary.
+    """Score one or more summaries of one video, one scalar per summary.
 
     f_vq is the video's (1, T, d_vid_in) stack and each summary a
     (1, T, d_summ_in) stack.  The video branch runs once and is shared,
@@ -194,18 +194,17 @@ def critic_scores(summs, f_vq, params: DiscriminatorParams) -> list:
         raise DimensionError(f"critic: need a (1, T, d) video, got {f_vq.data.shape}")
     T = f_vq.data.shape[1]
     seqs = [as_tensor(summ) for summ in summs]
+    if not seqs:
+        raise ContractError("critic: no summary to score")
     for seq in seqs:
         if seq.data.ndim != 3 or seq.data.shape[:2] != (1, T):
             raise DimensionError(
                 f"critic: summary has shape {seq.data.shape} but video has {T} shots"
             )
-    groups = [(f_vq, [(params.vid_fwd, False), (params.vid_bwd, True)])]
-    if seqs:
-        groups.append((concat_rows(seqs), [(params.summ_fwd, False), (params.summ_bwd, True)]))
-    h = _recurrence(groups, "critic")
+    h = _recurrence([(f_vq, [(params.vid_fwd, False), (params.vid_bwd, True)]),
+                     (concat_rows(seqs), [(params.summ_fwd, False), (params.summ_bwd, True)])],
+                    "critic")
     v = _pool(slice_rows(h, 0, 1), params.vid_bn_gamma, params.vid_bn_beta)
-    if not seqs:
-        return []
     u = _pool(slice_rows(h, 1, len(h.data)), params.summ_bn_gamma, params.summ_bn_beta)
     d = _head(reshape(u, (len(seqs), 1, -1)), v, params)
     if len(seqs) == 1:  # the generator step: one op to the scalar, no slice

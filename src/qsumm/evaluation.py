@@ -57,27 +57,22 @@ def _concept_incidence(annotations) -> np.ndarray:
                     dtype=np.int64).reshape(len(annotations), len(ids))
 
 
-def _iou_matrix(incidence: np.ndarray, rows, cols) -> np.ndarray:
-    """iou() between the shots in rows and those in cols, as one array op.
+def _iou_table(annotations):
+    """Each shot's index among a video's distinct concept sets, in order
+    of first occurrence, and the iou() of every two of those sets: the
+    IoU of shots i and j is table[index[i], index[j]].
 
     Counts are integers, so each entry is the same correctly rounded
     quotient iou() computes; two empty concept sets give 0.
     """
-    a, b = incidence[rows], incidence[cols]
-    inter = a @ b.T
-    union = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - inter
-    return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
-
-
-def _iou_table(annotations):
-    """Each shot's index among a video's distinct concept sets, in order
-    of first occurrence, and the _iou_matrix of those sets: the IoU of
-    shots i and j is table[index[i], index[j]]."""
     sets = {}
     index = np.array([sets.setdefault(frozenset(c), len(sets)) for c in annotations],
                      dtype=np.intp)
-    every = np.arange(len(sets))
-    return index, _iou_matrix(_concept_incidence(list(sets)), every, every)
+    inc = _concept_incidence(list(sets))
+    inter = inc @ inc.T
+    sizes = inc.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - inter
+    return index, np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
 
 
 def _exact_ratio(x: float) -> tuple:

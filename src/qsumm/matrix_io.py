@@ -1,15 +1,20 @@
-"""The QSFM binary matrix format.
+"""How qsumm reads and writes files, and the QSFM binary matrix format.
 
-Layout: 24-byte header -- magic "QSFM", format version u32 LE, rows u64 LE,
-cols u64 LE -- followed by the row-major payload.  Version 1 stores float32
-and is what corpus feature files use; version 2 stores float64 and is used
-for checkpoint tensors, where training state must round-trip bit-exactly.
-Loads return the file's dtype: corpus features stay float32 in memory,
-and the models widen them to float64 as they read them.
+write_atomic does every whole-file write, readinto and read_exact every
+read of a known length, and parse_json every parse of outside JSON.
+
+QSFM: 24-byte header -- magic "QSFM", format version u32 LE, rows u64
+LE, cols u64 LE -- followed by the row-major payload.  Version 1 stores
+float32 and is what corpus feature files use; version 2 stores float64
+and is used for checkpoint tensors, where training state must
+round-trip bit-exactly.  Loads return the file's dtype: corpus features
+stay float32 in memory, and the models widen them to float64 as they
+read them.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
@@ -18,13 +23,15 @@ import numpy as np
 from .errors import FormatError, VersionError
 
 __all__ = ["write_atomic", "write_matrix", "load_feature_matrix", "matrix_bytes",
-           "matrix_from_bytes", "readinto", "encode_matrix", "parse_matrix_header",
-           "HEADER_SIZE"]
+           "matrix_from_bytes", "readinto", "read_exact", "parse_json", "encode_matrix",
+           "parse_matrix_header", "HEADER_SIZE"]
 
 MAGIC = b"QSFM"
 _HEADER = struct.Struct("<4sIQQ")
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 HEADER_SIZE = _HEADER.size
+# write_atomic's buffer; a part larger than it is written from its own memory
+_WRITE_BUFFER = 8 << 20
 
 
 def encode_matrix(arr: np.ndarray, version: int = 1) -> tuple[bytes, np.ndarray]:
@@ -78,24 +85,49 @@ def matrix_from_bytes(buf: bytes, source: str = "<bytes>") -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, offset=_HEADER.size).reshape(rows, cols).copy()
 
 
-def readinto(fh, arr: np.ndarray, source: str) -> None:
-    """Fill the contiguous arr with the next bytes of the open file fh."""
-    view = memoryview(arr).cast("B")
+def readinto(fh, buf, source: str) -> None:
+    """Fill buf, a contiguous array or bytearray, from the open file fh."""
+    view = memoryview(buf).cast("B")
     if fh.readinto(view) != len(view):
         raise FormatError(f"{source}: file ended early; it changed while being read")
 
 
-def write_atomic(path, data: bytes | str) -> None:
-    """Write data, a str as UTF-8, to a temp file in the same directory
-    in one call, then rename it over path."""
+def read_exact(fh, n: int, source: str) -> bytearray:
+    """The next n bytes of the open file fh."""
+    buf = bytearray(n)
+    readinto(fh, buf, source)
+    return buf
+
+
+def parse_json(data: bytes, error: type, message: str):
+    """The JSON value of data, decoded strictly as UTF-8.  Bad UTF-8 or
+    JSON, an int of too many digits or too deep nesting raise
+    error(f"{message}: {reason}")."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise error(f"{message}: {e}") from None
+
+
+def write_atomic(path, *parts) -> None:
+    """Write parts in order, a str as UTF-8 and bytes or a contiguous
+    array as they are, to a temp file beside path, then rename it over
+    path.  A failed write leaves path as it was and no temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb", buffering=_WRITE_BUFFER) as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_matrix(path, arr: np.ndarray, version: int = 1) -> None:
-    write_atomic(path, matrix_bytes(arr, version=version))
+    """Write a QSFM file straight from the array, with no bytes copy."""
+    write_atomic(path, *encode_matrix(arr, version))
 
 
 def load_feature_matrix(path) -> np.ndarray:

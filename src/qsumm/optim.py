@@ -64,10 +64,9 @@ def rmsprop_step(
     state.step += 1
 
 
-def clip_weights(params, c: float) -> None:
-    """Clamp every tensor into [-c, c] in place."""
+def clip_weights(params: dict, c: float) -> None:
+    """Clamp every tensor of the name -> tensor dict params into [-c, c] in place."""
     if c <= 0.0:
         raise ConfigError(f"clip_weights: c must be positive, got {c}")
-    tensors = params.values() if isinstance(params, dict) else params
-    for p in tensors:
+    for p in params.values():
         np.clip(p.data, -c, c, out=p.data)

@@ -55,7 +55,8 @@ from .generator import (
 )
 # matrix_from_bytes stays importable here: perfbench/tracing.py wraps this name
 from .matrix_io import (  # noqa: F401
-    HEADER_SIZE, encode_matrix, matrix_from_bytes, parse_matrix_header, readinto)
+    HEADER_SIZE, encode_matrix, matrix_from_bytes, parse_json, parse_matrix_header, read_exact,
+    readinto, write_atomic)
 from .optim import OptimizerState, clip_weights, rmsprop_step
 from .rng import RngHub
 from .tensor import Tape, Tensor, absolute, as_tensor, mean_all, mul, sub
@@ -408,17 +409,14 @@ def _open_log(path, step: int):
     must go, so a resume onto its own log rewrites nothing.
     """
     if step == 0 or not os.path.exists(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
+        write_atomic(path, METRICS_HEADER + "\n")
         return open(path, "a", encoding="utf-8")
     with open(path, "rb") as fh:
         fh.seek(max(0, os.fstat(fh.fileno()).st_size - 4096))
         tail = fh.read().splitlines()
         if tail and _row_step(tail[-1]) > step:
             fh.seek(0)
-            kept = [line for line in fh if _row_step(line) <= step]
-            with open(path, "wb") as out:
-                out.writelines(kept)
+            write_atomic(path, *(line for line in fh if _row_step(line) <= step))
     return open(path, "a", encoding="utf-8")
 
 
@@ -498,8 +496,7 @@ def train(
 _SECTION_HEAD = struct.Struct("<I")
 _PAYLOAD_HEAD = struct.Struct("<Q")
 _FILE_HEAD = struct.Struct("<4sII")
-# size of the save buffer, and of the chunks in which a load reads and
-# checks every payload
+# size of the chunks in which a load reads and checks every payload
 _SCRATCH_BYTES = 8 << 20
 
 
@@ -579,25 +576,14 @@ def _sections_of(ckpt: Checkpoint):
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the full training state, atomically, one section at a time."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb", buffering=_SCRATCH_BYTES) as fh:
-        # the parts are the arrays themselves, so listing them copies nothing
-        sections = list(_sections_of(ckpt))
-        fh.write(_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections)))
-        for name, parts in sections:
-            encoded = name.encode("utf-8")
-            size = sum(memoryview(p).nbytes for p in parts)
-            fh.write(_SECTION_HEAD.pack(len(encoded)) + encoded + _PAYLOAD_HEAD.pack(size))
-            for p in parts:
-                fh.write(p)
-    os.replace(tmp, path)
-
-
-def _read_exact(fh, n: int, source: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{source}: file ended early; it changed while being read")
-    return data
+    # the parts are the arrays themselves, so listing them copies nothing
+    sections = list(_sections_of(ckpt))
+    out = [_FILE_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sections))]
+    for name, parts in sections:
+        encoded = name.encode("utf-8")
+        size = sum(memoryview(p).nbytes for p in parts)
+        out += [_SECTION_HEAD.pack(len(encoded)) + encoded + _PAYLOAD_HEAD.pack(size), *parts]
+    write_atomic(path, *out)
 
 
 def _index_sections(fh, size: int, source: str) -> dict:
@@ -623,11 +609,11 @@ def _index_sections(fh, size: int, source: str) -> dict:
         if off + _SECTION_HEAD.size > size:
             raise FormatError(f"{source}: truncated at section name length")
         fh.seek(off)
-        (name_len,) = _SECTION_HEAD.unpack(_read_exact(fh, _SECTION_HEAD.size, source))
+        (name_len,) = _SECTION_HEAD.unpack(read_exact(fh, _SECTION_HEAD.size, source))
         off += _SECTION_HEAD.size
         if off + name_len + _PAYLOAD_HEAD.size > size:
             raise FormatError(f"{source}: truncated at section header")
-        raw = _read_exact(fh, name_len + _PAYLOAD_HEAD.size, source)
+        raw = read_exact(fh, name_len + _PAYLOAD_HEAD.size, source)
         try:
             name = raw[:name_len].decode("utf-8")
         except UnicodeDecodeError:
@@ -681,12 +667,8 @@ def _read_checkpoint(path, generator_only: bool) -> Checkpoint:
         def parse(name: str):
             off, n = need(name)
             fh.seek(off)
-            raw = _read_exact(fh, n, source)
-            try:
-                return json.loads(raw.decode("utf-8"))
-            # bad UTF-8 or JSON, an int of too many digits, or too deep nesting
-            except (ValueError, RecursionError) as e:
-                raise FormatError(f"{source}: section {name!r} is not UTF-8 JSON: {e}") from None
+            return parse_json(read_exact(fh, n, source), FormatError,
+                              f"{source}: section {name!r} is not UTF-8 JSON")
 
         def config(cls, name: str, upgrade=lambda fields: fields):
             try:

@@ -31,7 +31,8 @@ from qsumm.errors import (
     VersionError,
 )
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
-from qsumm.matrix_io import load_feature_matrix, matrix_bytes, matrix_from_bytes, write_matrix
+from qsumm.matrix_io import (
+    load_feature_matrix, matrix_bytes, matrix_from_bytes, write_atomic, write_matrix)
 from qsumm.tensor import Tape
 
 
@@ -127,6 +128,28 @@ class TestMatrixFormat:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back, m) and peak < m.nbytes + (64 << 10)
+
+    def test_write_streams_from_the_array(self, tmp_path):
+        # no bytes copy of the payload: the array is written from its own memory
+        m = np.random.default_rng(4).standard_normal((1000, 4096)).astype(np.float32)
+        p = tmp_path / "m.qsfm"
+        tracemalloc.start()
+        try:
+            write_matrix(p, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes
+        assert p.read_bytes() == matrix_bytes(m)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "f.txt"
+        write_atomic(p, "old")
+        for parts in ((object(),), (b"new", object())):
+            with pytest.raises(TypeError):
+                write_atomic(p, *parts)
+            assert p.read_text() == "old"
+            assert os.listdir(tmp_path) == ["f.txt"]
 
     def test_float64_version_keeps_all_bits(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import max_rel_err
+from qsumm import discriminator
 from qsumm.discriminator import (
     DiscriminatorConfig,
     DiscriminatorParams,
@@ -15,7 +16,7 @@ from qsumm.discriminator import (
     random_scores,
     summary_repr,
 )
-from qsumm.errors import DimensionError
+from qsumm.errors import ContractError, DimensionError
 from qsumm.gradcheck import grad_check
 from qsumm.layers import linear_forward
 from qsumm.tensor import (
@@ -223,6 +224,16 @@ class TestSharedVideoBranch:
         with pytest.raises(DimensionError):
             critic_scores(summs, f_vq, tiny_params())
 
+    def test_no_summary_rejected_before_the_recurrence(self, monkeypatch):
+        _, f_vq = tiny_inputs(6)
+
+        def recurrence(*args):
+            raise AssertionError("the recurrence ran")
+
+        monkeypatch.setattr(discriminator, "_recurrence", recurrence)
+        with pytest.raises(ContractError):
+            critic_scores([], f_vq, tiny_params())
+
 
 class TestReferenceOracle:
     """critic_scores against the two-call reference, bit for bit."""
@@ -249,7 +260,7 @@ class TestReferenceOracle:
         grads.update({f"summary{i}": summ.grad for i, summ in enumerate(summs)})
         return [float(x) for x in d], grads
 
-    @pytest.mark.parametrize("n_summ", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_summ", [1, 2, 3])
     def test_bit_equal_to_reference(self, n_summ):
         out, grads = self.run(critic_scores, n_summ)
         ref_out, ref_grads = self.run(reference_critic_scores, n_summ)

@@ -18,7 +18,6 @@ from qsumm.evaluation import (
     EvalReport,
     QueryResult,
     _concept_incidence,
-    _iou_matrix,
     evaluate,
     evaluate_grid,
     iou,
@@ -696,15 +695,21 @@ class TestSkippedSteps:
         check()
 
 
+def iou_lookup(annotations, rows, cols):
+    """The IoU matrix of the shots in rows against those in cols, read
+    from the video's _iou_table as evaluate reads it."""
+    index, table = evaluation._iou_table(annotations)
+    return table[index[rows]][:, index[cols]]
+
+
 class TestIouMatrix:
     def test_equals_iou_loop(self):
         rng = np.random.default_rng(303)
         for trial in range(50):
             ann = random_annotations(rng, int(rng.integers(1, 30)), pool=8, max_len=5)
-            inc = _concept_incidence(ann)
             rows = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
             cols = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
-            w = _iou_matrix(inc, rows, cols)
+            w = iou_lookup(ann, rows, cols)
             assert w.dtype == np.float64 and w.shape == (rows.size, cols.size)
             assert np.array_equal(w, iou_loop(ann, rows, cols)), f"trial {trial}"
 
@@ -713,17 +718,17 @@ class TestIouMatrix:
         inc = _concept_incidence(ann)
         assert inc.shape == (5, 3) and inc.sum() == 4
         everything = np.arange(5)
-        w = _iou_matrix(inc, everything, everything)
+        w = iou_lookup(ann, everything, everything)
         assert np.array_equal(w, iou_loop(ann, everything, everything))
         assert w[0, 3] == 0.0 and w[1, 1] == 1.0 and w[1, 2] == 0.5
         none = np.array([], dtype=np.int64)
-        assert _iou_matrix(inc, none, everything).shape == (0, 5)
-        assert _iou_matrix(inc, everything, none).shape == (5, 0)
+        assert iou_lookup(ann, none, everything).shape == (0, 5)
+        assert iou_lookup(ann, everything, none).shape == (5, 0)
 
     def test_video_without_concepts(self):
         inc = _concept_incidence([(), ()])
         assert inc.shape == (2, 0)
-        assert np.array_equal(_iou_matrix(inc, [0, 1], [1]), np.zeros((2, 1)))
+        assert np.array_equal(iou_lookup([(), ()], [0, 1], [1]), np.zeros((2, 1)))
 
 
 class TestIouTable:
@@ -740,7 +745,6 @@ class TestIouTable:
             w = table[index[rows]][:, index[cols]]
             assert w.dtype == np.float64 and w.shape == (rows.size, cols.size)
             assert np.array_equal(w, iou_loop(ann, rows, cols)), f"trial {trial}"
-            assert np.array_equal(w, _iou_matrix(_concept_incidence(ann), rows, cols))
 
     def test_equal_sets_share_an_index(self):
         ann = [(), (3, 3), (3,), (7, 3), (3, 7, 7), (), (9,)]
@@ -1033,7 +1037,6 @@ def reference_evaluate(
                 f"evaluate: video {video.video_id} has {len(video.annotations)} "
                 f"annotation entries for {video.n_shots} shots"
             )
-        incidence = _concept_incidence(video.annotations)
         scored = []
         for qi, query in enumerate(video.queries):
             if predict is not None:
@@ -1046,7 +1049,7 @@ def reference_evaluate(
                 mask = select_shots(fwd.s.data[0], threshold)
             gen_idx = np.flatnonzero(mask)
             gt_idx = np.flatnonzero(query.gt_mask)
-            weights = _iou_matrix(incidence, gen_idx, gt_idx)
+            weights = iou_loop(video.annotations, gen_idx, gt_idx)
             matched = len(max_weight_matching(weights))
             p, r, f1 = prf(matched, gen_idx.size, gt_idx.size)
             gamma_q = float(query.gt_mask.mean())

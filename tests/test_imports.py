@@ -11,6 +11,10 @@ check catches it.
 Every private module-level name of src/, a function, class or constant
 named with one leading underscore, is referenced somewhere in src/: as
 a name, an attribute or an imported name.
+
+File I/O policy lives in src/qsumm/matrix_io.py alone: no other src/
+module renames files (os.replace), parses JSON (json.load, json.loads)
+or reads into a buffer (.readinto()).
 """
 
 import ast
@@ -153,3 +157,42 @@ def test_export_check_finds_stale_and_repeated_names():
     module.__all__ = ["kept", "gone", "kept"]
     module.kept = 1
     assert export_faults(module) == ["gone", "kept"]
+
+
+IO_OWNER = os.path.join("src", "qsumm", "matrix_io.py")
+_IO_NAMES = {("os", "replace"), ("json", "load"), ("json", "loads")}
+
+
+def io_policy_sites(source: str) -> list:
+    """(line, name) of every os.replace, json.load, json.loads and
+    .readinto() call in source, imported by name or not."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and (n.value.id, n.attr) in _IO_NAMES):
+            out.append((n.lineno, f"{n.value.id}.{n.attr}"))
+        elif isinstance(n, ast.ImportFrom):
+            out += [(n.lineno, f"{n.module}.{a.name}") for a in n.names
+                    if (n.module, a.name) in _IO_NAMES]
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "readinto"):
+            out.append((n.lineno, ".readinto"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in _modules()
+                                  if p.startswith("src" + os.sep) and p != IO_OWNER])
+def test_file_io_policy_only_in_matrix_io(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert io_policy_sites(fh.read()) == []
+
+
+def test_scan_finds_file_io_policy():
+    source = ("import json, os\nfrom json import loads as parse\n"
+              "os.replace('a', 'b')\nfh.readinto(buf)\nreadinto(fh, buf)\n"
+              "json.dumps(1)\njson.load(fh)\nf = os.path.replace\n")
+    assert io_policy_sites(source) == [(2, "json.loads"), (3, "os.replace"),
+                                       (4, ".readinto"), (7, "json.load")]
+    with open(os.path.join(ROOT, IO_OWNER), encoding="utf-8") as fh:
+        found = {name for _, name in io_policy_sites(fh.read())}
+    assert found == {"os.replace", "json.loads", ".readinto"}

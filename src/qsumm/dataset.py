@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     GenerationError,
     QsummError,
+    bounded,
     check_fields,
     is_json_int,
 )
@@ -132,30 +133,18 @@ class TrainingBatch:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_videos: int = 8
-    n_shots: int = 60
-    n_concepts: int = 12
-    n_queries: int = 12
-    d_frame: int = 32
-    d_shot: int = 48
-    d_text: int = 16
-    relevance_strength: float = 3.0
+    n_videos: int = bounded(8, ge=1)
+    n_shots: int = bounded(60, ge=1)
+    n_concepts: int = bounded(12, ge=4)
+    # four queries cover the four scenarios
+    n_queries: int = bounded(12, ge=4)
+    d_frame: int = bounded(32, ge=1)
+    d_shot: int = bounded(48, ge=1)
+    d_text: int = bounded(16, ge=1)
+    relevance_strength: float = bounded(3.0, ge=0)
 
     def __post_init__(self):
         check_fields(self, "synth")
-        for name in ("n_videos", "n_shots", "d_frame", "d_shot", "d_text"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"synth: {name} must be >= 1, got {getattr(self, name)}")
-        if self.n_concepts < 4:
-            raise ConfigError(f"synth: n_concepts must be >= 4, got {self.n_concepts}")
-        if self.n_queries < 4:
-            raise ConfigError(
-                f"synth: n_queries must be >= 4 to cover all scenarios, got {self.n_queries}"
-            )
-        if self.relevance_strength < 0:
-            raise ConfigError(
-                f"synth: relevance_strength must be >= 0, got {self.relevance_strength}"
-            )
 
     @classmethod
     def paper_scale(cls, **overrides) -> "SynthConfig":
@@ -454,20 +443,18 @@ def _load_corpus(manifest_path) -> Corpus:
         frame = load_feature_matrix(os.path.join(base, entry["frame_feat"]))
         shot = load_feature_matrix(os.path.join(base, entry["shot_feat"]))
         T = entry["n_shots"]
-        _require(
-            frame.shape == (T, d_frame),
-            f"video {vid}: frame features are {frame.shape[0]}x{frame.shape[1]}, "
-            f"expected {T}x{d_frame}",
-        )
-        _require(
-            shot.shape == (T, d_shot),
-            f"video {vid}: shot features are {shot.shape[0]}x{shot.shape[1]}, "
-            f"expected {T}x{d_shot}",
-        )
-        for key, feats in (("frame_feat", frame), ("shot_feat", shot)):
+        files = (("frame", frame, d_frame), ("shot", shot, d_shot))
+        for kind, feats, d in files:
+            _require(
+                feats.shape == (T, d),
+                f"video {vid}: {kind} features are {feats.shape[0]}x{feats.shape[1]}, "
+                f"expected {T}x{d}",
+            )
+        # every shape is checked before any file is scanned for non-finite values
+        for kind, feats, _ in files:
             _require(
                 np.isfinite(feats).all(),
-                f"video {vid}: feature file {entry[key]} holds non-finite values",
+                f"video {vid}: feature file {entry[kind + '_feat']} holds non-finite values",
             )
         _require(
             len(entry["annotations"]) == T,

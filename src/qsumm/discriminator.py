@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, check_fields
+from .errors import ContractError, DimensionError, bounded, check_fields
 from .generator import GeneratorConfig
 # bilstm_forward stays importable here: perfbench/tracing.py wraps this name
 from .layers import (  # noqa: F401
@@ -53,15 +53,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    d_summ_in: int = 64
-    d_vid_in: int = 80
-    d_h: int = 16
-    d_fc1: int = 64
-    d_fc2: int = 32
-    d_fc3: int = 16
+    d_summ_in: int = bounded(64, ge=1)
+    d_vid_in: int = bounded(80, ge=1)
+    d_h: int = bounded(16, ge=1)
+    d_fc1: int = bounded(64, ge=1)
+    d_fc2: int = bounded(32, ge=1)
+    d_fc3: int = bounded(16, ge=1)
 
     def __post_init__(self):
-        check_fields(self, "discriminator", min_int=1)
+        check_fields(self, "discriminator")
 
     @classmethod
     def for_generator(cls, gen_cfg: GeneratorConfig, **overrides) -> "DiscriminatorConfig":

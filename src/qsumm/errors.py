@@ -7,6 +7,7 @@ the failure class.
 
 import dataclasses
 import math
+import operator
 
 
 class QsummError(Exception):
@@ -66,18 +67,37 @@ _FIELD_TYPES = {
 }
 
 
-def check_fields(record, section: str, min_int=None) -> None:
+def bounded(default=dataclasses.MISSING, *, ge=None, gt=None, le=None, lt=None):
+    """A dataclass field, required unless a default is given, whose value
+    check_fields holds to the bounds given: value >= ge or > gt from
+    below, value <= le or < lt from above."""
+    tests = [(op, b) for op, b in ((operator.ge, ge), (operator.gt, gt),
+                                   (operator.le, le), (operator.lt, lt)) if b is not None]
+    lo, hi = (gt if ge is None else ge), (lt if le is None else le)
+    if hi is None:
+        text = f"{'>' if ge is None else '>='} {lo}"
+    elif lo is None:
+        text = f"{'<' if le is None else '<='} {hi}"
+    else:
+        text = f"in {'(' if ge is None else '['}{lo}, {hi}{')' if le is None else ']'}"
+    return dataclasses.field(default=default, metadata={"bounds": (tests, text)})
+
+
+def check_fields(record, section: str) -> None:
     """Raise ConfigError unless every field of the dataclass `record`
-    holds its annotated type: an int is no bool, a float field takes an
-    int or a float that is finite as a float, and nothing is converted.
-    With min_int, every int field must also be >= min_int.  Range checks
-    such as x <= 0 are false for NaN, so each record runs this before
-    its own."""
-    for f in dataclasses.fields(record):
+    holds its annotated type and then lies within the bounds bounded()
+    declared for it.  An int is no bool, a float field takes an int or a
+    float that is finite as a float, and nothing is converted.  Every
+    type is checked before any bound, so no bound ever compares a NaN."""
+    fields = dataclasses.fields(record)
+    for f in fields:
         kind = getattr(f.type, "__name__", f.type)
         test, expected = _FIELD_TYPES[kind]
         value = getattr(record, f.name)
         if not test(value):
             raise ConfigError(f"{section}: {f.name} must be {expected}, got {value!r}")
-        if min_int is not None and kind == "int" and value < min_int:
-            raise ConfigError(f"{section}: {f.name} must be >= {min_int}, got {value}")
+    for f in fields:
+        tests, text = f.metadata.get("bounds", ((), ""))
+        value = getattr(record, f.name)
+        if not all(op(value, b) for op, b in tests):
+            raise ConfigError(f"{section}: {f.name} must be {text}, got {value}")

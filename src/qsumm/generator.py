@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SynthConfig
-from .errors import ConfigError, ContractError, DimensionError, check_fields
+from .errors import ConfigError, ContractError, DimensionError, bounded, check_fields
 from .layers import (
     LSTMParams,
     batchnorm_forward,
@@ -47,22 +47,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    d_frame: int = 32
-    d_shot: int = 48
-    d_text: int = 16
-    d_fused: int = 64
-    d_qenc: int = 16
-    d_h: int = 32
-    d_pred: int = 32
-    tau: float = 0.1
-    dropout_p: float = 0.5
+    d_frame: int = bounded(32, ge=1)
+    d_shot: int = bounded(48, ge=1)
+    d_text: int = bounded(16, ge=1)
+    d_fused: int = bounded(64, ge=1)
+    d_qenc: int = bounded(16, ge=1)
+    d_h: int = bounded(32, ge=1)
+    d_pred: int = bounded(32, ge=1)
+    tau: float = bounded(0.1, gt=0)
+    dropout_p: float = bounded(0.5, ge=0, lt=1)
 
     def __post_init__(self):
-        check_fields(self, "generator", min_int=1)
-        if self.tau <= 0:
-            raise ConfigError(f"generator: tau must be positive, got {self.tau}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"generator: dropout_p must be in [0, 1), got {self.dropout_p}")
+        check_fields(self, "generator")
 
     @classmethod
     def paper_scale(cls, **overrides) -> "GeneratorConfig":

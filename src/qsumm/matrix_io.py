@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import FormatError, VersionError
 
-__all__ = ["write_atomic", "write_matrix", "load_feature_matrix", "matrix_bytes",
-           "matrix_from_bytes", "readinto", "read_exact", "parse_json", "encode_matrix",
-           "parse_matrix_header", "HEADER_SIZE"]
+__all__ = ["write_atomic", "write_matrix", "load_feature_matrix", "matrix_from_bytes",
+           "readinto", "read_exact", "parse_json", "encode_matrix", "parse_matrix_header",
+           "HEADER_SIZE"]
 
 MAGIC = b"QSFM"
 _HEADER = struct.Struct("<4sIQQ")
@@ -46,12 +46,6 @@ def encode_matrix(arr: np.ndarray, version: int = 1) -> tuple[bytes, np.ndarray]
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise FormatError(f"QSFM stores nonempty matrices, got shape {arr.shape}")
     return _HEADER.pack(MAGIC, version, a.shape[0], a.shape[1]), a
-
-
-def matrix_bytes(arr: np.ndarray, version: int = 1) -> bytes:
-    """Serialize a 2-d array; version 1 casts to float32, version 2 keeps float64."""
-    head, a = encode_matrix(arr, version)
-    return head + a.tobytes()
 
 
 def parse_matrix_header(head: bytes, payload_len: int, source: str) -> tuple[np.dtype, int, int]:

@@ -23,7 +23,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "reshape",
     "concat_cols",
@@ -67,14 +66,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -226,13 +219,6 @@ def mul(a, b) -> Tensor:
         ]
 
     record(out, (a, b), bwd)
-    return out
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-    record(out, (a,), lambda g: [-g])
     return out
 
 

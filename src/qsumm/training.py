@@ -44,6 +44,7 @@ from .errors import (
     FormatError,
     NumericError,
     VersionError,
+    bounded,
     check_fields,
 )
 from .generator import (
@@ -100,66 +101,38 @@ ABLATIONS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    seed: int = 0
-    max_steps: int = 2000
-    n_critic: int = 5
-    clip_c: float = 0.01
-    lr_gen: float = 5e-5
-    lr_critic: float = 5e-5
-    decay: float = 0.9
-    omega: float = 0.5
-    tau: float = 0.1
-    lambda_summ: float = 1.0
-    lambda_len: float = 1.0
-    segment_len: int = 60
-    checkpoint_every: int = 0
-    eval_every: int = 0
+    seed: int = bounded(0, ge=0)
+    max_steps: int = bounded(2000, ge=1)
+    n_critic: int = bounded(5, ge=1)
+    clip_c: float = bounded(0.01, gt=0)
+    lr_gen: float = bounded(5e-5, gt=0)
+    lr_critic: float = bounded(5e-5, gt=0)
+    decay: float = bounded(0.9, gt=0, lt=1)
+    omega: float = bounded(0.5, ge=0, le=1)
+    tau: float = bounded(0.1, gt=0)
+    lambda_summ: float = bounded(1.0, ge=0)
+    lambda_len: float = bounded(1.0, ge=0)
+    segment_len: int = bounded(60, ge=1)
+    checkpoint_every: int = bounded(0, ge=0)
+    eval_every: int = bounded(0, ge=0)
 
     def __post_init__(self):
         check_fields(self, "train")
-        if self.seed < 0:
-            raise ConfigError(f"train: seed must be >= 0, got {self.seed}")
-        if self.max_steps < 1:
-            raise ConfigError(f"train: max_steps must be >= 1, got {self.max_steps}")
-        if self.n_critic < 1:
-            raise ConfigError(f"train: n_critic must be >= 1, got {self.n_critic}")
-        if self.clip_c <= 0:
-            raise ConfigError(f"train: clip_c must be positive, got {self.clip_c}")
-        if self.lr_gen <= 0 or self.lr_critic <= 0:
-            raise ConfigError(
-                f"train: learning rates must be positive, got {self.lr_gen}/{self.lr_critic}"
-            )
-        if not 0.0 < self.decay < 1.0:
-            raise ConfigError(f"train: decay must be in (0, 1), got {self.decay}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ConfigError(f"train: omega must be in [0, 1], got {self.omega}")
-        if self.tau <= 0:
-            raise ConfigError(f"train: tau must be positive, got {self.tau}")
-        if self.lambda_summ < 0 or self.lambda_len < 0:
-            raise ConfigError(
-                f"train: loss weights must be >= 0, got {self.lambda_summ}/{self.lambda_len}"
-            )
-        if self.segment_len < 1:
-            raise ConfigError(f"train: segment_len must be >= 1, got {self.segment_len}")
-        if self.checkpoint_every < 0 or self.eval_every < 0:
-            raise ConfigError("train: checkpoint_every and eval_every must be >= 0")
 
 
 @dataclass(frozen=True)
 class CheckpointMeta:
     """A checkpoint's "meta" section: step counts and the best val F1."""
 
-    step: int
-    best_val_f1: float
-    best_val_step: int
-    gen_opt_step: int
-    disc_opt_step: int
+    step: int = bounded(ge=0)
+    best_val_f1: float = bounded(ge=0, le=1)
+    best_val_step: int = bounded(ge=0)
+    gen_opt_step: int = bounded(ge=0)
+    disc_opt_step: int = bounded(ge=0)
     format: str = "qsumm-checkpoint"
 
     def __post_init__(self):
-        check_fields(self, "meta", min_int=0)
-        if not 0.0 <= self.best_val_f1 <= 1.0:
-            raise ConfigError(f"meta: best_val_f1 must be in [0, 1], got {self.best_val_f1}")
+        check_fields(self, "meta")
         if self.format != "qsumm-checkpoint":
             raise ConfigError(f"meta: unexpected format tag {self.format!r}")
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 
 from qsumm.tensor import Tape, Tensor, mean_all
@@ -96,3 +98,12 @@ def json_values(st):
         | st.dictionaries(st.text(max_size=3), inner, max_size=3),
         max_leaves=6,
     )
+
+
+def qsfm_bytes(arr, version: int = 1) -> bytes:
+    """The QSFM file of a 2-d matrix, packed by hand from the format's
+    description: magic, version u32, rows u64 and cols u64, little
+    endian, then the row-major payload, float32 for version 1 and
+    float64 for version 2."""
+    a = np.ascontiguousarray(arr, dtype="<f4" if version == 1 else "<f8")
+    return struct.pack("<4sIQQ", b"QSFM", version, *a.shape) + a.tobytes()

@@ -13,7 +13,7 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import json_values
+from conftest import json_values, qsfm_bytes
 from test_training import write_repeated_meta, write_sections
 from qsumm import cli
 from qsumm.cli import run_cli
@@ -21,7 +21,7 @@ from qsumm.dataset import SynthConfig
 from qsumm.discriminator import DiscriminatorConfig
 from qsumm.errors import ConfigError, FormatError
 from qsumm.generator import GeneratorConfig
-from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
+from qsumm.matrix_io import matrix_from_bytes
 from qsumm.training import ABLATIONS, TrainConfig
 
 MINI = {
@@ -192,7 +192,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section", ["gparam/fuse_w", "dparam/out_w", "gopt/acc/fuse_w"])
     def test_float32_tensor_section_is_runtime_error(self, workspace, tmp_path, capsys, section):
         sections = read_sections(open(workspace["checkpoint"], "rb").read(), "ckpt")
-        sections[section] = matrix_bytes(matrix_from_bytes(sections[section]), version=1)
+        sections[section] = qsfm_bytes(matrix_from_bytes(sections[section]), version=1)
         path = tmp_path / "f32.qsck"
         write_sections(path, sections)
         rc = run_cli(["evaluate", "--corpus", workspace["corpus"], "--checkpoint", str(path)])

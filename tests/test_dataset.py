@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import qsfm_bytes
+
 from qsumm.dataset import (
     SCENARIOS,
     ConceptTable,
@@ -31,8 +33,7 @@ from qsumm.errors import (
     VersionError,
 )
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
-from qsumm.matrix_io import (
-    load_feature_matrix, matrix_bytes, matrix_from_bytes, write_atomic, write_matrix)
+from qsumm.matrix_io import load_feature_matrix, matrix_from_bytes, write_atomic, write_matrix
 from qsumm.tensor import Tape
 
 
@@ -140,7 +141,7 @@ class TestMatrixFormat:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes
-        assert p.read_bytes() == matrix_bytes(m)
+        assert p.read_bytes() == qsfm_bytes(m)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -157,8 +158,10 @@ class TestMatrixFormat:
         p = tmp_path / "ckpt.qsfm"
         write_matrix(p, m, version=2)
         assert np.array_equal(load_feature_matrix(p), m)
+        assert p.read_bytes() == qsfm_bytes(m, version=2)
         # version 1 would quantize
-        assert matrix_bytes(m, version=1) != matrix_bytes(m, version=2)
+        write_matrix(p, m, version=1)
+        assert not np.array_equal(load_feature_matrix(p), m)
 
 
 def tiny_table():

@@ -703,16 +703,6 @@ def iou_lookup(annotations, rows, cols):
 
 
 class TestIouMatrix:
-    def test_equals_iou_loop(self):
-        rng = np.random.default_rng(303)
-        for trial in range(50):
-            ann = random_annotations(rng, int(rng.integers(1, 30)), pool=8, max_len=5)
-            rows = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
-            cols = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)
-            w = iou_lookup(ann, rows, cols)
-            assert w.dtype == np.float64 and w.shape == (rows.size, cols.size)
-            assert np.array_equal(w, iou_loop(ann, rows, cols)), f"trial {trial}"
-
     def test_empty_sets_duplicates_and_empty_sides(self):
         ann = [(), (3, 3), (3, 7, 7), (), (9,)]
         inc = _concept_incidence(ann)
@@ -732,12 +722,14 @@ class TestIouMatrix:
 
 
 class TestIouTable:
-    def test_lookups_equal_iou_loop(self):
-        # pool 5 and up to 4 ids per shot: repeated ids, concept-less shots
-        # and shots with equal sets are common
-        rng = np.random.default_rng(305)
+    # with pool 5 and up to 4 ids per shot, repeated ids, concept-less
+    # shots and shots with equal sets are common
+    @pytest.mark.parametrize("seed, pool", [(303, 8), (305, 5)],
+                             ids=["seed303-pool8", "seed305-pool5"])
+    def test_each_lookup_equals_iou_loop(self, seed, pool):
+        rng = np.random.default_rng(seed)
         for trial in range(50):
-            ann = random_annotations(rng, int(rng.integers(1, 30)), pool=5, max_len=5)
+            ann = random_annotations(rng, int(rng.integers(1, 30)), pool=pool, max_len=5)
             index, table = evaluation._iou_table(ann)
             assert table.shape == (len({frozenset(c) for c in ann}),) * 2
             rows = np.flatnonzero(rng.uniform(size=len(ann)) < 0.5)

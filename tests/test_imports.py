@@ -12,6 +12,11 @@ Every private module-level name of src/, a function, class or constant
 named with one leading underscore, is referenced somewhere in src/: as
 a name, an attribute or an imported name.
 
+Every function a src/qsumm module lists in __all__ is referenced
+somewhere in src/, demos/ or perfbench/, its own def and __all__ entry
+aside: an export that nothing in the program calls is dead code that
+only tests keep alive.
+
 File I/O policy lives in src/qsumm/matrix_io.py alone: no other src/
 module renames files (os.replace), parses JSON (json.load, json.loads)
 or reads into a buffer (.readinto()).
@@ -27,8 +32,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _modules():
-    for top in ("src", "tests"):
+def _modules(tops=("src", "tests")):
+    for top in tops:
         for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
             for name in sorted(names):
                 if name.endswith(".py"):
@@ -90,12 +95,10 @@ def _private_defs(tree) -> list:
     return out
 
 
-def unused_private_names(sources: dict) -> list:
-    """(path, line, name) of every private module-level name in sources,
-    path -> text, that no module of sources references."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
+def _referenced(trees) -> set:
+    """Every name the trees read: as a name, an attribute or an imported name."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
                 used.add(n.id)
@@ -103,6 +106,14 @@ def unused_private_names(sources: dict) -> list:
                 used.add(n.attr)
             elif isinstance(n, ast.alias):
                 used.add(n.name)
+    return used
+
+
+def unused_private_names(sources: dict) -> list:
+    """(path, line, name) of every private module-level name in sources,
+    path -> text, that no module of sources references."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    used = _referenced(trees.values())
     return [(path, line, name) for path, tree in trees.items()
             for line, name in _private_defs(tree) if name not in used]
 
@@ -157,6 +168,38 @@ def test_export_check_finds_stale_and_repeated_names():
     module.__all__ = ["kept", "gone", "kept"]
     module.kept = 1
     assert export_faults(module) == ["gone", "kept"]
+
+
+def unreferenced_exports(sources: dict) -> list:
+    """(path, line, name) of every module-level function that a module
+    of sources, path -> text, lists in __all__ and no module references."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    used = _referenced(trees.values())
+    return [(path, node.lineno, node.name) for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in _exported(tree) and node.name not in used]
+
+
+def test_every_exported_function_is_used_by_the_program():
+    sources = {}
+    for path in _modules(("src", "demos", "perfbench")):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    assert unreferenced_exports(sources) == []
+
+
+def test_scan_finds_an_unreferenced_export():
+    sources = {
+        "a.py": ('__all__ = ["kept", "gone", "Box", "helper"]\n'
+                 "def kept():\n    return 1\n"
+                 "def gone():\n    return 2\n"
+                 "def helper():\n    return 3\n"
+                 "class Box:\n    pass\n"
+                 "def _private():\n    return helper()\n"),
+        "b.py": "from a import kept\n_private = 1\n",
+    }
+    assert unreferenced_exports(sources) == [("a.py", 4, "gone")]
 
 
 IO_OWNER = os.path.join("src", "qsumm", "matrix_io.py")

@@ -1,13 +1,16 @@
+import ast
 import dataclasses
+import inspect
 import json
 import os
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import check_grads, json_values
+from conftest import check_grads, json_values, qsfm_bytes
 from test_discriminator import reference_critic_scores
 from qsumm import discriminator
 from qsumm import training
@@ -30,7 +33,7 @@ from qsumm.errors import (
 )
 from qsumm.evaluation import evaluate
 from qsumm.generator import GeneratorConfig, generator_forward, init_generator_params
-from qsumm.matrix_io import matrix_bytes, matrix_from_bytes
+from qsumm.matrix_io import matrix_from_bytes
 from qsumm.optim import OptimizerState, clip_weights, rmsprop_step
 from qsumm.rng import RngHub
 from qsumm.tensor import Tape, Tensor, mul
@@ -44,6 +47,7 @@ from qsumm.training import (
     METRICS_HEADER,
     THRESHOLD_GRID,
     Checkpoint,
+    CheckpointMeta,
     TrainConfig,
     adversarial_losses,
     load_checkpoint,
@@ -209,6 +213,117 @@ class TestFieldTypes:
     def test_int_in_float_field_stays_int(self):
         cfg = TrainConfig(clip_c=1, tau=2)
         assert type(cfg.clip_c) is int and type(cfg.tau) is int
+
+
+# record, field, {bound: accepted just below, at and just above it}, -0.0
+# accepted.  The neighbours are bound -/+ 1 for an int field and the
+# nearest floats for a float field.
+BOUNDARY_TABLE = [
+    (TrainConfig, "seed", {0: "-++"}, False),
+    (TrainConfig, "max_steps", {1: "-++"}, False),
+    (TrainConfig, "n_critic", {1: "-++"}, False),
+    (TrainConfig, "clip_c", {0: "--+"}, False),
+    (TrainConfig, "lr_gen", {0: "--+"}, False),
+    (TrainConfig, "lr_critic", {0: "--+"}, False),
+    (TrainConfig, "decay", {0: "--+", 1: "+--"}, False),
+    (TrainConfig, "omega", {0: "-++", 1: "++-"}, True),
+    (TrainConfig, "tau", {0: "--+"}, False),
+    (TrainConfig, "lambda_summ", {0: "-++"}, True),
+    (TrainConfig, "lambda_len", {0: "-++"}, True),
+    (TrainConfig, "segment_len", {1: "-++"}, False),
+    (TrainConfig, "checkpoint_every", {0: "-++"}, False),
+    (TrainConfig, "eval_every", {0: "-++"}, False),
+    (CheckpointMeta, "step", {0: "-++"}, False),
+    (CheckpointMeta, "best_val_f1", {0: "-++", 1: "++-"}, True),
+    (CheckpointMeta, "best_val_step", {0: "-++"}, False),
+    (CheckpointMeta, "gen_opt_step", {0: "-++"}, False),
+    (CheckpointMeta, "disc_opt_step", {0: "-++"}, False),
+    (SynthConfig, "n_videos", {1: "-++"}, False),
+    (SynthConfig, "n_shots", {1: "-++"}, False),
+    (SynthConfig, "n_concepts", {4: "-++"}, False),
+    (SynthConfig, "n_queries", {4: "-++"}, False),
+    (SynthConfig, "d_frame", {1: "-++"}, False),
+    (SynthConfig, "d_shot", {1: "-++"}, False),
+    (SynthConfig, "d_text", {1: "-++"}, False),
+    (SynthConfig, "relevance_strength", {0: "-++"}, True),
+    (GeneratorConfig, "d_frame", {1: "-++"}, False),
+    (GeneratorConfig, "d_shot", {1: "-++"}, False),
+    (GeneratorConfig, "d_text", {1: "-++"}, False),
+    (GeneratorConfig, "d_fused", {1: "-++"}, False),
+    (GeneratorConfig, "d_qenc", {1: "-++"}, False),
+    (GeneratorConfig, "d_h", {1: "-++"}, False),
+    (GeneratorConfig, "d_pred", {1: "-++"}, False),
+    (GeneratorConfig, "tau", {0: "--+"}, False),
+    (GeneratorConfig, "dropout_p", {0: "-++", 1: "+--"}, True),
+    (DiscriminatorConfig, "d_summ_in", {1: "-++"}, False),
+    (DiscriminatorConfig, "d_vid_in", {1: "-++"}, False),
+    (DiscriminatorConfig, "d_h", {1: "-++"}, False),
+    (DiscriminatorConfig, "d_fc1", {1: "-++"}, False),
+    (DiscriminatorConfig, "d_fc2", {1: "-++"}, False),
+    (DiscriminatorConfig, "d_fc3", {1: "-++"}, False),
+]
+META_FIELDS = dict(step=0, best_val_f1=0.0, best_val_step=0, gen_opt_step=0, disc_opt_step=0)
+RECORDS = (TrainConfig, CheckpointMeta, SynthConfig, GeneratorConfig, DiscriminatorConfig)
+
+
+def _field_kinds(record) -> dict:
+    return {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(record)}
+
+
+def make_record(record, **fields):
+    return record(**{**(META_FIELDS if record is CheckpointMeta else {}), **fields})
+
+
+def _boundary_cases():
+    for record, field, edges, neg_zero in BOUNDARY_TABLE:
+        is_int = _field_kinds(record)[field] == "int"
+        for bound, accepted in edges.items():
+            b = float(bound)
+            values = ((bound - 1, bound, bound + 1) if is_int else
+                      (float(np.nextafter(b, -np.inf)), b, float(np.nextafter(b, np.inf))))
+            for value, mark in zip(values, accepted):
+                yield pytest.param(record, field, value, mark == "+",
+                                   id=f"{record.__name__}-{field}={value!r}")
+        yield pytest.param(record, field, -0.0, neg_zero, id=f"{record.__name__}-{field}=-0.0")
+
+
+class TestFieldBounds:
+    """Each int and float field declares its range beside it, and the
+    range holds exactly at its edges."""
+
+    @pytest.mark.parametrize("record, field, value, accepted", list(_boundary_cases()))
+    def test_boundary_table(self, record, field, value, accepted):
+        if accepted:
+            assert getattr(make_record(record, **{field: value}), field) == value
+        else:
+            with pytest.raises(ConfigError):
+                make_record(record, **{field: value})
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+    def test_ranges_are_declared_beside_the_fields(self, record):
+        numeric = {n for n, kind in _field_kinds(record).items() if kind in ("int", "float")}
+        assert numeric == {field for r, field, _, _ in BOUNDARY_TABLE if r is record}
+        assert all("bounds" in f.metadata for f in dataclasses.fields(record)
+                   if f.name in numeric)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(record.__post_init__)))
+        ops = [op for n in ast.walk(tree) if isinstance(n, ast.Compare) for op in n.ops]
+        assert not any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in ops)
+
+    @pytest.mark.parametrize("record, fields, message", [
+        (TrainConfig, {"lr_critic": 0.0}, "train: lr_critic must be > 0, got 0.0"),
+        (TrainConfig, {"decay": 1.0}, "train: decay must be in (0, 1), got 1.0"),
+        (TrainConfig, {"eval_every": -1}, "train: eval_every must be >= 0, got -1"),
+        (GeneratorConfig, {"dropout_p": 1.0}, "generator: dropout_p must be in [0, 1), got 1.0"),
+        (SynthConfig, {"n_queries": 3}, "synth: n_queries must be >= 4, got 3"),
+        (CheckpointMeta, {"best_val_f1": 1.5}, "meta: best_val_f1 must be in [0, 1], got 1.5"),
+        # every type is checked before any bound
+        (CheckpointMeta, {"step": -1, "best_val_f1": float("nan")},
+         "meta: best_val_f1 must be finite float, got nan"),
+    ], ids=["gt", "open", "ge", "half-open", "ge-4", "closed", "type-first"])
+    def test_message_form(self, record, fields, message):
+        with pytest.raises(ConfigError) as e:
+            make_record(record, **fields)
+        assert str(e.value) == message
 
 
 class TestPhaseSeparation:
@@ -579,19 +694,19 @@ def reference_sections_of(ckpt: Checkpoint, gen_stats: dict, disc_stats: dict):
     yield "cfg/gen", _config_json(ckpt.gen_cfg)
     yield "cfg/disc", _config_json(ckpt.disc_cfg)
     for key, t in ckpt.gen_params.tensors().items():
-        yield f"gparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
+        yield f"gparam/{key}", qsfm_bytes(_as_matrix(t.data), version=2)
     for key, (mean, var) in gen_stats.items():
-        yield f"gstats/{key}/mean", matrix_bytes(_as_matrix(mean), version=2)
-        yield f"gstats/{key}/var", matrix_bytes(_as_matrix(var), version=2)
+        yield f"gstats/{key}/mean", qsfm_bytes(_as_matrix(mean), version=2)
+        yield f"gstats/{key}/var", qsfm_bytes(_as_matrix(var), version=2)
     for key, t in ckpt.disc_params.tensors().items():
-        yield f"dparam/{key}", matrix_bytes(_as_matrix(t.data), version=2)
+        yield f"dparam/{key}", qsfm_bytes(_as_matrix(t.data), version=2)
     for key, (mean, var) in disc_stats.items():
-        yield f"dstats/{key}/mean", matrix_bytes(_as_matrix(mean), version=2)
-        yield f"dstats/{key}/var", matrix_bytes(_as_matrix(var), version=2)
+        yield f"dstats/{key}/mean", qsfm_bytes(_as_matrix(mean), version=2)
+        yield f"dstats/{key}/var", qsfm_bytes(_as_matrix(var), version=2)
     for key, acc in ckpt.gen_opt.acc.items():
-        yield f"gopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
+        yield f"gopt/acc/{key}", qsfm_bytes(_as_matrix(acc), version=2)
     for key, acc in ckpt.disc_opt.acc.items():
-        yield f"dopt/acc/{key}", matrix_bytes(_as_matrix(acc), version=2)
+        yield f"dopt/acc/{key}", qsfm_bytes(_as_matrix(acc), version=2)
     yield "rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")
 
 
@@ -837,7 +952,7 @@ class TestCheckpointAgainstReference:
         path = tmp_path / "a.qsck"
         save_checkpoint(mini_checkpoint, path)
         sections = reference_read_sections(path.read_bytes(), "ckpt")
-        sections[name] = matrix_bytes(matrix_from_bytes(sections[name]), version=1)
+        sections[name] = qsfm_bytes(matrix_from_bytes(sections[name]), version=1)
         write_sections(path, sections)
 
         def allocate(*args):
@@ -858,7 +973,7 @@ class TestCheckpointAgainstReference:
         sections = reference_read_sections(path.read_bytes(), "ckpt")
         m = matrix_from_bytes(sections[name])
         m.flat[-1] = np.inf  # the last value sits in the last scratch chunk
-        sections[name] = matrix_bytes(m, version=2)
+        sections[name] = qsfm_bytes(m, version=2)
         write_sections(path, sections)
         for load in (load_checkpoint, load_generator):
             with pytest.raises(FormatError, match=name):
